@@ -20,7 +20,7 @@ from cxfilter.experiment import (
     run_simulation,
     run_sweep,
 )
-from cxfilter.io import parse_float, read_json
+from cxfilter.io import config_from_dict, read_json
 from cxfilter.pipeline import ESTIMATES_MANIFEST, import_estimates
 from cxfilter.scenes import SCENE_MANIFEST, load_scene
 
@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> tuple:
     try:
-        return tuple(parse_float(v) for v in text.split(",") if v != "")
+        return tuple(float(v) for v in text.split(",") if v != "")
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
 
@@ -121,9 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     p.add_argument("--external-dir", default=None)
-    p.add_argument(
-        "--degradation-snr", type=parse_float, default=None, metavar="DB"
-    )
+    p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
     p.add_argument(
         "--degradation-mode",
         choices=("additive_noise", "cross_talk", "combined"),
@@ -157,9 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=int, default=None, help="scenes per value")
     p.add_argument("--fcp", choices=("fcp", "essu"), default=None)
-    p.add_argument(
-        "--degradation-snr", type=parse_float, default=None, metavar="DB"
-    )
+    p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -171,7 +167,7 @@ def _resolve_config(args) -> ExperimentConfig:
         if not path.is_file():
             raise CliError(EXIT_IO, f"config file not found: {path}")
         try:
-            config = ExperimentConfig.from_dict(read_json(path))
+            config = config_from_dict(ExperimentConfig, read_json(path))
         except (ValueError, KeyError, TypeError) as err:
             raise CliError(EXIT_BAD_ARGS, f"bad config file {path}: {err}")
     else:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from cxfilter.fcp import FcpConfig
-from cxfilter.io import jsonify, parse_float, write_json
+from cxfilter.io import config_from_dict, config_to_dict, write_json
 from cxfilter.metrics import QuantileSweep, evaluate_scene, quantile_sweep
 from cxfilter.pipeline import (
     DegradationSpec,
@@ -51,7 +51,7 @@ SWEEP_AXES = ("taps", "epsilon", "degradation_snr", "t60")
 
 
 def _range_pair(value, name: str) -> tuple:
-    lo, hi = (parse_float(v) for v in value)
+    lo, hi = (float(v) for v in value)
     if not lo <= hi:
         raise ValueError(f"{name} must be (lo, hi) with lo <= hi")
     return (lo, hi)
@@ -87,35 +87,6 @@ class SceneRanges:
                 "speaker_gains_db",
                 tuple(float(g) for g in self.speaker_gains_db),
             )
-
-    def to_dict(self) -> dict:
-        return jsonify(
-            {
-                "num_speakers": self.num_speakers,
-                "duration_s": self.duration_s,
-                "t60_range_s": list(self.t60_range_s),
-                "drr_range_db": list(self.drr_range_db),
-                "noise_snr_range_db": list(self.noise_snr_range_db),
-                "sample_rate_hz": self.sample_rate_hz,
-                "speaker_gains_db": self.speaker_gains_db,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneRanges":
-        base = cls()
-        gains = d.get("speaker_gains_db", base.speaker_gains_db)
-        return cls(
-            num_speakers=int(d.get("num_speakers", base.num_speakers)),
-            duration_s=float(d.get("duration_s", base.duration_s)),
-            t60_range_s=tuple(d.get("t60_range_s", base.t60_range_s)),
-            drr_range_db=tuple(d.get("drr_range_db", base.drr_range_db)),
-            noise_snr_range_db=tuple(
-                d.get("noise_snr_range_db", base.noise_snr_range_db)
-            ),
-            sample_rate_hz=int(d.get("sample_rate_hz", base.sample_rate_hz)),
-            speaker_gains_db=None if gains is None else tuple(gains),
-        )
 
     def draw_scene_spec(self, seed: int, index: int) -> SceneSpec:
         """Deterministic per-scene spec for one batch slot."""
@@ -189,86 +160,8 @@ class ExperimentConfig:
             external_dir=self.external_dir,
         )
 
-    def to_dict(self) -> dict:
-        return jsonify(
-            {
-                "version": self.version,
-                "seed": self.seed,
-                "num_scenes": self.num_scenes,
-                "scene": self.scene.to_dict(),
-                "degradation": {
-                    "mode": self.degradation.mode,
-                    "snr_db": self.degradation.snr_db,
-                    "cross_talk_fraction": self.degradation.cross_talk_fraction,
-                    "seed": self.degradation.seed,
-                },
-                "fcp_mode": self.fcp_mode,
-                "fcp": {
-                    "taps": self.fcp.taps,
-                    "epsilon": self.fcp.epsilon,
-                    "diag_load_delta": self.fcp.diag_load_delta,
-                    "per_freq_floor": self.fcp.per_freq_floor,
-                    "stft": self.fcp.stft.to_dict(),
-                },
-                "iterations": self.iterations,
-                "refinement": self.refinement,
-                "stft_dnn": self.stft_dnn.to_dict(),
-                "quantiles": list(self.quantiles),
-                "external_dir": self.external_dir,
-                "out": self.out,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        base = cls()
-        deg = d.get("degradation", {})
-        fcp = d.get("fcp", {})
-        return cls(
-            version=int(d.get("version", EXPERIMENT_FORMAT_VERSION)),
-            seed=int(d.get("seed", base.seed)),
-            num_scenes=int(d.get("num_scenes", base.num_scenes)),
-            scene=SceneRanges.from_dict(d.get("scene", {})),
-            degradation=DegradationSpec(
-                mode=deg.get("mode", base.degradation.mode),
-                snr_db=parse_float(deg.get("snr_db", base.degradation.snr_db)),
-                cross_talk_fraction=float(
-                    deg.get(
-                        "cross_talk_fraction", base.degradation.cross_talk_fraction
-                    )
-                ),
-                seed=int(deg.get("seed", base.degradation.seed)),
-            ),
-            fcp_mode=d.get("fcp_mode", base.fcp_mode),
-            fcp=FcpConfig(
-                taps=int(fcp.get("taps", base.fcp.taps)),
-                epsilon=float(fcp.get("epsilon", base.fcp.epsilon)),
-                diag_load_delta=float(
-                    fcp.get("diag_load_delta", base.fcp.diag_load_delta)
-                ),
-                stft=(
-                    StftConfig.from_dict(fcp["stft"])
-                    if "stft" in fcp
-                    else base.fcp.stft
-                ),
-                per_freq_floor=bool(
-                    fcp.get("per_freq_floor", base.fcp.per_freq_floor)
-                ),
-            ),
-            iterations=int(d.get("iterations", base.iterations)),
-            refinement=d.get("refinement", base.refinement),
-            stft_dnn=(
-                StftConfig.from_dict(d["stft_dnn"])
-                if "stft_dnn" in d
-                else base.stft_dnn
-            ),
-            quantiles=tuple(d.get("quantiles", ())),
-            external_dir=d.get("external_dir"),
-            out=d.get("out"),
-        )
-
     def config_hash(self) -> str:
-        hashed = self.to_dict()
+        hashed = config_to_dict(self)
         hashed.pop("out", None)
         hashed.pop("external_dir", None)
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
@@ -330,11 +223,11 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
 def _scene_from_payload(payload: dict) -> Scene:
     if payload.get("scene_dir") is not None:
         return load_scene(payload["scene_dir"])
-    return simulate_scene(SceneSpec.from_dict(payload["scene_spec"]))
+    return simulate_scene(config_from_dict(SceneSpec, payload["scene_spec"]))
 
 
 def _separate_worker(payload: dict):
-    config = ExperimentConfig.from_dict(payload["config"])
+    config = config_from_dict(ExperimentConfig, payload["config"])
     scene = _scene_from_payload(payload)
     result = run_scene(scene, config)
     out_dir = Path(payload["out_dir"])
@@ -361,6 +254,7 @@ def run_separation(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    config_dict = config_to_dict(config)
     payloads = []
     if scenes_dir is not None:
         for directory in discover_scene_dirs(scenes_dir):
@@ -368,7 +262,7 @@ def run_separation(
                 {
                     "key": directory.name,
                     "scene_dir": str(directory),
-                    "config": config.to_dict(),
+                    "config": config_dict,
                     "out_dir": str(out_dir / directory.name),
                 }
             )
@@ -385,10 +279,10 @@ def run_separation(
                 {
                     "key": key,
                     "scene_dir": None,
-                    "scene_spec": config.scene.draw_scene_spec(
-                        config.seed, i
-                    ).to_dict(),
-                    "config": config.to_dict(),
+                    "scene_spec": config_to_dict(
+                        config.scene.draw_scene_spec(config.seed, i)
+                    ),
+                    "config": config_dict,
                     "out_dir": str(out_dir / key),
                 }
             )
@@ -396,7 +290,7 @@ def run_separation(
     scenes = {key: report for key, report in results}
     aggregate = {
         "version": REPORT_FORMAT_VERSION,
-        "config": config.to_dict(),
+        "config": config_dict,
         "config_sha256": config.config_hash(),
         "num_scenes": len(scenes),
         "scenes": scenes,
@@ -535,7 +429,7 @@ def apply_sweep_axis(
 
 
 def _sweep_worker(payload: dict):
-    config = ExperimentConfig.from_dict(payload["config"])
+    config = config_from_dict(ExperimentConfig, payload["config"])
     scene = _scene_from_payload(payload)
     result = run_scene(scene, config)
     images = [
@@ -570,8 +464,10 @@ def run_sweep(
         payloads = [
             {
                 "scene_dir": None,
-                "scene_spec": swept.scene.draw_scene_spec(swept.seed, i).to_dict(),
-                "config": swept.to_dict(),
+                "scene_spec": config_to_dict(
+                    swept.scene.draw_scene_spec(swept.seed, i)
+                ),
+                "config": config_to_dict(swept),
             }
             for i in range(swept.num_scenes)
         ]

@@ -45,9 +45,9 @@ class FcpConfig:
     def __post_init__(self):
         if self.taps < 1:
             raise ValueError("taps must be >= 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.diag_load_delta < 0:
+        if not self.diag_load_delta >= 0:
             raise ValueError("diag_load_delta must be non-negative")
 
 

@@ -1,5 +1,8 @@
 """WAV and JSON manifest helpers shared by scene and pipeline serialization.
 
+Config dataclasses serialize through one pair, :func:`config_to_dict`
+and :func:`config_from_dict`; report hashes are taken over that form.
+
 Audio is stored as mono 32-bit float little-endian WAV.  Arrays are
 float64 in memory; writing quantizes to float32, so one write/read trip
 is exact at float32 precision and idempotent afterwards.
@@ -7,8 +10,11 @@ is exact at float32 precision and idempotent afterwards.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +71,37 @@ def jsonify(obj):
     return _encode_value(obj)
 
 
-def parse_float(v) -> float:
-    """Inverse of :func:`jsonify` for scalar floats ('inf' -> inf)."""
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
+def config_to_dict(obj) -> dict:
+    """JSON-safe dict of a (nested) config dataclass."""
+    return jsonify(dataclasses.asdict(obj))
+
+
+def _decode(hint, value):
+    if isinstance(hint, types.UnionType):  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return config_from_dict(hint, value)
+    if hint in (tuple, int, float, bool):
+        return hint(value)  # float() also parses the encoded "inf"/"-inf"
+    return value
+
+
+def config_from_dict(cls, d: dict):
+    """Inverse of :func:`config_to_dict`.
+
+    Unknown keys are ignored and missing keys take the dataclass
+    defaults.
+    """
+    hints = typing.get_type_hints(cls)
+    return cls(
+        **{
+            f.name: _decode(hints[f.name], d[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name in d
+        }
+    )
 
 
 def write_json(path, obj) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from cxfilter.stft import ComplexSpectrogram, _check_same_grid
 
 # Factorial enumeration over speaker permutations; fine for C <= 8.
-MAX_PIT_SPEAKERS = 8
+MAX_SPEAKERS = 8
 
 _BASE_LOSS_KINDS = ("ri_mag_l1", "ri_l1")
 
@@ -67,6 +67,21 @@ def base_loss(
     return float((re_im + mag) / (3 * units))
 
 
+def best_permutation(cost) -> tuple:
+    """Permutation minimizing ``sum_c cost[c, perm[c]]``.
+
+    Searches all permutations of the square matrix's columns; ties
+    resolve to the lexicographically smallest permutation.
+    """
+    count = len(cost)
+    best_perm, best_total = None, np.inf
+    for perm in itertools.permutations(range(count)):
+        total = sum(cost[c, perm[c]] for c in range(count))
+        if total < best_total:
+            best_perm, best_total = perm, total
+    return best_perm
+
+
 def _pairwise(ests: list, refs: list, kind: str) -> np.ndarray:
     """loss[c_ref, c_est] for every reference/estimate pairing."""
     table = np.empty((len(refs), len(ests)))
@@ -83,10 +98,10 @@ def _check_counts(ests: list, refs: list, op: str):
         )
     if len(ests) == 0:
         raise ValueError(f"{op}: empty speaker lists")
-    if len(ests) > MAX_PIT_SPEAKERS:
+    if len(ests) > MAX_SPEAKERS:
         raise ValueError(
             f"{op}: {len(ests)} speakers exceeds the factorial "
-            f"enumeration cap of {MAX_PIT_SPEAKERS}"
+            f"enumeration cap of {MAX_SPEAKERS}"
         )
 
 
@@ -100,15 +115,10 @@ def pit_loss(ests: list, refs: list, kind: str = "ri_mag_l1") -> LossValue:
     """
     _check_counts(ests, refs, "pit_loss")
     table = _pairwise(ests, refs, kind)
-    count = len(refs)
-    best_perm, best_total = None, np.inf
-    for perm in itertools.permutations(range(count)):
-        total = sum(table[c, perm[c]] for c in range(count))
-        if total < best_total:
-            best_perm, best_total = perm, total
-    terms = {f"speaker_{c}": float(table[c, best_perm[c]]) for c in range(count)}
+    perm = best_permutation(table)
+    terms = {f"speaker_{c}": float(table[c, perm[c]]) for c in range(len(refs))}
     return LossValue(
-        total=float(best_total), per_term=terms, permutation=best_perm, kind=kind
+        total=sum(terms.values()), per_term=terms, permutation=perm, kind=kind
     )
 
 
@@ -181,13 +191,7 @@ def composite_loss(
     table_r = _pairwise(est_reverb, ref_reverb, kind)
     table_a = _pairwise(est_direct, ref_direct, kind)
     if permutation is None:
-        joint = table_r + table_a
-        best_perm, best_total = None, np.inf
-        for perm in itertools.permutations(range(count)):
-            total = sum(joint[c, perm[c]] for c in range(count))
-            if total < best_total:
-                best_perm, best_total = perm, total
-        perm = best_perm
+        perm = best_permutation(table_r + table_a)
     else:
         perm = _check_permutation(permutation, count, "composite_loss")
 

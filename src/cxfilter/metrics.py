@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cxfilter.io import config_to_dict
+from cxfilter.losses import MAX_SPEAKERS, best_permutation
 from cxfilter.scenes import Scene
 from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, StftConfig, istft, stft
 
 # Caps keep reports finite when the residual is (near) zero.
 SI_SDR_CAP_DB = 100.0
 SI_SDR_FLOOR_DB = -100.0
-
-_MAX_EVAL_SPEAKERS = 8
 
 
 def si_sdr(est, ref) -> float:
@@ -244,7 +244,7 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
         raise ValueError(
             f"evaluate_scene: {len(estimates)} estimates for {count} speakers"
         )
-    if count > _MAX_EVAL_SPEAKERS:
+    if count > MAX_SPEAKERS:
         raise ValueError(
             f"evaluate_scene: {count} speakers exceeds the enumeration cap"
         )
@@ -257,11 +257,7 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
     for i, ref in enumerate(refs):
         for j, est in enumerate(estimates):
             table[i, j] = si_sdr(est, ref)
-    best_perm, best_mean = None, -np.inf
-    for perm in itertools.permutations(range(count)):
-        mean = sum(table[c, perm[c]] for c in range(count)) / count
-        if mean > best_mean:
-            best_perm, best_mean = perm, mean
+    best_perm = best_permutation(-table)
 
     quantiles = tuple(float(q) for q in quantiles)
     per_speaker = []
@@ -283,7 +279,7 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
         "si_sdr_cap_db": SI_SDR_CAP_DB,
         "si_sdr_floor_db": SI_SDR_FLOOR_DB,
         "quantiles": list(quantiles),
-        "le_stft": SEPARATOR_STFT.to_dict(),
+        "le_stft": config_to_dict(SEPARATOR_STFT),
         "le_domain": "time",
     }
     return MetricsReport(

@@ -19,13 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from cxfilter.fcp import FcpConfig, fcp_essu_separate, fcp_separate
-from cxfilter.io import read_json, read_wav, write_json, write_wav
+from cxfilter.io import (
+    config_from_dict,
+    config_to_dict,
+    read_json,
+    read_wav,
+    write_json,
+    write_wav,
+)
 from cxfilter.metrics import MetricsReport, evaluate_scene
 from cxfilter.scenes import Scene
 from cxfilter.stft import (
     SEPARATOR_STFT,
     ComplexSpectrogram,
     StftConfig,
+    convert_config,
     istft,
     stft,
 )
@@ -229,14 +237,6 @@ def oracle_separate(
     )
 
 
-def _convert(
-    spec: ComplexSpectrogram, to_config: StftConfig, num_samples: int
-) -> ComplexSpectrogram:
-    if spec.config == to_config:
-        return ComplexSpectrogram(spec.data.copy(), to_config)
-    return stft(istft(spec, output_length=num_samples), to_config)
-
-
 def run_fcp_stage(
     mixture, separator_output: SeparatorOutput, config: PipelineConfig
 ) -> list:
@@ -252,11 +252,14 @@ def run_fcp_stage(
     n = mixture.shape[0]
     mix_spec = stft(mixture, config.stft_fcp)
     s_hats = [
-        _convert(s, config.stft_fcp, n) for s in separator_output.direct_estimates
+        convert_config(s, s.config, config.stft_fcp, n)
+        for s in separator_output.direct_estimates
     ]
     separate = fcp_separate if config.fcp_variant == "fcp" else fcp_essu_separate
     images = separate(mix_spec, s_hats, config.fcp)
-    return [_convert(img, config.stft_dnn, n) for img in images]
+    return [
+        convert_config(img, config.stft_fcp, config.stft_dnn, n) for img in images
+    ]
 
 
 def assemble_features(
@@ -316,7 +319,7 @@ def export_features(stack: FeatureStack, directory) -> Path:
         "num_samples": length,
         "frames": stack.mixture.frames,
         "bins": stack.mixture.bins,
-        "stft": config.to_dict(),
+        "stft": config_to_dict(config),
         "files": names,
     }
     path = directory / FEATURES_MANIFEST
@@ -339,6 +342,24 @@ def _load_manifest(directory: Path, name: str, version: int, required: str) -> d
     return manifest
 
 
+def _read_spectrograms(directory: Path, manifest: dict, names: list, kind: str) -> list:
+    """Analyze exchange-directory WAVs, checking each one's rate and length."""
+    config = config_from_dict(StftConfig, manifest["stft"])
+    length = int(manifest["num_samples"])
+    specs = []
+    for name in names:
+        path = directory / name
+        if not path.is_file():
+            raise FileNotFoundError(f"{kind} file missing: {path}")
+        signal = read_wav(path, expected_rate=config.sample_rate_hz)
+        if signal.shape[0] != length:
+            raise ValueError(
+                f"{path}: {signal.shape[0]} samples, manifest says {length}"
+            )
+        specs.append(stft(signal, config))
+    return specs
+
+
 def import_features(directory) -> FeatureStack:
     """Read a feature directory written by :func:`export_features`."""
     directory = Path(directory)
@@ -349,29 +370,14 @@ def import_features(directory) -> FeatureStack:
         "mixture.wav and per-speaker s{c}_stage1_direct.wav, "
         "s{c}_stage1_image.wav, s{c}_fcp_image.wav",
     )
-    config = StftConfig.from_dict(manifest["stft"])
-    count = int(manifest["num_speakers"])
-    length = int(manifest["num_samples"])
-
-    def spec_of(name: str) -> ComplexSpectrogram:
-        path = directory / name
-        if not path.is_file():
-            raise FileNotFoundError(f"feature file missing: {path}")
-        signal = read_wav(path, expected_rate=config.sample_rate_hz)
-        if signal.shape[0] != length:
-            raise ValueError(
-                f"{path}: {signal.shape[0]} samples, manifest says {length}"
-            )
-        return stft(signal, config)
-
-    names = _feature_files(count)
-    specs = [spec_of(name) for name in names]
+    names = _feature_files(int(manifest["num_speakers"]))
+    specs = _read_spectrograms(directory, manifest, names, "feature")
     return FeatureStack(
         mixture=specs[0],
         stage1_direct=specs[1::3],
         stage1_image=specs[2::3],
         fcp_images=specs[3::3],
-        num_samples=length,
+        num_samples=int(manifest["num_samples"]),
     )
 
 
@@ -398,7 +404,7 @@ def export_estimates(output: SeparatorOutput, directory, num_samples: int) -> Pa
         "version": ESTIMATES_FORMAT_VERSION,
         "num_speakers": output.num_speakers,
         "num_samples": num_samples,
-        "stft": config.to_dict(),
+        "stft": config_to_dict(config),
         "files": files,
     }
     path = directory / ESTIMATES_MANIFEST
@@ -415,24 +421,13 @@ def import_estimates(directory) -> SeparatorOutput:
         ESTIMATES_FORMAT_VERSION,
         "per-speaker s{c}_direct.wav and s{c}_image.wav",
     )
-    config = StftConfig.from_dict(manifest["stft"])
     count = int(manifest["num_speakers"])
-    length = int(manifest["num_samples"])
-
-    def spec_of(name: str) -> ComplexSpectrogram:
-        path = directory / name
-        if not path.is_file():
-            raise FileNotFoundError(f"estimate file missing: {path}")
-        signal = read_wav(path, expected_rate=config.sample_rate_hz)
-        if signal.shape[0] != length:
-            raise ValueError(
-                f"{path}: {signal.shape[0]} samples, manifest says {length}"
-            )
-        return stft(signal, config)
-
+    names = [
+        f"s{c}_{kind}.wav" for kind in ("direct", "image") for c in range(1, count + 1)
+    ]
+    specs = _read_spectrograms(directory, manifest, names, "estimate")
     return SeparatorOutput(
-        direct_estimates=[spec_of(f"s{c}_direct.wav") for c in range(1, count + 1)],
-        image_estimates=[spec_of(f"s{c}_image.wav") for c in range(1, count + 1)],
+        direct_estimates=specs[:count], image_estimates=specs[count:]
     )
 
 

@@ -12,13 +12,20 @@ in place of generated ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from cxfilter.io import jsonify, parse_float, read_json, read_wav, write_json, write_wav
+from cxfilter.io import (
+    config_from_dict,
+    config_to_dict,
+    read_json,
+    read_wav,
+    write_json,
+    write_wav,
+)
 
 SCENE_MANIFEST = "scene.json"
 SCENE_FORMAT_VERSION = 1
@@ -60,8 +67,11 @@ class SceneSpec:
     def __post_init__(self):
         if self.num_speakers < 1:
             raise ValueError("num_speakers must be >= 1")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("duration_s must be positive")
+        for name in ("t60_s", "drr_db", "noise_snr_db"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
         if self.speaker_gains_db is not None:
             if len(self.speaker_gains_db) != self.num_speakers:
                 raise ValueError("speaker_gains_db length must equal num_speakers")
@@ -72,34 +82,6 @@ class SceneSpec:
     @property
     def num_samples(self) -> int:
         return int(round(self.duration_s * self.sample_rate_hz))
-
-    def to_dict(self) -> dict:
-        return jsonify(
-            {
-                "num_speakers": self.num_speakers,
-                "duration_s": self.duration_s,
-                "t60_s": self.t60_s,
-                "drr_db": self.drr_db,
-                "noise_snr_db": self.noise_snr_db,
-                "seed": self.seed,
-                "sample_rate_hz": self.sample_rate_hz,
-                "speaker_gains_db": self.speaker_gains_db,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        gains = d.get("speaker_gains_db")
-        return cls(
-            num_speakers=int(d["num_speakers"]),
-            duration_s=float(d["duration_s"]),
-            t60_s=float(d["t60_s"]),
-            drr_db=parse_float(d["drr_db"]),
-            noise_snr_db=parse_float(d["noise_snr_db"]),
-            seed=int(d["seed"]),
-            sample_rate_hz=int(d["sample_rate_hz"]),
-            speaker_gains_db=None if gains is None else tuple(gains),
-        )
 
 
 @dataclass
@@ -298,7 +280,7 @@ def save_scene(scene: Scene, directory) -> Path:
         write_wav(directory / f"s{c + 1}_image.wav", scene.reverberant_image[c], sr)
 
     manifest = {"version": SCENE_FORMAT_VERSION, "files": files}
-    manifest.update(scene.spec.to_dict())
+    manifest.update(config_to_dict(scene.spec))
 
     if scene.rirs is not None:
         for c, rir in enumerate(scene.rirs):
@@ -324,7 +306,14 @@ def load_scene(directory) -> Scene:
         raise ValueError(
             f"unsupported scene manifest version {manifest.get('version')!r}"
         )
-    spec = SceneSpec.from_dict(manifest)
+    missing = [
+        f.name
+        for f in fields(SceneSpec)
+        if f.name not in manifest and f.name != "speaker_gains_db"
+    ]
+    if missing:
+        raise ValueError(f"{manifest_path}: missing keys {', '.join(missing)}")
+    spec = config_from_dict(SceneSpec, manifest)
     files = manifest["files"]
 
     def component(name: str) -> np.ndarray:

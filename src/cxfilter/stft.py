@@ -80,23 +80,6 @@ class StftConfig:
         """Longest signal reconstructible from ``num_frames`` frames."""
         return num_frames * self.hop_samples - self.head_padding
 
-    def to_dict(self) -> dict:
-        return {
-            "window_length_samples": self.window_length_samples,
-            "hop_samples": self.hop_samples,
-            "dft_size": self.dft_size,
-            "sample_rate_hz": self.sample_rate_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StftConfig":
-        return cls(
-            window_length_samples=int(d["window_length_samples"]),
-            hop_samples=int(d["hop_samples"]),
-            dft_size=int(d["dft_size"]),
-            sample_rate_hz=int(d["sample_rate_hz"]),
-        )
-
 
 #: Feature/separator domain: 32 ms window, 8 ms hop, 256-point DFT at 8 kHz.
 SEPARATOR_STFT = StftConfig(256, 64, 256, 8000)
@@ -250,5 +233,9 @@ def convert_config(
     Defined as ``stft(istft(spec, from_config, length), to_config)``;
     exactness is inherited from the round-trip guarantees.  ``length``
     is the time-domain sample count carried through the conversion.
+    When both configurations are equal the result is an exact copy of
+    ``spec`` and ``length`` is not used.
     """
+    if from_config == to_config == spec.config:
+        return ComplexSpectrogram(spec.data.copy(), to_config)
     return stft(istft(spec, from_config, length), to_config)

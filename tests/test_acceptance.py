@@ -35,7 +35,7 @@ from cxfilter import (
     stft,
 )
 from cxfilter.experiment import ExperimentConfig, SceneRanges
-from cxfilter.io import write_json
+from cxfilter.io import config_to_dict, write_json
 from cxfilter.pipeline import PipelineConfig, oracle_separate, run_fcp_stage, run_pipeline
 
 QUANTILES = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -337,12 +337,14 @@ def test_criterion_09_quantile_improvement_curve():
 
 def test_criterion_10_cli_determinism(tmp_path):
     t0 = time.monotonic()
-    config = ExperimentConfig(
-        num_scenes=1,
-        scene=_ranges(duration_s=0.8),
-        degradation=DegradationSpec(snr_db=15.0),
-        fcp_mode="fcp",
-    ).to_dict()
+    config = config_to_dict(
+        ExperimentConfig(
+            num_scenes=1,
+            scene=_ranges(duration_s=0.8),
+            degradation=DegradationSpec(snr_db=15.0),
+            fcp_mode="fcp",
+        )
+    )
     config["fcp"]["taps"] = 3
     config_path = tmp_path / "config.json"
     write_json(config_path, config)

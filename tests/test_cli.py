@@ -8,7 +8,7 @@ import pytest
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
 from cxfilter.cli import main
 from cxfilter.experiment import ExperimentConfig, SceneRanges
-from cxfilter.io import read_json, write_json
+from cxfilter.io import config_to_dict, read_json, write_json
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import save_scene
 
@@ -81,9 +81,9 @@ class TestSeparate:
         path = tmp_path / "config.json"
         write_json(
             path,
-            ExperimentConfig(
-                scene=SceneRanges(num_speakers=1, duration_s=0.8)
-            ).to_dict(),
+            config_to_dict(
+                ExperimentConfig(scene=SceneRanges(num_speakers=1, duration_s=0.8))
+            ),
         )
         code = main(
             [
@@ -104,7 +104,7 @@ class TestSeparate:
             degradation=DegradationSpec(snr_db=15.0),
             fcp_mode="fcp",
         )
-        d = config.to_dict()
+        d = config_to_dict(config)
         d["fcp"]["taps"] = 3
         path = tmp_path / "config.json"
         write_json(path, d)
@@ -119,9 +119,11 @@ class TestSeparate:
         path = tmp_path / "config.json"
         write_json(
             path,
-            ExperimentConfig(
-                num_scenes=5, scene=SceneRanges(num_speakers=1, duration_s=0.8)
-            ).to_dict(),
+            config_to_dict(
+                ExperimentConfig(
+                    num_scenes=5, scene=SceneRanges(num_speakers=1, duration_s=0.8)
+                )
+            ),
         )
         code = main(
             [
@@ -134,6 +136,15 @@ class TestSeparate:
         )
         assert code == 0
         assert read_json(tmp_path / "out" / "report.json")["num_scenes"] == 1
+
+    def test_nan_config_value_is_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"fcp": {"epsilon": NaN}}')
+        code = main(
+            ["separate", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert code == 5
+        assert "epsilon" in capsys.readouterr().err
 
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -152,9 +163,9 @@ class TestSeparate:
         path = tmp_path / "config.json"
         write_json(
             path,
-            ExperimentConfig(
-                scene=SceneRanges(num_speakers=1, duration_s=0.8)
-            ).to_dict(),
+            config_to_dict(
+                ExperimentConfig(scene=SceneRanges(num_speakers=1, duration_s=0.8))
+            ),
         )
         argv = [
             "separate",
@@ -243,12 +254,14 @@ class TestSweep:
         path = tmp_path / "config.json"
         write_json(
             path,
-            ExperimentConfig(
-                num_scenes=1,
-                scene=SceneRanges(num_speakers=1, duration_s=0.8),
-                degradation=DegradationSpec(snr_db=15.0),
-                fcp_mode="fcp",
-            ).to_dict(),
+            config_to_dict(
+                ExperimentConfig(
+                    num_scenes=1,
+                    scene=SceneRanges(num_speakers=1, duration_s=0.8),
+                    degradation=DegradationSpec(snr_db=15.0),
+                    fcp_mode="fcp",
+                )
+            ),
         )
         code = main(
             [

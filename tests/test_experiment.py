@@ -19,7 +19,7 @@ from cxfilter.experiment import (
     run_simulation,
     run_sweep,
 )
-from cxfilter.io import read_json
+from cxfilter.io import config_from_dict, config_to_dict, read_json
 from cxfilter.pipeline import import_estimates
 from cxfilter.scenes import save_scene
 
@@ -55,7 +55,7 @@ def _tiny_config(**kw):
 class TestSceneRanges:
     def test_dict_round_trip(self):
         ranges = _tiny_ranges(speaker_gains_db=(0.0, -10.0), num_speakers=2)
-        back = SceneRanges.from_dict(ranges.to_dict())
+        back = config_from_dict(SceneRanges, config_to_dict(ranges))
         assert back == ranges
 
     def test_bad_range_rejected(self):
@@ -87,8 +87,8 @@ class TestExperimentConfig:
             fcp_mode="essu",
             fcp=FcpConfig(taps=7),
         )
-        blob = json.dumps(config.to_dict())  # must be valid strict JSON
-        back = ExperimentConfig.from_dict(json.loads(blob))
+        blob = json.dumps(config_to_dict(config))  # must be valid strict JSON
+        back = config_from_dict(ExperimentConfig, json.loads(blob))
         assert back == config
         assert back.degradation.snr_db == np.inf
 
@@ -107,7 +107,7 @@ class TestExperimentConfig:
 
     def test_hash_stable_across_round_trip(self):
         config = _tiny_config(quantiles=(0.5,))
-        back = ExperimentConfig.from_dict(config.to_dict())
+        back = config_from_dict(ExperimentConfig, config_to_dict(config))
         assert back.config_hash() == config.config_hash()
 
     def test_validation(self):

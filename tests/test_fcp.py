@@ -57,6 +57,13 @@ def synth_target(s_hat: np.ndarray, g0: np.ndarray) -> np.ndarray:
     return np.einsum("tfa,fa->tf", stack, np.conj(g0))
 
 
+class TestFcpConfig:
+    @pytest.mark.parametrize("name", ["epsilon", "diag_load_delta"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            FcpConfig(**{name: np.nan})
+
+
 class TestEstimateFcpFilter:
     def test_identity_projection(self, rng):
         spec = rand_spec(rng, 20, GRID)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from cxfilter.experiment import ExperimentConfig
 from cxfilter.io import (
+    config_from_dict,
+    config_to_dict,
     jsonify,
-    parse_float,
     read_json,
     read_wav,
     write_json,
@@ -49,7 +51,7 @@ class TestJson:
         write_json(path, {"snr_db": np.inf})
         raw = path.read_text()
         assert "Infinity" not in raw
-        assert parse_float(read_json(path)["snr_db"]) == np.inf
+        assert float(read_json(path)["snr_db"]) == np.inf
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -66,3 +68,26 @@ class TestJson:
         write_json(p1, obj)
         write_json(p2, {"list": [3, 2, 1], "a": 1, "b": 2})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestConfigDict:
+    def test_missing_keys_take_defaults_and_unknown_keys_are_ignored(self):
+        config = config_from_dict(
+            ExperimentConfig, {"fcp": {"taps": 7}, "scene": {}, "extra": 1}
+        )
+        assert config.fcp.taps == 7
+        assert config.fcp.epsilon == ExperimentConfig().fcp.epsilon
+        assert config.scene == ExperimentConfig().scene
+
+    def test_encoded_values_are_coerced_back(self):
+        d = config_to_dict(ExperimentConfig(quantiles=(0.5,)))
+        d["degradation"]["snr_db"] = "-inf"
+        d["scene"]["speaker_gains_db"] = [0, "-inf"]
+        with pytest.raises(ValueError, match="snr_db"):
+            config_from_dict(ExperimentConfig, d)
+        d["degradation"]["snr_db"] = "inf"
+        config = config_from_dict(ExperimentConfig, d)
+        assert config.degradation.snr_db == np.inf
+        assert config.scene.speaker_gains_db == (0.0, -np.inf)
+        assert config.quantiles == (0.5,)
+        assert config.out is None

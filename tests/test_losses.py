@@ -15,6 +15,7 @@ from cxfilter import (
     mc_loss,
     pit_loss,
 )
+from cxfilter.losses import best_permutation
 from conftest import rand_spec
 
 GRID = StftConfig(16, 4, 16, 8000)
@@ -115,6 +116,13 @@ class TestPitLoss:
         nine = [rand_spec(rng, 2, GRID) for _ in range(9)]
         with pytest.raises(ValueError):
             pit_loss(nine, nine)
+
+
+class TestBestPermutation:
+    def test_ties_go_to_lexicographically_smallest(self):
+        assert best_permutation(np.zeros((3, 3))) == (0, 1, 2)
+        # (1, 2, 0) and (2, 0, 1) both cost 0.
+        assert best_permutation(np.eye(3)) == (1, 2, 0)
 
 
 class TestMcLoss:

@@ -1,5 +1,6 @@
 """Scene synthesis: RIR model, mixture accounting, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from cxfilter import (
     simulate_scene,
     synthesize_dry_sources,
 )
+from cxfilter.io import config_from_dict, config_to_dict
 
 
 def tail_energy(rir):
@@ -208,6 +210,21 @@ class TestSceneSerialization:
         with pytest.raises(FileNotFoundError):
             load_scene(tmp_path / "empty")
 
+    def test_manifest_missing_spec_key_named(self, tmp_path, small_scene):
+        path = save_scene(small_scene, tmp_path / "sc")
+        manifest = json.loads(path.read_text())
+        del manifest["num_speakers"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="num_speakers"):
+            load_scene(tmp_path / "sc")
+
+    def test_manifest_without_gains_loads(self, tmp_path, small_scene):
+        path = save_scene(small_scene, tmp_path / "sc")
+        manifest = json.loads(path.read_text())
+        del manifest["speaker_gains_db"]
+        path.write_text(json.dumps(manifest))
+        assert load_scene(tmp_path / "sc").spec.speaker_gains_db is None
+
     def test_loaded_scene_still_consistent(self, tmp_path, small_scene):
         # Float32 quantization leaves the accounting identity intact to
         # float32 resolution.
@@ -230,7 +247,12 @@ class TestSceneSpecValidation:
         with pytest.raises(ValueError):
             SceneSpec(num_speakers=2, speaker_gains_db=(0.0,))
 
+    @pytest.mark.parametrize("name", ["duration_s", "t60_s", "drr_db", "noise_snr_db"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SceneSpec(**{name: math.nan})
+
     def test_dict_round_trip_with_infinities(self):
         spec = SceneSpec(drr_db=np.inf, noise_snr_db=np.inf, seed=3)
-        again = SceneSpec.from_dict(spec.to_dict())
+        again = config_from_dict(SceneSpec, config_to_dict(spec))
         assert again == spec

@@ -13,6 +13,7 @@ from cxfilter import (
     si_sdr,
     stft,
 )
+from cxfilter.io import config_from_dict, config_to_dict
 from conftest import naive_stft
 
 BOTH_CONFIGS = (SEPARATOR_STFT, FILTER_STFT)
@@ -54,7 +55,7 @@ class TestStftConfig:
 
     def test_dict_round_trip(self):
         for cfg in BOTH_CONFIGS:
-            assert StftConfig.from_dict(cfg.to_dict()) == cfg
+            assert config_from_dict(StftConfig, config_to_dict(cfg)) == cfg
 
 
 class TestStft:
