@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from cxfilter import fcp as fcp_module
 from cxfilter import (
     FILTER_STFT,
     ComplexSpectrogram,
@@ -19,8 +21,9 @@ from cxfilter import (
 )
 from conftest import rand_spec
 
-# Small grid for synthetic-spectrogram tests; only bin count matters.
-GRID = StftConfig(16, 4, 16, 8000)
+# Small grids for synthetic-spectrogram tests; only bin count matters.
+GRID = StftConfig(16, 4, 16, 8000)  # 9 bins
+GRID64 = StftConfig(64, 16, 64, 8000)  # 33 bins
 
 # Exactness tests disable diagonal loading: loading is a robustness
 # device for degenerate frequencies, not part of the estimator.
@@ -49,6 +52,33 @@ def wls_pinv_oracle(target_col, stack_col, weight_col):
 def weights_of(target: np.ndarray, epsilon: float) -> np.ndarray:
     power = np.abs(target) ** 2
     return epsilon * power.max() + power
+
+
+def naive_fcp_filter(target, s_hat, config: FcpConfig) -> np.ndarray:
+    """Per-bin WLS fit: explicit normal equations, ``np.linalg.lstsq`` solve.
+
+    Same estimator as the library (floored weights, Hermitian part,
+    trace-scaled loading, zero row for a silent bin), built one
+    frequency at a time from :func:`naive_tap_stack`.
+    """
+    z, taps = target.data, config.taps
+    power = np.abs(z) ** 2
+    peak = power.max(axis=0) if config.per_freq_floor else np.full(z.shape[1], power.max())
+    stack = naive_tap_stack(s_hat.data, taps)
+    out = np.zeros((z.shape[1], taps), dtype=complex)
+    for f in range(z.shape[1]):
+        w = config.epsilon * peak[f] + power[:, f]
+        w[w == 0.0] = 1.0
+        x = stack[:, f, :]  # (T, taps)
+        gram = x.T @ (x.conj() / w[:, None])
+        cross = x.T @ (z[:, f].conj() / w)
+        gram = 0.5 * (gram + gram.conj().T)
+        trace = np.trace(gram).real
+        if trace <= 0.0:
+            continue
+        system = gram + config.diag_load_delta * trace / taps * np.eye(taps)
+        out[f] = np.linalg.lstsq(system, cross, rcond=None)[0]
+    return out
 
 
 def synth_target(s_hat: np.ndarray, g0: np.ndarray) -> np.ndarray:
@@ -153,6 +183,84 @@ class TestEstimateFcpFilter:
             target, s_hat, FcpConfig(taps=3, stft=GRID, per_freq_floor=True)
         )
         assert np.max(np.abs(g_global - g_local)) > 1e-8
+
+
+def _edge_ragged_bins(rng):
+    # 33 bins: not a multiple of any power-of-two bin block.
+    return rand_spec(rng, 40, GRID64), rand_spec(rng, 40, GRID64), FcpConfig(
+        taps=6, stft=GRID64
+    )
+
+
+def _edge_single_frame(rng):
+    return rand_spec(rng, 1, GRID), rand_spec(rng, 1, GRID), FcpConfig(
+        taps=4, stft=GRID
+    )
+
+
+def _edge_fewer_frames_than_taps(rng):
+    return rand_spec(rng, 5, GRID64), rand_spec(rng, 5, GRID64), FcpConfig(
+        taps=12, stft=GRID64
+    )
+
+
+def _edge_per_freq_floor(rng):
+    target = rand_spec(rng, 30, GRID64)
+    target.data[:, ::3] *= 100.0
+    return target, rand_spec(rng, 30, GRID64), FcpConfig(
+        taps=5, stft=GRID64, per_freq_floor=True
+    )
+
+
+def _edge_zero_shat_column(rng):
+    s_hat = rand_spec(rng, 25, GRID64)
+    s_hat.data[:, 8] = 0.0
+    return rand_spec(rng, 25, GRID64), s_hat, FcpConfig(taps=4, stft=GRID64)
+
+
+class TestNaiveOracleEdgeCases:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _edge_ragged_bins,
+            _edge_single_frame,
+            _edge_fewer_frames_than_taps,
+            _edge_per_freq_floor,
+            _edge_zero_shat_column,
+        ],
+        ids=lambda case: case.__name__[len("_edge_"):],
+    )
+    def test_matches_naive_oracle(self, rng, case):
+        target, s_hat, config = case(rng)
+        g = estimate_fcp_filter(target, s_hat, config)
+        want = naive_fcp_filter(target, s_hat, config)
+        assert g.shape == (s_hat.bins, config.taps)
+        assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+        silent = ~np.any(s_hat.data, axis=0)
+        assert np.all(g[silent] == 0)
+
+    def test_singular_system_takes_lstsq_fallback(self, rng, monkeypatch):
+        # Without loading, fewer frames than taps leaves every bin's
+        # normal matrix rank-deficient, so every Cholesky factorization
+        # fails and the minimum-norm least-squares solution is returned.
+        failures = []
+        cho_factor = fcp_module.cho_factor
+
+        def counting_cho_factor(*args, **kwargs):
+            try:
+                return cho_factor(*args, **kwargs)
+            except LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(fcp_module, "cho_factor", counting_cho_factor)
+        target = rand_spec(rng, 5, GRID64)
+        s_hat = rand_spec(rng, 5, GRID64)
+        config = FcpConfig(taps=12, stft=GRID64, **EXACT)
+        g = estimate_fcp_filter(target, s_hat, config)
+        want = naive_fcp_filter(target, s_hat, config)
+        assert len(failures) == GRID64.bins
+        assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestOptimalityInvariants:
