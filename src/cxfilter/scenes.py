@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from cxfilter.io import (
     config_from_dict,
@@ -204,6 +203,10 @@ def render_scene(sources, spec: SceneSpec, rng: np.random.Generator) -> Scene:
     added at ``spec.noise_snr_db`` relative to the summed images
     (``+inf`` means noise-free).
     """
+    # Imported here: scipy.signal dominates the package's import time and
+    # memory, and only scene rendering needs it.
+    from scipy.signal import fftconvolve
+
     if len(sources) == 0:
         raise ValueError("render_scene needs at least one source")
     if len(sources) != spec.num_speakers:
