@@ -97,6 +97,14 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
     return np.where(w > 0.0, w, 1.0)
 
 
+# Tile of the Gram accumulation, in bins x frames.  One tile's regressor
+# (8 x 40 taps x 512 frames of complex128, 2.5 MiB) stays in cache, and
+# the fit's working memory beyond its (frames, bins) weights does not
+# grow with the signal length.
+_BIN_BLOCK = 8
+_FRAME_BLOCK = 512
+
+
 def estimate_fcp_filter(
     target: ComplexSpectrogram,
     s_hat: ComplexSpectrogram,
@@ -115,6 +123,15 @@ def estimate_fcp_filter(
     loading.  Frequencies where ``s_hat`` is identically zero yield a
     zero filter row rather than an error.
 
+    The Gram matrices ``R[f] = sum_t stack stack^H / w`` and cross
+    terms ``p[f] = sum_t stack conj(target) / w`` are accumulated over
+    tiles of ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, each with
+    its own contiguous ``(bins, taps, frames)`` regressor, as
+    ``R += X_w X^H`` and ``p += X_w target^H`` with ``X_w = X / w``.
+    Beyond the ``(frames, bins)`` weights and the ``_BIN_BLOCK`` input
+    rows in use, memory is two tiles (about 5 MiB at 40 taps) and the
+    ``(bins, taps, taps)`` Gram stack, whatever the number of frames.
+
     Returns
     -------
     numpy.ndarray
@@ -124,17 +141,26 @@ def estimate_fcp_filter(
     taps = config.taps
     z = target.data
     w = _weights(z, config)
+    frames, bins = z.shape
 
-    stack = _tap_stack(s_hat.data, taps)  # (T, F, A)
-    regress = np.moveaxis(stack, 1, 0)  # (F, T, A)
-    weighted = regress / w.T[:, :, None]  # (F, T, A)
-
-    # R[f] = sum_t stack stack^H / w ; p[f] = sum_t stack conj(target) / w
-    gram = np.matmul(weighted.transpose(0, 2, 1), regress.conj())
-    cross = np.matmul(weighted.transpose(0, 2, 1), z.T.conj()[:, :, None])[:, :, 0]
+    gram = np.zeros((bins, taps, taps), dtype=np.complex128)
+    cross = np.zeros((bins, taps), dtype=np.complex128)
+    for f0 in range(0, bins, _BIN_BLOCK):
+        f1 = min(f0 + _BIN_BLOCK, bins)
+        # regress[b, k, t] = s_hat(t - k, f0 + b), zero for t - k < 0.
+        padded = np.zeros((f1 - f0, taps - 1 + frames), dtype=np.complex128)
+        padded[:, taps - 1 :] = s_hat.data[:, f0:f1].T
+        regress = sliding_window_view(padded, frames, axis=1)[:, ::-1]
+        w_blk = w[:, f0:f1].T
+        z_blk = z[:, f0:f1].T.conj()
+        for t0 in range(0, frames, _FRAME_BLOCK):
+            t = slice(t0, t0 + _FRAME_BLOCK)
+            x = regress[:, :, t]
+            xw = x / w_blk[:, None, t]
+            gram[f0:f1] += xw @ x.conj().transpose(0, 2, 1)
+            cross[f0:f1] += (xw @ z_blk[:, t, None])[:, :, 0]
     gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
 
-    bins = z.shape[1]
     filters = np.zeros((bins, taps), dtype=np.complex128)
     trace = np.einsum("fkk->f", gram).real
     load = config.diag_load_delta * trace / taps

@@ -1,5 +1,7 @@
 """Convolutive prediction: WLS oracle equivalence, recovery, ESSU."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -261,6 +263,25 @@ class TestNaiveOracleEdgeCases:
         want = naive_fcp_filter(target, s_hat, config)
         assert len(failures) == GRID64.bins
         assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestBoundedMemory:
+    def test_sixty_second_fit_stays_under_bound(self):
+        # One speaker, 60 s on the filter grid: 7515 frames x 513 bins
+        # and 40 taps.  A whole (bins, frames, taps) regressor would be
+        # 2.3 GiB on its own; the inputs are allocated before tracing.
+        rng = np.random.default_rng(60)
+        target = rand_spec(rng, 7515, FILTER_STFT)
+        s_hat = rand_spec(rng, 7515, FILTER_STFT)
+        tracemalloc.start()
+        try:
+            g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (FILTER_STFT.bins, 40)
+        assert np.all(np.isfinite(g))
+        assert peak < 256 * 2**20
 
 
 class TestOptimalityInvariants:
