@@ -29,7 +29,6 @@ from cxfilter.scenes import (
 )
 from cxfilter.fcp import (
     FcpConfig,
-    FilterSet,
     estimate_fcp_filter,
     apply_filter,
     fcp_separate,
@@ -87,7 +86,6 @@ __all__ = [
     "save_scene",
     "load_scene",
     "FcpConfig",
-    "FilterSet",
     "estimate_fcp_filter",
     "apply_filter",
     "fcp_separate",

@@ -51,28 +51,6 @@ class FcpConfig:
             raise ValueError("diag_load_delta must be non-negative")
 
 
-@dataclass(eq=False)
-class FilterSet:
-    """Per-(speaker, frequency) complex FIR filters, shape (C, F, taps)."""
-
-    filters: np.ndarray
-
-    def __post_init__(self):
-        self.filters = np.asarray(self.filters, dtype=np.complex128)
-        if self.filters.ndim != 3:
-            raise ValueError("FilterSet array must be (speakers, bins, taps)")
-        if not np.isfinite(self.filters).all():
-            raise ValueError("FilterSet contains non-finite values")
-
-    @property
-    def num_speakers(self) -> int:
-        return self.filters.shape[0]
-
-    @property
-    def taps(self) -> int:
-        return self.filters.shape[2]
-
-
 def _tap_stack(data: np.ndarray, taps: int) -> np.ndarray:
     """Causal tap view: out[t, f, k] = data[t-k, f], zero for t-k < 0."""
     frames, bins = data.shape
@@ -205,7 +183,9 @@ def fcp_separate(
 
     Every speaker's filter is estimated with the mixture as target and
     applied to that speaker's direct-path estimate; speakers do not
-    interact, so the outputs are invariant to their ordering.
+    interact, so the outputs are invariant to their ordering.  With
+    ``return_filters`` the filters are returned too, as a complex
+    ``(speakers, bins, taps)`` array.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_separate needs at least one speaker estimate")
@@ -215,7 +195,7 @@ def fcp_separate(
         filters.append(g)
         images.append(apply_filter(g, s_hat))
     if return_filters:
-        return images, FilterSet(np.stack(filters))
+        return images, np.stack(filters)
     return images
 
 
@@ -245,7 +225,8 @@ def fcp_essu_separate(
     weight denominators are recomputed from that per-speaker target.
     Removing the stronger sources first keeps their energy from biasing
     the filter fits of the weaker ones; for a single speaker this
-    reduces exactly to :func:`fcp_separate`.
+    reduces exactly to :func:`fcp_separate`.  ``return_filters`` is as
+    in :func:`fcp_separate`.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")
@@ -268,5 +249,5 @@ def fcp_essu_separate(
         filters[c] = g
         images[c] = apply_filter(g, s_hats[c])
     if return_filters:
-        return images, FilterSet(np.stack(filters))
+        return images, np.stack(filters)
     return images

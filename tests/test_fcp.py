@@ -398,10 +398,10 @@ class TestFcpSeparate:
         images, filters = fcp_separate(
             mix, s_hats, FcpConfig(taps=3, stft=GRID), return_filters=True
         )
-        assert filters.filters.shape == (2, GRID.bins, 3)
+        assert filters.shape == (2, GRID.bins, 3)
         for c in range(2):
             np.testing.assert_array_equal(
-                apply_filter(filters.filters[c], s_hats[c]).data, images[c].data
+                apply_filter(filters[c], s_hats[c]).data, images[c].data
             )
 
 
@@ -483,4 +483,4 @@ class TestFcpEssu:
         images, filters = fcp_essu_separate(
             mix, s_hats, FcpConfig(taps=2, stft=GRID), return_filters=True
         )
-        assert filters.filters.shape == (2, GRID.bins, 2)
+        assert filters.shape == (2, GRID.bins, 2)
