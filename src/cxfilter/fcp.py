@@ -52,13 +52,16 @@ class FcpConfig:
 
 
 def _tap_stack(data: np.ndarray, taps: int) -> np.ndarray:
-    """Causal tap view: out[t, f, k] = data[t-k, f], zero for t-k < 0."""
+    """Causal tap view: out[f, k, t] = data[t-k, f], zero for t-k < 0.
+
+    The view spans one transposed, zero-padded copy of ``data``, so an
+    elementwise operation on a frame slice of it yields C-contiguous
+    ``(taps, frames)`` matrices, which ``matmul`` hands to BLAS.
+    """
     frames, bins = data.shape
-    padded = np.concatenate(
-        [np.zeros((taps - 1, bins), dtype=data.dtype), data], axis=0
-    )
-    windows = sliding_window_view(padded, taps, axis=0)  # (T, F, taps)
-    return windows[..., ::-1]
+    padded = np.zeros((bins, taps - 1 + frames), dtype=data.dtype)
+    padded[:, taps - 1 :] = data.T
+    return sliding_window_view(padded, frames, axis=1)[:, ::-1]
 
 
 def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
@@ -125,10 +128,7 @@ def estimate_fcp_filter(
     cross = np.zeros((bins, taps), dtype=np.complex128)
     for f0 in range(0, bins, _BIN_BLOCK):
         f1 = min(f0 + _BIN_BLOCK, bins)
-        # regress[b, k, t] = s_hat(t - k, f0 + b), zero for t - k < 0.
-        padded = np.zeros((f1 - f0, taps - 1 + frames), dtype=np.complex128)
-        padded[:, taps - 1 :] = s_hat.data[:, f0:f1].T
-        regress = sliding_window_view(padded, frames, axis=1)[:, ::-1]
+        regress = _tap_stack(s_hat.data[:, f0:f1], taps)
         w_blk = w[:, f0:f1].T
         z_blk = z[:, f0:f1].T.conj()
         for t0 in range(0, frames, _FRAME_BLOCK):
@@ -169,7 +169,7 @@ def apply_filter(
             f"({s_hat.bins}, taps)"
         )
     stack = _tap_stack(s_hat.data, filters.shape[1])
-    out = np.einsum("tfa,fa->tf", stack, filters.conj())
+    out = np.einsum("fat,fa->tf", stack, filters.conj())
     return ComplexSpectrogram(out, s_hat.config)
 
 
