@@ -188,9 +188,16 @@ class TestEstimateFcpFilter:
 
 
 def _edge_ragged_bins(rng):
-    # 33 bins: not a multiple of any power-of-two bin block.
+    # 33 bins: a partial last block for any bin block from 2 to 32.
     return rand_spec(rng, 40, GRID64), rand_spec(rng, 40, GRID64), FcpConfig(
         taps=6, stft=GRID64
+    )
+
+
+def _edge_partial_frame_tile(rng):
+    # 600 frames: more than one 512-frame tile, the last one partial.
+    return rand_spec(rng, 600, GRID), rand_spec(rng, 600, GRID), FcpConfig(
+        taps=4, stft=GRID
     )
 
 
@@ -225,6 +232,7 @@ class TestNaiveOracleEdgeCases:
         "case",
         [
             _edge_ragged_bins,
+            _edge_partial_frame_tile,
             _edge_single_frame,
             _edge_fewer_frames_than_taps,
             _edge_per_freq_floor,
