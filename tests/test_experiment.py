@@ -20,7 +20,9 @@ from cxfilter.experiment import (
     run_sweep,
 )
 from cxfilter.io import config_from_dict, config_to_dict, read_json
-from cxfilter.pipeline import import_estimates
+from cxfilter.metrics import evaluate_scene
+from cxfilter.pipeline import import_estimates, oracle_separate, run_fcp_stage
+from cxfilter.stft import istft
 from cxfilter.scenes import save_scene
 
 
@@ -145,6 +147,53 @@ class TestRunScene:
         result = run_scene(scene, config)
         assert result.fcp_images is not None
         assert len(result.fcp_images) == 1
+
+
+class TestSingleScoringPath:
+    """``run_scene`` equals an explicit composition of the pipeline stages."""
+
+    def _assert_same(self, result, scene, directs, images, quantiles):
+        n = scene.num_samples
+        want_directs = [istft(s, output_length=n) for s in directs]
+        want_images = [istft(s, output_length=n) for s in images]
+        report = evaluate_scene(want_images, scene, quantiles=quantiles)
+        assert result.report.to_dict() == report.to_dict()
+        assert len(result.direct_estimates) == len(want_directs)
+        assert len(result.image_estimates) == len(want_images)
+        for got, want in zip(result.direct_estimates, want_directs):
+            assert np.array_equal(got, want)
+        for got, want in zip(result.image_estimates, want_images):
+            assert np.array_equal(got, want)
+
+    def test_off_mode_scores_degraded_separator_output(self):
+        scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=5))
+        config = _tiny_config(
+            degradation=DegradationSpec(
+                mode="combined", snr_db=10.0, cross_talk_fraction=0.2, seed=3
+            ),
+            quantiles=(0.25, 0.5, 0.75),
+        )
+        result = run_scene(scene, config)
+        sep = oracle_separate(scene, config.degradation, config.stft_dnn)
+        self._assert_same(
+            result, scene, sep.direct_estimates, sep.image_estimates,
+            config.quantiles,
+        )
+
+    def test_essu_substitute_scores_predicted_images(self):
+        scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=5))
+        config = _tiny_config(
+            fcp_mode="essu",
+            refinement="fcp_substitute",
+            fcp=FcpConfig(taps=8),
+            quantiles=(0.5,),
+        )
+        result = run_scene(scene, config)
+        sep = oracle_separate(scene, config.degradation, config.stft_dnn)
+        images = run_fcp_stage(scene.mixture, sep, config.pipeline_config())
+        self._assert_same(
+            result, scene, sep.direct_estimates, images, config.quantiles
+        )
 
 
 class TestSceneDiscovery:
