@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from cxfilter import DegradationSpec, FcpConfig, istft, si_sdr, simulate_scene
-from cxfilter.experiment import SceneRanges
-from cxfilter.pipeline import PipelineConfig, oracle_separate, run_fcp_stage
+from cxfilter.experiment import ExperimentConfig, SceneRanges
+from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
         t60_range_s=(0.2, 0.5),
         drr_range_db=(-5.0, 0.0),
     )
-    config = PipelineConfig(fcp=FcpConfig(taps=args.taps))
+    config = ExperimentConfig(fcp=FcpConfig(taps=args.taps))
     gains = []
     print(f"{'scene':>6}{'t60_s':>8}{'direct dB':>11}{'fcp dB':>9}{'gain dB':>9}")
     for i in range(args.scenes):

@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from cxfilter import DegradationSpec, FcpConfig, istft, si_sdr, simulate_scene
-from cxfilter.experiment import SceneRanges
-from cxfilter.pipeline import PipelineConfig, oracle_separate, run_fcp_stage
+from cxfilter.experiment import ExperimentConfig, SceneRanges
+from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
         speaker_gains_db=(0.0, -args.gap_db),
     )
     fcp_config = FcpConfig(taps=args.taps)
-    scores = {"fcp": [], "fcp_essu": []}
+    scores = {"fcp": [], "essu": []}
     for i in range(args.scenes):
         scene = simulate_scene(ranges.draw_scene_spec(args.seed, i))
         sep = oracle_separate(
@@ -40,13 +40,13 @@ def main():
             images = run_fcp_stage(
                 scene.mixture,
                 sep,
-                PipelineConfig(fcp_variant=variant, fcp=fcp_config),
+                ExperimentConfig(fcp_mode=variant, fcp=fcp_config),
             )
             weak = istft(images[1], output_length=scene.num_samples)
             bucket.append(si_sdr(weak, scene.reverberant_image[1]))
 
     fcp = np.array(scores["fcp"])
-    essu = np.array(scores["fcp_essu"])
+    essu = np.array(scores["essu"])
     print(f"weak speaker ({-args.gap_db:+.0f} dB), {args.scenes} scenes:")
     print(f"  plain FCP mean SI-SDR: {fcp.mean():7.2f} dB")
     print(f"  FCP-ESSU  mean SI-SDR: {essu.mean():7.2f} dB")

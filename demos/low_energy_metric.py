@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from cxfilter import DegradationSpec, istft, quantile_sweep, simulate_scene
-from cxfilter.experiment import SceneRanges
-from cxfilter.pipeline import PipelineConfig, oracle_separate, run_fcp_stage
+from cxfilter.experiment import ExperimentConfig, SceneRanges
+from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     degradation = DegradationSpec(snr_db=args.degradation_snr, seed=args.seed)
     sep = oracle_separate(scene, degradation)
     n = scene.num_samples
-    images = run_fcp_stage(scene.mixture, sep, PipelineConfig())
+    images = run_fcp_stage(scene.mixture, sep, ExperimentConfig())
 
     systems = {
         "fcp_image": istft(images[0], output_length=n),

@@ -10,13 +10,8 @@ import tempfile
 from pathlib import Path
 
 from cxfilter import DegradationSpec, FcpConfig, simulate_scene
-from cxfilter.experiment import SceneRanges
-from cxfilter.pipeline import (
-    PipelineConfig,
-    export_estimates,
-    oracle_separate,
-    run_pipeline,
-)
+from cxfilter.experiment import ExperimentConfig, SceneRanges
+from cxfilter.pipeline import export_estimates, oracle_separate, run_pipeline
 
 
 def main():
@@ -34,9 +29,11 @@ def main():
     for refinement in ("passthrough", "fcp_substitute"):
         result = run_pipeline(
             scene,
-            degradation,
-            PipelineConfig(
-                refinement=refinement, iterations=args.iterations, fcp=fcp
+            ExperimentConfig(
+                degradation=degradation,
+                refinement=refinement,
+                iterations=args.iterations,
+                fcp=fcp,
             ),
         )
         print(
@@ -47,11 +44,15 @@ def main():
 
     # External refinement is a two-phase file exchange per iteration.
     with tempfile.TemporaryDirectory() as tmp:
-        config = PipelineConfig(
-            refinement="external", external_dir=tmp, iterations=1, fcp=fcp
+        config = ExperimentConfig(
+            degradation=degradation,
+            refinement="external",
+            external_dir=tmp,
+            iterations=1,
+            fcp=fcp,
         )
         try:
-            run_pipeline(scene, degradation, config)
+            run_pipeline(scene, config)
         except FileNotFoundError as err:
             print(f"external phase 1: {err}")
         # Stand in for the external model: echo the oracle estimates.
@@ -61,7 +62,7 @@ def main():
             Path(tmp) / "iteration_1" / "estimates",
             scene.num_samples,
         )
-        result = run_pipeline(scene, degradation, config)
+        result = run_pipeline(scene, config)
         print(
             f"external phase 2: mean image SI-SDR "
             f"{result.report.mean['si_sdr_db']:7.2f} dB after import"

@@ -56,7 +56,6 @@ from cxfilter.pipeline import (
     SeparatorOutput,
     DegradationSpec,
     FeatureStack,
-    PipelineConfig,
     PipelineResult,
     oracle_separate,
     run_fcp_stage,
@@ -65,6 +64,7 @@ from cxfilter.pipeline import (
     export_features,
     import_estimates,
 )
+from cxfilter.experiment import ExperimentConfig
 
 __version__ = "0.1.0"
 
@@ -107,7 +107,7 @@ __all__ = [
     "SeparatorOutput",
     "DegradationSpec",
     "FeatureStack",
-    "PipelineConfig",
+    "ExperimentConfig",
     "PipelineResult",
     "oracle_separate",
     "run_fcp_stage",

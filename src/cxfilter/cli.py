@@ -13,6 +13,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from cxfilter.experiment import (
+    FCP_MODES,
+    SWEEP_AXES,
     ExperimentConfig,
     discover_scene_dirs,
     evaluate_estimates,
@@ -21,7 +23,12 @@ from cxfilter.experiment import (
     run_sweep,
 )
 from cxfilter.io import config_from_dict, read_json
-from cxfilter.pipeline import ESTIMATES_MANIFEST, import_estimates
+from cxfilter.pipeline import (
+    DEGRADATION_MODES,
+    ESTIMATES_MANIFEST,
+    REFINEMENTS,
+    import_estimates,
+)
 from cxfilter.scenes import SCENE_MANIFEST, load_scene
 
 EXIT_OK = 0
@@ -113,20 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of scene directories; omitted: simulate from config",
     )
     p.add_argument("--count", type=int, default=None, help="scenes to simulate")
-    p.add_argument("--fcp", choices=("off", "fcp", "essu"), default=None)
+    p.add_argument("--fcp", choices=FCP_MODES, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument(
-        "--refinement",
-        choices=("passthrough", "fcp_substitute", "external"),
-        default=None,
-    )
+    p.add_argument("--refinement", choices=REFINEMENTS, default=None)
     p.add_argument("--external-dir", default=None)
     p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
-    p.add_argument(
-        "--degradation-mode",
-        choices=("additive_noise", "cross_talk", "combined"),
-        default=None,
-    )
+    p.add_argument("--degradation-mode", choices=DEGRADATION_MODES, default=None)
     p.add_argument("--cross-talk-fraction", type=float, default=None)
     p.add_argument("--quantiles", type=_float_list, default=None, metavar="Q,...")
     p.set_defaults(func=cmd_separate)
@@ -145,16 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one parameter across seeded batches")
     _add_common(p)
-    p.add_argument(
-        "--axis",
-        required=True,
-        choices=("taps", "epsilon", "degradation_snr", "t60"),
-    )
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument(
         "--values", type=_float_list, required=True, metavar="V,..."
     )
     p.add_argument("--count", type=int, default=None, help="scenes per value")
-    p.add_argument("--fcp", choices=("fcp", "essu"), default=None)
+    p.add_argument(
+        "--fcp", choices=[m for m in FCP_MODES if m != "off"], default=None
+    )
     p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
     p.set_defaults(func=cmd_sweep)
     return parser

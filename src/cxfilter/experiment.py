@@ -25,12 +25,11 @@ from cxfilter.fcp import FcpConfig
 from cxfilter.io import config_from_dict, config_to_dict, write_json
 from cxfilter.metrics import QuantileSweep, evaluate_scene, quantile_sweep
 from cxfilter.pipeline import (
+    REFINEMENTS,
     DegradationSpec,
-    PipelineConfig,
     PipelineResult,
     SeparatorOutput,
     export_estimates,
-    oracle_separate,
     run_pipeline,
 )
 from cxfilter.scenes import (
@@ -113,10 +112,12 @@ class ExperimentConfig:
 
     ``fcp_mode`` selects the prediction stage: ``off`` evaluates the
     degraded first-stage estimates directly, ``fcp`` and ``essu`` run
-    the plain and energy-sorted variants.  The content hash covers all
-    result-determining fields; output locations (``out``,
-    ``external_dir``) are excluded so relocating an experiment does not
-    change its identity.
+    the plain and energy-sorted variants on the ``fcp.stft`` grid.
+    ``external`` refinement exchanges per-iteration feature and
+    estimate directories under ``external_dir`` and fails at run time
+    without one.  The content hash covers all result-determining
+    fields; output locations (``out``, ``external_dir``) are excluded so
+    relocating an experiment does not change its identity.
     """
 
     version: int = EXPERIMENT_FORMAT_VERSION
@@ -140,24 +141,14 @@ class ExperimentConfig:
             )
         if self.fcp_mode not in FCP_MODES:
             raise ValueError(f"unknown fcp_mode {self.fcp_mode!r}")
+        if self.refinement not in REFINEMENTS:
+            raise ValueError(f"unknown refinement {self.refinement!r}")
         if self.num_scenes < 1:
             raise ValueError("num_scenes must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         object.__setattr__(
             self, "quantiles", tuple(float(q) for q in self.quantiles)
-        )
-
-    def pipeline_config(self) -> PipelineConfig:
-        if self.fcp_mode == "off":
-            raise ValueError("fcp_mode 'off' has no pipeline config")
-        return PipelineConfig(
-            fcp_variant="fcp_essu" if self.fcp_mode == "essu" else "fcp",
-            iterations=self.iterations,
-            refinement=self.refinement,
-            stft_dnn=self.stft_dnn,
-            fcp=self.fcp,
-            external_dir=self.external_dir,
         )
 
     def config_hash(self) -> str:
@@ -169,29 +160,8 @@ class ExperimentConfig:
 
 
 def run_scene(scene: Scene, config: ExperimentConfig) -> PipelineResult:
-    """Run the configured system over one scene.
-
-    With ``fcp_mode='off'`` the degraded first-stage estimates are
-    evaluated directly (no prediction stage); otherwise the full
-    pipeline runs.
-    """
-    if config.fcp_mode == "off":
-        sep = oracle_separate(scene, config.degradation, config.stft_dnn)
-        n = scene.num_samples
-        directs = [istft(s, output_length=n) for s in sep.direct_estimates]
-        images = [istft(s, output_length=n) for s in sep.image_estimates]
-        report = evaluate_scene(images, scene, quantiles=config.quantiles)
-        return PipelineResult(
-            separator=sep,
-            fcp_images=None,
-            features=None,
-            direct_estimates=directs,
-            image_estimates=images,
-            report=report,
-        )
-    return run_pipeline(
-        scene, config.degradation, config.pipeline_config(), quantiles=config.quantiles
-    )
+    """Run the configured system over one scene."""
+    return run_pipeline(scene, config)
 
 
 def discover_scene_dirs(scenes_dir) -> list:

@@ -13,12 +13,13 @@ external model through WAV/JSON directories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from cxfilter.fcp import FcpConfig, fcp_essu_separate, fcp_separate
+from cxfilter.fcp import fcp_essu_separate, fcp_separate
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
@@ -38,14 +39,16 @@ from cxfilter.stft import (
     stft,
 )
 
+if TYPE_CHECKING:
+    from cxfilter.experiment import ExperimentConfig
+
 FEATURES_MANIFEST = "features.json"
 ESTIMATES_MANIFEST = "estimates.json"
 FEATURES_FORMAT_VERSION = 1
 ESTIMATES_FORMAT_VERSION = 1
 
-_DEGRADATION_MODES = ("additive_noise", "cross_talk", "combined")
-_FCP_VARIANTS = ("fcp", "fcp_essu")
-_REFINEMENTS = ("passthrough", "fcp_substitute", "external")
+DEGRADATION_MODES = ("additive_noise", "cross_talk", "combined")
+REFINEMENTS = ("passthrough", "fcp_substitute", "external")
 
 
 @dataclass(eq=False)
@@ -91,7 +94,7 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _DEGRADATION_MODES:
+        if self.mode not in DEGRADATION_MODES:
             raise ValueError(f"unknown degradation mode {self.mode!r}")
         if np.isnan(self.snr_db) or self.snr_db == -np.inf:
             raise ValueError("snr_db must be finite or +inf")
@@ -143,38 +146,6 @@ class FeatureStack:
         for c in range(self.num_speakers):
             out += [self.stage1_direct[c], self.stage1_image[c], self.fcp_images[c]]
         return out
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """End-to-end pipeline settings.
-
-    The separator operates on ``stft_dnn``; the prediction stage runs
-    on its own grid from ``fcp.stft`` with conversion through the time
-    domain.  ``external`` refinement requires ``external_dir``, where
-    per-iteration feature and estimate directories are exchanged.
-    """
-
-    fcp_variant: str = "fcp"
-    iterations: int = 1
-    refinement: str = "passthrough"
-    stft_dnn: StftConfig = field(default_factory=lambda: SEPARATOR_STFT)
-    fcp: FcpConfig = field(default_factory=FcpConfig)
-    external_dir: str | None = None
-
-    def __post_init__(self):
-        if self.fcp_variant not in _FCP_VARIANTS:
-            raise ValueError(f"unknown fcp_variant {self.fcp_variant!r}")
-        if self.refinement not in _REFINEMENTS:
-            raise ValueError(f"unknown refinement {self.refinement!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.refinement == "external" and self.external_dir is None:
-            raise ValueError("external refinement requires external_dir")
-
-    @property
-    def stft_fcp(self) -> StftConfig:
-        return self.fcp.stft
 
 
 @dataclass(eq=False)
@@ -238,28 +209,30 @@ def oracle_separate(
 
 
 def run_fcp_stage(
-    mixture, separator_output: SeparatorOutput, config: PipelineConfig
+    mixture, separator_output: SeparatorOutput, config: ExperimentConfig
 ) -> list:
     """Predict per-speaker reverberant images from direct estimates.
 
     The time-domain mixture and the separator's direct estimates are
-    moved onto the prediction grid, the selected variant is run, and
-    the images are returned on the separator grid.
+    moved onto the prediction grid ``config.fcp.stft``, the variant
+    named by ``config.fcp_mode`` (``fcp`` or ``essu``) is run, and the
+    images are returned on the separator grid ``config.stft_dnn``.
     """
+    if config.fcp_mode == "off":
+        raise ValueError("fcp_mode 'off' has no prediction stage")
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ValueError("run_fcp_stage expects a 1-D time-domain mixture")
     n = mixture.shape[0]
-    mix_spec = stft(mixture, config.stft_fcp)
+    grid = config.fcp.stft
+    mix_spec = stft(mixture, grid)
     s_hats = [
-        convert_config(s, s.config, config.stft_fcp, n)
+        convert_config(s, s.config, grid, n)
         for s in separator_output.direct_estimates
     ]
-    separate = fcp_separate if config.fcp_variant == "fcp" else fcp_essu_separate
+    separate = fcp_essu_separate if config.fcp_mode == "essu" else fcp_separate
     images = separate(mix_spec, s_hats, config.fcp)
-    return [
-        convert_config(img, config.stft_fcp, config.stft_dnn, n) for img in images
-    ]
+    return [convert_config(img, grid, config.stft_dnn, n) for img in images]
 
 
 def assemble_features(
@@ -434,7 +407,7 @@ def import_estimates(directory) -> SeparatorOutput:
 def _refine(
     stack: FeatureStack,
     separator: SeparatorOutput,
-    config: PipelineConfig,
+    config: ExperimentConfig,
     iteration: int,
 ) -> SeparatorOutput:
     if config.refinement == "passthrough":
@@ -444,6 +417,8 @@ def _refine(
             direct_estimates=list(separator.direct_estimates),
             image_estimates=list(stack.fcp_images),
         )
+    if config.external_dir is None:
+        raise ValueError("external refinement requires external_dir")
     base = Path(config.external_dir) / f"iteration_{iteration}"
     export_features(stack, base / "features")
     estimates_dir = base / "estimates"
@@ -462,30 +437,28 @@ def _refine(
     return refined
 
 
-def run_pipeline(
-    scene: Scene,
-    degradation: DegradationSpec,
-    config: PipelineConfig,
-    quantiles=(),
-) -> PipelineResult:
+def run_pipeline(scene: Scene, config: ExperimentConfig) -> PipelineResult:
     """Run separator, prediction, and refinement over a scene.
 
-    Each iteration re-runs the prediction stage on the current direct
-    estimates and then refines; refined estimates feed the next
-    iteration.  The report scores the final image estimates against the
-    scene's true reverberant images.
+    The separator output is degraded per ``config.degradation``.  With
+    ``fcp_mode='off'`` it is scored as it is; otherwise each iteration
+    re-runs the prediction stage on the current direct estimates and
+    then refines, and refined estimates feed the next iteration.  The
+    report scores the final image estimates against the scene's true
+    reverberant images at ``config.quantiles``.
     """
     n = scene.mixture.shape[0]
-    mixture_spec = stft(scene.mixture, config.stft_dnn)
-    separator = oracle_separate(scene, degradation, config.stft_dnn)
-
-    current = separator
+    current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     fcp_images = None
-    for iteration in range(1, config.iterations + 1):
-        fcp_images = run_fcp_stage(scene.mixture, current, config)
-        stack = assemble_features(mixture_spec, current, fcp_images, num_samples=n)
-        current = _refine(stack, current, config, iteration)
+    if config.fcp_mode != "off":
+        mixture_spec = stft(scene.mixture, config.stft_dnn)
+        for iteration in range(1, config.iterations + 1):
+            fcp_images = run_fcp_stage(scene.mixture, current, config)
+            stack = assemble_features(
+                mixture_spec, current, fcp_images, num_samples=n
+            )
+            current = _refine(stack, current, config, iteration)
 
     direct_estimates = [
         istft(s, output_length=n) for s in current.direct_estimates
@@ -493,7 +466,7 @@ def run_pipeline(
     image_estimates = [
         istft(s, output_length=n) for s in current.image_estimates
     ]
-    report = evaluate_scene(image_estimates, scene, quantiles=quantiles)
+    report = evaluate_scene(image_estimates, scene, quantiles=config.quantiles)
     return PipelineResult(
         separator=current,
         fcp_images=fcp_images,

@@ -36,7 +36,7 @@ from cxfilter import (
 )
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.io import config_to_dict, write_json
-from cxfilter.pipeline import PipelineConfig, oracle_separate, run_fcp_stage, run_pipeline
+from cxfilter.pipeline import oracle_separate, run_fcp_stage, run_pipeline
 
 QUANTILES = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -170,7 +170,7 @@ def test_criterion_05_fcp_restores_reverberation():
     for i in range(50):
         scene = simulate_scene(ranges.draw_scene_spec(501, i))
         sep = oracle_separate(scene, DegradationSpec())
-        images = run_fcp_stage(scene.mixture, sep, PipelineConfig())
+        images = run_fcp_stage(scene.mixture, sep, ExperimentConfig())
         truth = scene.reverberant_image[0]
         before = si_sdr(scene.direct_path[0], truth)
         after = si_sdr(istft(images[0], output_length=scene.num_samples), truth)
@@ -190,7 +190,7 @@ def test_criterion_06_essu_beats_fcp_for_weak_speaker():
     t0 = time.monotonic()
     ranges = _ranges(num_speakers=2, speaker_gains_db=(0.0, -10.0))
     config = FcpConfig(taps=20)
-    weak = {"fcp": [], "fcp_essu": []}
+    weak = {"fcp": [], "essu": []}
     for i in range(50):
         scene = simulate_scene(ranges.draw_scene_spec(601, i))
         sep = oracle_separate(scene, DegradationSpec(snr_db=10.0, seed=i))
@@ -198,12 +198,12 @@ def test_criterion_06_essu_beats_fcp_for_weak_speaker():
             images = run_fcp_stage(
                 scene.mixture,
                 sep,
-                PipelineConfig(fcp_variant=variant, fcp=config),
+                ExperimentConfig(fcp_mode=variant, fcp=config),
             )
             est = istft(images[1], output_length=scene.num_samples)
             bucket.append(si_sdr(est, scene.reverberant_image[1]))
     mean_fcp = float(np.mean(weak["fcp"]))
-    mean_essu = float(np.mean(weak["fcp_essu"]))
+    mean_essu = float(np.mean(weak["essu"]))
     _finish(
         6,
         mean_essu >= mean_fcp,
@@ -319,8 +319,9 @@ def test_criterion_09_quantile_improvement_curve():
         baseline = [istft(s, output_length=n) for s in sep.direct_estimates]
         result = run_pipeline(
             scene,
-            degradation,
-            PipelineConfig(fcp_variant="fcp_essu", refinement="fcp_substitute"),
+            ExperimentConfig(
+                degradation=degradation, fcp_mode="essu", refinement="fcp_substitute"
+            ),
         )
         for c in range(2):
             ref = scene.reverberant_image[c]

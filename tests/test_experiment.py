@@ -119,14 +119,14 @@ class TestExperimentConfig:
             ExperimentConfig(fcp_mode="always")
         with pytest.raises(ValueError):
             ExperimentConfig(num_scenes=0)
-
-    def test_pipeline_config_mapping(self):
-        assert _tiny_config(fcp_mode="essu").pipeline_config().fcp_variant == (
-            "fcp_essu"
-        )
-        assert _tiny_config(fcp_mode="fcp").pipeline_config().fcp_variant == "fcp"
         with pytest.raises(ValueError):
-            _tiny_config(fcp_mode="off").pipeline_config()
+            ExperimentConfig(iterations=0)
+        for mode in ("off", "fcp"):
+            with pytest.raises(ValueError, match="refinement"):
+                ExperimentConfig(fcp_mode=mode, refinement="dnn")
+        # external_dir is checked when the refinement runs, so a config
+        # file may name it while a flag supplies the directory.
+        ExperimentConfig(refinement="external")
 
 
 class TestRunScene:
@@ -190,7 +190,7 @@ class TestSingleScoringPath:
         )
         result = run_scene(scene, config)
         sep = oracle_separate(scene, config.degradation, config.stft_dnn)
-        images = run_fcp_stage(scene.mixture, sep, config.pipeline_config())
+        images = run_fcp_stage(scene.mixture, sep, config)
         self._assert_same(
             result, scene, sep.direct_estimates, images, config.quantiles
         )

@@ -1,18 +1,23 @@
 """Separator surrogate, prediction stage, feature exchange, full pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cxfilter import (
     ComplexSpectrogram,
     DegradationSpec,
+    ExperimentConfig,
     FcpConfig,
     FeatureStack,
-    PipelineConfig,
     SEPARATOR_STFT,
     SeparatorOutput,
     assemble_features,
+    convert_config,
     export_features,
+    fcp_essu_separate,
+    fcp_separate,
     import_estimates,
     istft,
     oracle_separate,
@@ -104,10 +109,10 @@ class TestRunFcpStage:
         sep = oracle_separate(mono_scene, IDENTITY)
         cfg = FcpConfig(taps=10)
         a = run_fcp_stage(
-            mono_scene.mixture, sep, PipelineConfig(fcp_variant="fcp", fcp=cfg)
+            mono_scene.mixture, sep, ExperimentConfig(fcp_mode="fcp", fcp=cfg)
         )
         b = run_fcp_stage(
-            mono_scene.mixture, sep, PipelineConfig(fcp_variant="fcp_essu", fcp=cfg)
+            mono_scene.mixture, sep, ExperimentConfig(fcp_mode="essu", fcp=cfg)
         )
         assert np.allclose(a[0].data, b[0].data, atol=1e-8)
 
@@ -118,14 +123,14 @@ class TestRunFcpStage:
             np.zeros((frames, SEPARATOR_STFT.bins), complex), SEPARATOR_STFT
         )
         sep = SeparatorOutput(direct_estimates=[zero], image_estimates=[zero])
-        images = run_fcp_stage(np.zeros(n), sep, PipelineConfig())
+        images = run_fcp_stage(np.zeros(n), sep, ExperimentConfig())
         assert np.max(np.abs(images[0].data)) == 0.0
 
     def test_restores_reverberation_from_direct_path(self, mono_scene):
         n = mono_scene.num_samples
         sep = oracle_separate(mono_scene, IDENTITY)
         images = run_fcp_stage(
-            mono_scene.mixture, sep, PipelineConfig(fcp=FcpConfig(taps=40))
+            mono_scene.mixture, sep, ExperimentConfig(fcp=FcpConfig(taps=40))
         )
         truth = mono_scene.reverberant_image[0]
         baseline = si_sdr(mono_scene.direct_path[0], truth)
@@ -135,7 +140,34 @@ class TestRunFcpStage:
     def test_rejects_non_1d_mixture(self, mono_scene):
         sep = oracle_separate(mono_scene, IDENTITY)
         with pytest.raises(ValueError):
-            run_fcp_stage(np.zeros((2, 100)), sep, PipelineConfig())
+            run_fcp_stage(np.zeros((2, 100)), sep, ExperimentConfig())
+
+    def test_fcp_mode_selects_variant(self, small_scene):
+        sep = oracle_separate(small_scene, DegradationSpec(snr_db=10.0))
+        cfg = FcpConfig(taps=6, stft=SEPARATOR_STFT)
+        for mode, separate in (("fcp", fcp_separate), ("essu", fcp_essu_separate)):
+            got = run_fcp_stage(
+                small_scene.mixture, sep, ExperimentConfig(fcp_mode=mode, fcp=cfg)
+            )
+            mix = stft(small_scene.mixture, SEPARATOR_STFT)
+            want = separate(mix, sep.direct_estimates, cfg)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.data, w.data)
+        with pytest.raises(ValueError, match="off"):
+            run_fcp_stage(
+                small_scene.mixture, sep, ExperimentConfig(fcp_mode="off")
+            )
+
+    def test_fcp_grid_comes_from_fcp_config(self, mono_scene):
+        n = mono_scene.num_samples
+        sep = oracle_separate(mono_scene, IDENTITY)
+        cfg = FcpConfig(taps=6)
+        assert cfg.stft != SEPARATOR_STFT
+        images = run_fcp_stage(mono_scene.mixture, sep, ExperimentConfig(fcp=cfg))
+        s_hat = convert_config(sep.direct_estimates[0], SEPARATOR_STFT, cfg.stft, n)
+        (image,) = fcp_separate(stft(mono_scene.mixture, cfg.stft), [s_hat], cfg)
+        want = convert_config(image, cfg.stft, SEPARATOR_STFT, n)
+        assert np.array_equal(images[0].data, want.data)
 
 
 class TestFeatureStack:
@@ -230,27 +262,9 @@ class TestFeatureExchange:
             import_features(tmp_path)
 
 
-class TestPipelineConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(fcp_variant="wiener")
-        with pytest.raises(ValueError):
-            PipelineConfig(refinement="dnn")
-        with pytest.raises(ValueError):
-            PipelineConfig(iterations=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(refinement="external")  # no external_dir
-
-    def test_fcp_grid_comes_from_fcp_config(self):
-        cfg = PipelineConfig(fcp=FcpConfig(stft=SEPARATOR_STFT))
-        assert cfg.stft_fcp == SEPARATOR_STFT
-
-
 class TestRunPipeline:
     def test_oracle_passthrough_scores_at_top(self, small_scene):
-        result = run_pipeline(
-            small_scene, IDENTITY, PipelineConfig(fcp=FcpConfig(taps=10))
-        )
+        result = run_pipeline(small_scene, ExperimentConfig(fcp=FcpConfig(taps=10)))
         assert result.report.mean["si_sdr_db"] >= 60.0
         assert len(result.image_estimates) == 2
         assert result.features.num_speakers == 2
@@ -259,20 +273,20 @@ class TestRunPipeline:
         cfg = dict(
             refinement="fcp_substitute", fcp=FcpConfig(taps=10)
         )
-        one = run_pipeline(mono_scene, IDENTITY, PipelineConfig(iterations=1, **cfg))
-        two = run_pipeline(mono_scene, IDENTITY, PipelineConfig(iterations=2, **cfg))
+        one = run_pipeline(mono_scene, ExperimentConfig(iterations=1, **cfg))
+        two = run_pipeline(mono_scene, ExperimentConfig(iterations=2, **cfg))
         # Oracle direct estimates never change, so a second FCP pass
         # reproduces the first bit for bit.
         assert np.array_equal(one.image_estimates[0], two.image_estimates[0])
 
     def test_external_mode_two_phase(self, mono_scene, tmp_path):
-        config = PipelineConfig(
+        config = ExperimentConfig(
             refinement="external",
             external_dir=str(tmp_path),
             fcp=FcpConfig(taps=10),
         )
         with pytest.raises(FileNotFoundError) as err:
-            run_pipeline(mono_scene, IDENTITY, config)
+            run_pipeline(mono_scene, config)
         expected = tmp_path / "iteration_1" / "estimates" / "estimates.json"
         assert str(expected) in str(err.value)
         assert (tmp_path / "iteration_1" / "features" / "features.json").is_file()
@@ -282,8 +296,16 @@ class TestRunPipeline:
         export_estimates(
             sep, tmp_path / "iteration_1" / "estimates", mono_scene.num_samples
         )
-        result = run_pipeline(mono_scene, IDENTITY, config)
+        result = run_pipeline(mono_scene, config)
         assert result.report.mean["si_sdr_db"] >= 60.0
+
+    def test_external_refinement_requires_external_dir(self, mono_scene):
+        config = ExperimentConfig(refinement="external", fcp=FcpConfig(taps=4))
+        with pytest.raises(ValueError, match="external_dir"):
+            run_pipeline(mono_scene, config)
+        # Without a prediction stage the refinement never runs.
+        result = run_pipeline(mono_scene, replace(config, fcp_mode="off"))
+        assert result.features is None
 
     def test_mean_score_monotone_in_degradation(self):
         from cxfilter import SceneSpec, simulate_scene
@@ -305,12 +327,15 @@ class TestRunPipeline:
     def test_degraded_then_substituted_beats_degraded(self, mono_scene):
         noisy = DegradationSpec(snr_db=5.0, seed=3)
         baseline = run_pipeline(
-            mono_scene, noisy, PipelineConfig(fcp=FcpConfig(taps=40))
+            mono_scene, ExperimentConfig(degradation=noisy, fcp=FcpConfig(taps=40))
         )
         substituted = run_pipeline(
             mono_scene,
-            noisy,
-            PipelineConfig(refinement="fcp_substitute", fcp=FcpConfig(taps=40)),
+            ExperimentConfig(
+                degradation=noisy,
+                refinement="fcp_substitute",
+                fcp=FcpConfig(taps=40),
+            ),
         )
         assert (
             substituted.report.mean["si_sdr_db"]
