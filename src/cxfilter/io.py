@@ -94,6 +94,10 @@ def config_from_dict(cls, d: dict):
     Unknown keys are ignored and missing keys take the dataclass
     defaults.
     """
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"{cls.__name__} must be a JSON object, not {type(d).__name__}"
+        )
     hints = typing.get_type_hints(cls)
     return cls(
         **{

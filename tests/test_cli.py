@@ -52,6 +52,18 @@ class TestSimulate:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 5
 
+    @pytest.mark.parametrize(
+        "text, name", [("[1, 2]", "ExperimentConfig"), ('{"scene": [1]}', "SceneRanges")]
+    )
+    def test_config_that_is_not_an_object_is_exit_5(
+        self, tmp_path, capsys, text, name
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert _simulate(tmp_path / "scenes", extra=("--config", str(path))) == 5
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "scenes").exists()
+
     def test_out_under_a_file_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")

@@ -91,3 +91,9 @@ class TestConfigDict:
         assert config.scene.speaker_gains_db == (0.0, -np.inf)
         assert config.quantiles == (0.5,)
         assert config.out is None
+
+    def test_non_object_is_rejected(self):
+        with pytest.raises(ValueError, match="ExperimentConfig.*list"):
+            config_from_dict(ExperimentConfig, [1])
+        with pytest.raises(ValueError, match="SceneRanges.*list"):
+            config_from_dict(ExperimentConfig, {"scene": [1]})
