@@ -1,8 +1,11 @@
 """Command-line front end: simulate, separate, eval, sweep.
 
-All subcommands honor ``--seed``, ``--out``, and ``--config FILE``;
-flag values override config-file values.  Exit codes: 0 success,
-2 I/O failure, 3 missing scene, 4 shape mismatch, 5 bad arguments.
+Every subcommand writes under ``--out``.  ``simulate``, ``separate``
+and ``sweep`` also take ``--seed`` and ``--config FILE`` (flag values
+override config-file values); ``separate`` and ``sweep`` run scenes on
+``--jobs`` worker processes.  ``eval`` takes no other common flag.
+Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
+mismatch, 5 bad arguments.
 """
 
 from __future__ import annotations
@@ -69,20 +72,33 @@ def _float_pair(text: str) -> tuple:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = True):
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_out(parser: argparse.ArgumentParser):
+    parser.add_argument("--out", required=True, help="output directory")
+
+
+def _add_common(parser: argparse.ArgumentParser, jobs: bool = True):
     parser.add_argument("--seed", type=int, default=None, help="global seed")
-    parser.add_argument(
-        "--out", default=None, required=out_required, help="output directory"
-    )
+    _add_out(parser)
     parser.add_argument(
         "--config", default=None, help="JSON experiment config file"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="scene-level parallel workers (results merge in scene order)",
-    )
+    if jobs:
+        parser.add_argument(
+            "--jobs",
+            type=_positive_int,
+            default=1,
+            help="scene-level parallel workers (results merge in scene order)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="generate seeded scene directories")
-    _add_common(p)
+    _add_common(p, jobs=False)
     p.add_argument("--count", type=int, default=None, help="number of scenes")
     p.add_argument("--speakers", type=int, default=None, help="speakers per scene")
     p.add_argument("--duration", type=float, default=None, help="scene seconds")
@@ -131,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("eval", help="score an estimates directory against a scene")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--scene", required=True, help="scene directory")
     p.add_argument("--estimates", required=True, help="estimates directory")
     p.add_argument(

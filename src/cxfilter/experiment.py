@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -175,11 +176,18 @@ def discover_scene_dirs(scenes_dir) -> list:
 
 
 def _map_jobs(func, payloads: list, jobs: int) -> list:
-    """Apply a worker over payloads, merging in submission order."""
-    if jobs <= 1 or len(payloads) <= 1:
+    """Apply a worker over payloads, merging in submission order.
+
+    At most ``jobs`` worker processes run, and never more than there
+    are CPUs or payloads.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    if workers <= 1:
         return [func(p) for p in payloads]
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, payloads))
     except (OSError, PermissionError) as err:
         print(

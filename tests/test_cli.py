@@ -49,6 +49,9 @@ class TestSimulate:
         manifest = read_json(tmp_path / "scene_0001" / "scene.json")
         assert manifest["speaker_gains_db"] == [0.0, -10.0]
 
+    def test_jobs_is_not_a_simulate_flag(self, tmp_path):
+        assert _simulate(tmp_path / "scenes", extra=("--jobs", "2")) == 5
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 5
 
@@ -158,6 +161,20 @@ class TestSeparate:
         assert code == 5
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-7"])
+    def test_jobs_below_one_is_exit_5(self, tmp_path, capsys, jobs):
+        code = main(
+            [
+                "separate",
+                "--out", str(tmp_path / "out"),
+                "--fcp", "off",
+                "--jobs", jobs,
+            ]
+        )
+        assert code == 5
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         code = main(
@@ -220,6 +237,24 @@ class TestEval:
         assert "mean SI-SDR 100.000 dB" in out
         values = (tmp_path / "out" / "si_sdr_le_values.csv").read_text()
         assert len(values.strip().splitlines()) == 1 + 2 * 9  # default grid
+
+    @pytest.mark.parametrize(
+        "flag", [("--config", "does_not_exist.json"), ("--seed", "1"), ("--jobs", "2")]
+    )
+    def test_unused_common_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        self._fixture(tmp_path)
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+                *flag,
+            ]
+        )
+        assert code == 5
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_scene_is_exit_3(self, tmp_path, capsys):
         self._fixture(tmp_path)

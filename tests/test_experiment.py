@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cxfilter import DegradationSpec, FcpConfig, SceneSpec, simulate_scene
+from cxfilter import experiment
 from cxfilter.experiment import (
     ExperimentConfig,
     SceneRanges,
@@ -270,6 +271,44 @@ class TestBatchRuns:
         values = list(range(7))
         assert _map_jobs(_square, values, jobs=1) == [v * v for v in values]
         assert _map_jobs(_square, values, jobs=2) == [v * v for v in values]
+
+    def test_map_jobs_clamps_workers(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, payloads):
+                return map(func, payloads)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        values = list(range(7))
+        for jobs, count, workers in (
+            (10**6, 7, 4),  # CPU count
+            (10**6, 3, 3),  # payload count
+            (2, 7, 2),  # jobs
+        ):
+            started.clear()
+            assert _map_jobs(_square, values[:count], jobs) == [
+                v * v for v in values[:count]
+            ]
+            assert started == [workers]
+        started.clear()
+        assert _map_jobs(_square, values[:1], 10**6) == [0]
+        assert started == []  # one payload runs in this process
+
+    @pytest.mark.parametrize("jobs", [0, -7])
+    def test_map_jobs_rejects_fewer_than_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            _map_jobs(_square, [1, 2], jobs)
 
 
 class TestEvaluateEstimates:
