@@ -65,17 +65,23 @@ def _tap_stack(data: np.ndarray, taps: int) -> np.ndarray:
 
 
 def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
-    """Per-unit weight denominators: eps * max(|target|^2) + |target|^2."""
-    power = np.abs(target) ** 2
+    """Per-unit weight denominators: eps * max(|target|^2) + |target|^2.
+
+    Built in place in one (frames, bins) array.
+    """
+    w = np.abs(target)
+    np.square(w, out=w)
     if config.per_freq_floor:
-        floor = config.epsilon * power.max(axis=0, keepdims=True)
+        w += config.epsilon * w.max(axis=0, keepdims=True)
     else:
-        floor = config.epsilon * power.max()
-    w = floor + power
+        w += config.epsilon * w.max()
     # A weight of zero only happens where the floored target region is
     # entirely silent; unit weight there keeps the solve finite and the
-    # zero cross vector already forces a zero filter.
-    return np.where(w > 0.0, w, 1.0)
+    # zero cross vector already forces a zero filter.  NaN maps to 1 too.
+    unset = np.greater(w, 0.0)
+    np.logical_not(unset, out=unset)
+    w[unset] = 1.0
+    return w
 
 
 # Tile of the Gram accumulation, in bins x frames.  One tile's regressor

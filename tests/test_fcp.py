@@ -274,6 +274,30 @@ class TestNaiveOracleEdgeCases:
 
 
 class TestBoundedMemory:
+    def test_weights_are_built_in_place(self):
+        rng = np.random.default_rng(61)
+        data = rng.standard_normal((2000, FILTER_STFT.bins)) + 0j
+        data[:, 5] = 0.0
+        for per_freq_floor in (False, True):
+            config = FcpConfig(per_freq_floor=per_freq_floor)
+            tracemalloc.start()
+            try:
+                w = fcp_module._weights(data, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The result plus a boolean mask; no (frames, bins) float temporary.
+            assert peak <= 1.25 * w.nbytes
+            power = np.abs(data) ** 2
+            floor = config.epsilon * (
+                power.max(axis=0, keepdims=True) if per_freq_floor else power.max()
+            )
+            want = np.where(floor + power > 0.0, floor + power, 1.0)
+            assert np.array_equal(w, want)
+            assert np.all(w[:, 5] == 1.0) == per_freq_floor
+        silent = fcp_module._weights(np.zeros((3, 4), complex), FcpConfig())
+        assert np.array_equal(silent, np.ones((3, 4)))
+
     def test_sixty_second_fit_stays_under_bound(self):
         # One speaker, 60 s on the filter grid: 7515 frames x 513 bins
         # and 40 taps.  A whole (bins, frames, taps) regressor would be
