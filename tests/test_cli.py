@@ -56,7 +56,9 @@ class TestSimulate:
         assert main([]) == 5
 
     @pytest.mark.parametrize(
-        "text, name", [("[1, 2]", "ExperimentConfig"), ('{"scene": [1]}', "SceneRanges")]
+        "text, name",
+        [("[1, 2]", "ExperimentConfig"), ('{"scene": [1]}', "SceneRanges")],
+        ids=["top_level", "nested"],
     )
     def test_config_that_is_not_an_object_is_exit_5(
         self, tmp_path, capsys, text, name
@@ -239,7 +241,9 @@ class TestEval:
         assert len(values.strip().splitlines()) == 1 + 2 * 9  # default grid
 
     @pytest.mark.parametrize(
-        "flag", [("--config", "does_not_exist.json"), ("--seed", "1"), ("--jobs", "2")]
+        "flag",
+        [("--config", "does_not_exist.json"), ("--seed", "1"), ("--jobs", "-4")],
+        ids=["config", "seed", "jobs"],
     )
     def test_unused_common_flags_are_usage_errors(self, tmp_path, capsys, flag):
         self._fixture(tmp_path)
