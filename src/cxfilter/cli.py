@@ -72,16 +72,6 @@ def _float_pair(text: str) -> tuple:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_out(parser: argparse.ArgumentParser):
     parser.add_argument("--out", required=True, help="output directory")
 
@@ -95,7 +85,7 @@ def _add_common(parser: argparse.ArgumentParser, jobs: bool = True):
     if jobs:
         parser.add_argument(
             "--jobs",
-            type=_positive_int,
+            type=int,
             default=1,
             help="scene-level parallel workers (results merge in scene order)",
         )

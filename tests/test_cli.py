@@ -174,8 +174,7 @@ class TestSeparate:
             ]
         )
         assert code == 5
-        assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
