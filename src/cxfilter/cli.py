@@ -72,13 +72,9 @@ def _float_pair(text: str) -> tuple:
     return values
 
 
-def _add_out(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", required=True, help="output directory")
-
-
 def _add_common(parser: argparse.ArgumentParser, jobs: bool = True):
     parser.add_argument("--seed", type=int, default=None, help="global seed")
-    _add_out(parser)
+    parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument(
         "--config", default=None, help="JSON experiment config file"
     )
@@ -137,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("eval", help="score an estimates directory against a scene")
-    _add_out(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scene", required=True, help="scene directory")
     p.add_argument("--estimates", required=True, help="estimates directory")
     p.add_argument(
