@@ -170,6 +170,22 @@ class TestRunFcpStage:
         assert np.array_equal(images[0].data, want.data)
 
 
+class TestPipelineConfig:
+    """The pipeline's fields of the run config it takes, ExperimentConfig."""
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(fcp_mode="wiener")
+        for mode in ("off", "fcp"):
+            with pytest.raises(ValueError, match="refinement"):
+                ExperimentConfig(fcp_mode=mode, refinement="dnn")
+        with pytest.raises(ValueError):
+            ExperimentConfig(iterations=0)
+        # external_dir is checked when the refinement runs, so a config
+        # file may name it while a flag supplies the directory.
+        ExperimentConfig(refinement="external")
+
+
 class TestFeatureStack:
     def test_order_and_count(self, small_scene):
         sep = oracle_separate(small_scene, IDENTITY)
