@@ -33,6 +33,20 @@ def naive_stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
     return out
 
 
+def naive_istft(spec: ComplexSpectrogram, output_length: int) -> np.ndarray:
+    """Per-frame overlap-add oracle: each frame is inverted and added in turn."""
+    config = spec.config
+    w = config.window_length_samples
+    h = config.hop_samples
+    window = np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(w) / w)))
+    buf = np.zeros((spec.frames - 1) * h + w)
+    for t in range(spec.frames):
+        seg = np.fft.irfft(spec.data[t], n=config.dft_size)[:w] * window
+        buf[t * h : t * h + w] += seg
+    buf /= w / (2.0 * h)
+    return buf[w - h : w - h + output_length]
+
+
 def rand_spec(rng, frames: int, config: StftConfig) -> ComplexSpectrogram:
     """Random complex spectrogram on the given grid."""
     shape = (frames, config.bins)

@@ -1,6 +1,7 @@
 """Evaluation metrics: SI-SDR, low-energy variant, sweeps, scene reports."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ class TestLowEnergyMask:
         assert _nearest_rank_threshold(energies, 0.51) == 2.0
         assert _nearest_rank_threshold(energies, 1.0) == 4.0
         assert _nearest_rank_threshold(energies, 1e-9) == 0.0
+
+    def test_nearest_rank_threshold_matches_sorted_oracle(self, rng):
+        # Few distinct values, so most ranks fall inside a run of ties.
+        energies = rng.integers(0, 7, size=(37, 9)).astype(np.float64) ** 2
+        ordered = np.sort(energies.ravel())
+        for q in (1e-12, 0.01, 0.25, 0.5, 0.777, 0.9, 1.0):
+            rank = math.ceil(q * energies.size)
+            assert _nearest_rank_threshold(energies, q) == ordered[rank - 1]
 
     def test_hand_fixture_median(self):
         spec = self._spec([[0.0, 1.0], [1.0, 2.0], [3.0, 4.0]])

@@ -14,7 +14,7 @@ from cxfilter import (
     stft,
 )
 from cxfilter.io import config_from_dict, config_to_dict
-from conftest import naive_stft
+from conftest import naive_istft, naive_stft, rand_spec
 
 BOTH_CONFIGS = (SEPARATOR_STFT, FILTER_STFT)
 
@@ -159,6 +159,16 @@ class TestIstft:
             x = rng.standard_normal(n)
             y = istft(stft(x, SEPARATOR_STFT), output_length=n)
             np.testing.assert_allclose(y, x, atol=1e-10)
+
+    @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
+    def test_bit_identical_to_per_frame_overlap_add(self, rng, cfg):
+        for n in (1, cfg.hop_samples - 1, 1001, 80001):
+            frames = cfg.num_frames(n)
+            spec = rand_spec(rng, frames, cfg)
+            got = istft(spec, output_length=n)
+            assert np.array_equal(got, naive_istft(spec, n))
+            limit = cfg.max_signal_length(frames)
+            assert np.array_equal(istft(spec), naive_istft(spec, limit))
 
 
 class TestConvertConfig:
