@@ -186,7 +186,10 @@ def istft(
 
     Square-root Hann synthesis windowing followed by division by the
     constant overlap-add gain makes ``istft(stft(x))`` reproduce ``x``
-    to numerical precision.
+    to numerical precision.  The overlap-add runs one slice-add per
+    window-to-hop ratio, not one per frame, and sums each output sample
+    in the same order as a per-frame loop, so its result is bit-identical
+    to that loop's.
 
     Parameters
     ----------
@@ -213,10 +216,14 @@ def istft(
         )
 
     segments = np.fft.irfft(spec.data, n=cfg.dft_size, axis=1)[:, :w]
-    segments = segments * _sqrt_hann(w)
-    buf = np.zeros((spec.frames - 1) * h + w)
-    for t in range(spec.frames):
-        buf[t * h : t * h + w] += segments[t]
+    segments = (segments * _sqrt_hann(w)).reshape(spec.frames, w // h, h)
+    # Block b of the output sums sub-block k of frame b - k.  Adding the
+    # sub-blocks from the last to the first gives every sample its frames
+    # in increasing frame order, the order of a per-frame overlap-add.
+    blocks = np.zeros((spec.frames - 1 + w // h, h))
+    for k in range(w // h - 1, -1, -1):
+        blocks[k : k + spec.frames] += segments[:, k]
+    buf = blocks.ravel()
     buf /= cfg.cola_gain
     start = cfg.head_padding
     return buf[start : start + output_length]
