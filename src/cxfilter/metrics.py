@@ -56,11 +56,35 @@ def si_sdr(est, ref) -> float:
     return float(min(SI_SDR_CAP_DB, max(SI_SDR_FLOOR_DB, value)))
 
 
+# The last two SI-SDR-LE analyses as (config, copy of the signal,
+# spectrogram), most recently used first.  A quantile sweep scores one
+# (estimate, reference) pair at every quantile, so two entries let every
+# quantile after the first reuse both spectrograms.
+_ANALYSES: list = []
+_ANALYSES_KEPT = 2
+
+
+def _analyse(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
+    """``stft(signal, config)``, reused while the signal's values are unchanged.
+
+    An entry matches only on an equal config and an element-wise equal
+    copy of the signal, so changing an array in place between calls
+    never returns a stale spectrogram.
+    """
+    for i, (cached_config, cached_signal, spec) in enumerate(_ANALYSES):
+        if cached_config == config and np.array_equal(cached_signal, signal):
+            _ANALYSES.insert(0, _ANALYSES.pop(i))
+            return spec
+    spec = stft(signal, config)
+    _ANALYSES.insert(0, (config, signal.copy(), spec))
+    del _ANALYSES[_ANALYSES_KEPT:]
+    return spec
+
+
 def _nearest_rank_threshold(energies: np.ndarray, quantile: float) -> float:
     """Nearest-rank quantile: the ceil(q*N)-th smallest energy."""
-    flat = np.sort(energies, axis=None)
-    rank = max(1, math.ceil(quantile * flat.size))
-    return float(flat[rank - 1])
+    rank = max(1, math.ceil(quantile * energies.size))
+    return float(np.partition(energies, rank - 1, axis=None)[rank - 1])
 
 
 def low_energy_mask(ref_spec: ComplexSpectrogram, quantile: float) -> np.ndarray:
@@ -101,8 +125,8 @@ def si_sdr_le(
     if domain not in ("time", "tf"):
         raise ValueError(f"domain must be 'time' or 'tf', got {domain!r}")
     config = SEPARATOR_STFT if stft_config is None else stft_config
-    ref_spec = stft(ref, config)
-    est_spec = stft(est, config)
+    ref_spec = _analyse(ref, config)
+    est_spec = _analyse(est, config)
     mask = low_energy_mask(ref_spec, quantile)
     ref_masked = ref_spec.data * mask
     est_masked = est_spec.data * mask

@@ -7,16 +7,21 @@ import numpy as np
 import pytest
 
 from cxfilter import (
+    FILTER_STFT,
+    SEPARATOR_STFT,
     ComplexSpectrogram,
     MetricsReport,
     QuantileSweep,
+    SceneSpec,
     StftConfig,
     evaluate_scene,
     low_energy_mask,
     quantile_sweep,
     si_sdr,
     si_sdr_le,
+    simulate_scene,
 )
+from cxfilter import metrics
 from cxfilter.metrics import SI_SDR_CAP_DB, SI_SDR_FLOOR_DB, _nearest_rank_threshold
 
 
@@ -146,6 +151,78 @@ class TestSiSdrLe:
             si_sdr_le(est[:-1], ref, 0.5)
         with pytest.raises(ValueError):
             si_sdr_le(est, ref, 0.5, domain="cepstral")
+
+
+class TestAnalysisMemo:
+    QUANTILES = (0.1, 0.5, 0.9, 1.0)
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        metrics._ANALYSES.clear()
+        yield
+        metrics._ANALYSES.clear()
+
+    def _cold(self, est, ref, q, **kwargs):
+        metrics._ANALYSES.clear()
+        return si_sdr_le(est, ref, q, **kwargs)
+
+    def _signals(self, rng, n=3000):
+        ref = rng.standard_normal(n)
+        return ref + 0.2 * rng.standard_normal(n), ref
+
+    @pytest.mark.parametrize("domain", ("time", "tf"))
+    def test_scores_match_cold_calls(self, rng, domain):
+        est, ref = self._signals(rng)
+        warm = [si_sdr_le(est, ref, q, domain=domain) for q in self.QUANTILES]
+        cold = [self._cold(est, ref, q, domain=domain) for q in self.QUANTILES]
+        assert warm == cold
+
+    def test_in_place_change_gives_fresh_score(self, rng):
+        est, ref = self._signals(rng)
+        before = si_sdr_le(est, ref, 0.5)
+        est[::3] = 0.0
+        after = si_sdr_le(est, ref, 0.5)
+        assert after != before
+        assert after == self._cold(est, ref, 0.5)
+
+    def test_grids_do_not_collide(self, rng):
+        est, ref = self._signals(rng)
+        for cfg in (SEPARATOR_STFT, FILTER_STFT, SEPARATOR_STFT):
+            score = si_sdr_le(est, ref, 0.5, stft_config=cfg)
+            assert metrics._analyse(ref, cfg).config == cfg
+            assert score == self._cold(est, ref, 0.5, stft_config=cfg)
+
+    def _count(self, monkeypatch, name):
+        """Replace ``metrics.<name>`` by a wrapper that counts its calls."""
+        calls = []
+        func = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("speakers", (1, 3))
+    def test_evaluate_scene_analyses_each_pair_once(self, monkeypatch, speakers):
+        scene = simulate_scene(
+            SceneSpec(num_speakers=speakers, duration_s=0.5, t60_s=0.2, seed=17)
+        )
+        noise = np.random.default_rng(5).standard_normal(scene.mixture.shape)
+        estimates = [img + 0.1 * noise for img in scene.reverberant_image]
+        stft_calls = self._count(monkeypatch, "stft")
+        le_calls = self._count(monkeypatch, "si_sdr_le")
+        evaluate_scene(estimates, scene, quantiles=self.QUANTILES)
+        assert len(stft_calls) == 2 * speakers
+        assert len(le_calls) == speakers * len(self.QUANTILES)
+
+    def test_sweep_keeps_the_reference_across_systems(self, rng, monkeypatch):
+        ref = rng.standard_normal(3000)
+        systems = {name: ref + rng.standard_normal(3000) for name in "abc"}
+        stft_calls = self._count(monkeypatch, "stft")
+        quantile_sweep(systems, ref, self.QUANTILES)
+        assert len(stft_calls) == 1 + len(systems)
 
 
 class TestQuantileSweep:
