@@ -30,6 +30,7 @@ from cxfilter.pipeline import (
     DegradationSpec,
     PipelineResult,
     SeparatorOutput,
+    check_external_dir,
     export_estimates,
     run_pipeline,
 )
@@ -115,8 +116,8 @@ class ExperimentConfig:
     degraded first-stage estimates directly, ``fcp`` and ``essu`` run
     the plain and energy-sorted variants on the ``fcp.stft`` grid.
     ``external`` refinement exchanges per-iteration feature and
-    estimate directories under ``external_dir`` and fails at run time
-    without one.  The content hash covers all result-determining
+    estimate directories under ``external_dir``; a batch or sweep
+    without one is rejected before any scene runs.  The content hash covers all result-determining
     fields; output locations (``out``, ``external_dir``) are excluded so
     relocating an experiment does not change its identity.
     """
@@ -230,6 +231,7 @@ def run_separation(
     scenes are generated from the config's ranges and seed.  Returns
     the batch report, which is also written to ``out_dir/report.json``.
     """
+    check_external_dir(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_dict = config_to_dict(config)
@@ -409,7 +411,9 @@ def apply_sweep_axis(
 def _sweep_worker(payload: dict):
     config = config_from_dict(ExperimentConfig, payload["config"])
     scene = _scene_from_payload(payload)
-    result = run_scene(scene, config)
+    # Only the FCP images are scored here, so the refined estimates'
+    # low-energy sweep is skipped.
+    result = run_scene(scene, replace(config, quantiles=()))
     images = [
         istft(s, output_length=scene.num_samples) for s in result.fcp_images
     ]
@@ -434,6 +438,7 @@ def run_sweep(
         raise ValueError(f"unknown sweep axis {axis!r} (choose from {SWEEP_AXES})")
     if config.fcp_mode == "off":
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
+    check_external_dir(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -404,6 +404,16 @@ def import_estimates(directory) -> SeparatorOutput:
     )
 
 
+def check_external_dir(config: ExperimentConfig) -> None:
+    """Reject a config whose external refinement has no exchange directory."""
+    if (
+        config.fcp_mode != "off"
+        and config.refinement == "external"
+        and config.external_dir is None
+    ):
+        raise ValueError("external refinement requires external_dir")
+
+
 def _refine(
     stack: FeatureStack,
     separator: SeparatorOutput,
@@ -417,8 +427,7 @@ def _refine(
             direct_estimates=list(separator.direct_estimates),
             image_estimates=list(stack.fcp_images),
         )
-    if config.external_dir is None:
-        raise ValueError("external refinement requires external_dir")
+    check_external_dir(config)
     base = Path(config.external_dir) / f"iteration_{iteration}"
     export_features(stack, base / "features")
     estimates_dir = base / "estimates"

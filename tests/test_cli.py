@@ -176,6 +176,19 @@ class TestSeparate:
         assert code == 5
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_external_refinement_without_directory_is_exit_5(
+        self, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "separate",
+                "--out", str(tmp_path / "out"),
+                "--refinement", "external",
+            ]
+        )
+        assert code == 5
+        assert "external refinement requires external_dir" in capsys.readouterr().err
+
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         code = main(

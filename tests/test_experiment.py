@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cxfilter import DegradationSpec, FcpConfig, SceneSpec, simulate_scene
-from cxfilter import experiment
+from cxfilter import experiment, metrics, pipeline
 from cxfilter.experiment import (
     ExperimentConfig,
     SceneRanges,
@@ -259,6 +259,29 @@ class TestBatchRuns:
         with pytest.raises(FileNotFoundError, match="scene.json"):
             run_separation(_tiny_config(), tmp_path / "out", scenes_dir=tmp_path / "empty")
 
+    @pytest.mark.parametrize("run", ("separation", "sweep"))
+    def test_external_without_directory_fails_before_any_scene(
+        self, tmp_path, monkeypatch, run
+    ):
+        config = _tiny_config(
+            fcp_mode="fcp", fcp=FcpConfig(taps=2), refinement="external"
+        )
+        stage_calls = []
+        run_fcp_stage = pipeline.run_fcp_stage
+
+        def counted(*args, **kwargs):
+            stage_calls.append(1)
+            return run_fcp_stage(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_fcp_stage", counted)
+        with pytest.raises(ValueError, match="external refinement requires external_dir"):
+            if run == "separation":
+                run_separation(config, tmp_path / "out")
+            else:
+                run_sweep(config, "taps", [2], tmp_path / "out")
+        assert stage_calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_map_jobs_preserves_order(self):
         values = list(range(7))
         assert _map_jobs(_square, values, jobs=1) == [v * v for v in values]
@@ -360,6 +383,34 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "axis,value,num_scenes,mean_fcp_image_si_sdr_db,config_sha256"
         assert len(lines) == 3
+
+    def test_run_sweep_skips_the_discarded_low_energy_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        config = _tiny_config(
+            num_scenes=1, fcp_mode="fcp", fcp=FcpConfig(taps=2),
+            quantiles=(0.25, 0.5),
+        )
+        plain = run_sweep(replace(config, quantiles=()), "taps", [2], tmp_path / "a")
+        le_calls = []
+        si_sdr_le = metrics.si_sdr_le
+
+        def counted(*args, **kwargs):
+            le_calls.append(1)
+            return si_sdr_le(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "si_sdr_le", counted)
+        rows = run_sweep(config, "taps", [2], tmp_path / "b")
+        assert le_calls == []
+        # The row keeps the hash of the config as given, quantiles included.
+        assert rows[0]["config_sha256"] == apply_sweep_axis(
+            config, "taps", 2
+        ).config_hash()
+        assert rows[0]["config_sha256"] != plain[0]["config_sha256"]
+        assert (
+            rows[0]["mean_fcp_image_si_sdr_db"]
+            == plain[0]["mean_fcp_image_si_sdr_db"]
+        )
 
     def test_run_sweep_rejects_off_mode_and_bad_axis(self, tmp_path):
         with pytest.raises(ValueError, match="fcp_mode"):
