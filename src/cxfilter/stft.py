@@ -216,7 +216,8 @@ def istft(
         )
 
     segments = np.fft.irfft(spec.data, n=cfg.dft_size, axis=1)[:, :w]
-    segments = (segments * _sqrt_hann(w)).reshape(spec.frames, w // h, h)
+    segments *= _sqrt_hann(w)
+    segments = segments.reshape(spec.frames, w // h, h)
     # Block b of the output sums sub-block k of frame b - k.  Adding the
     # sub-blocks from the last to the first gives every sample its frames
     # in increasing frame order, the order of a per-frame overlap-add.

@@ -160,7 +160,8 @@ class TestIstft:
             y = istft(stft(x, SEPARATOR_STFT), output_length=n)
             np.testing.assert_allclose(y, x, atol=1e-10)
 
-    @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
+    # The last grid zero-pads its DFT, so each frame is cut to the window.
+    @pytest.mark.parametrize("cfg", BOTH_CONFIGS + (StftConfig(64, 16, 128, 8000),))
     def test_bit_identical_to_per_frame_overlap_add(self, rng, cfg):
         for n in (1, cfg.hop_samples - 1, 1001, 80001):
             frames = cfg.num_frames(n)
