@@ -117,9 +117,10 @@ class ExperimentConfig:
     the plain and energy-sorted variants on the ``fcp.stft`` grid.
     ``external`` refinement exchanges per-iteration feature and
     estimate directories under ``external_dir``; a batch or sweep
-    without one is rejected before any scene runs.  The content hash covers all result-determining
-    fields; output locations (``out``, ``external_dir``) are excluded so
-    relocating an experiment does not change its identity.
+    without one is rejected before any scene runs.  The content hash
+    covers all result-determining fields; output locations (``out``,
+    ``external_dir``) are excluded so relocating an experiment does not
+    change its identity.
     """
 
     version: int = EXPERIMENT_FORMAT_VERSION

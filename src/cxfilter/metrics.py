@@ -61,7 +61,6 @@ def si_sdr(est, ref) -> float:
 # (estimate, reference) pair at every quantile, so two entries let every
 # quantile after the first reuse both spectrograms.
 _ANALYSES: list = []
-_ANALYSES_KEPT = 2
 
 
 def _analyse(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
@@ -77,7 +76,7 @@ def _analyse(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
             return spec
     spec = stft(signal, config)
     _ANALYSES.insert(0, (config, signal.copy(), spec))
-    del _ANALYSES[_ANALYSES_KEPT:]
+    del _ANALYSES[2:]
     return spec
 
 

@@ -186,10 +186,10 @@ def istft(
 
     Square-root Hann synthesis windowing followed by division by the
     constant overlap-add gain makes ``istft(stft(x))`` reproduce ``x``
-    to numerical precision.  The overlap-add runs one slice-add per
-    window-to-hop ratio, not one per frame, and sums each output sample
-    in the same order as a per-frame loop, so its result is bit-identical
-    to that loop's.
+    to numerical precision.  The frames are overlap-added in hop-sized
+    slices rather than one frame at a time, with each output sample
+    summed in the same frame order, so the result is bit-identical to a
+    per-frame loop's.
 
     Parameters
     ----------
