@@ -47,6 +47,19 @@ def naive_istft(spec: ComplexSpectrogram, output_length: int) -> np.ndarray:
     return buf[w - h : w - h + output_length]
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.<name>`` by a wrapper; the list grows by one per call."""
+    calls = []
+    func = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def rand_spec(rng, frames: int, config: StftConfig) -> ComplexSpectrogram:
     """Random complex spectrogram on the given grid."""
     shape = (frames, config.bins)

@@ -25,6 +25,7 @@ from cxfilter.metrics import evaluate_scene
 from cxfilter.pipeline import import_estimates, oracle_separate, run_fcp_stage
 from cxfilter.stft import istft
 from cxfilter.scenes import save_scene
+from conftest import count_calls
 
 
 def _square(x):
@@ -266,14 +267,7 @@ class TestBatchRuns:
         config = _tiny_config(
             fcp_mode="fcp", fcp=FcpConfig(taps=2), refinement="external"
         )
-        stage_calls = []
-        run_fcp_stage = pipeline.run_fcp_stage
-
-        def counted(*args, **kwargs):
-            stage_calls.append(1)
-            return run_fcp_stage(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "run_fcp_stage", counted)
+        stage_calls = count_calls(monkeypatch, pipeline, "run_fcp_stage")
         with pytest.raises(ValueError, match="external refinement requires external_dir"):
             if run == "separation":
                 run_separation(config, tmp_path / "out")
@@ -392,14 +386,7 @@ class TestSweep:
             quantiles=(0.25, 0.5),
         )
         plain = run_sweep(replace(config, quantiles=()), "taps", [2], tmp_path / "a")
-        le_calls = []
-        si_sdr_le = metrics.si_sdr_le
-
-        def counted(*args, **kwargs):
-            le_calls.append(1)
-            return si_sdr_le(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "si_sdr_le", counted)
+        le_calls = count_calls(monkeypatch, metrics, "si_sdr_le")
         rows = run_sweep(config, "taps", [2], tmp_path / "b")
         assert le_calls == []
         # The row keeps the hash of the config as given, quantiles included.

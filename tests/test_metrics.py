@@ -23,6 +23,7 @@ from cxfilter import (
 )
 from cxfilter import metrics
 from cxfilter.metrics import SI_SDR_CAP_DB, SI_SDR_FLOOR_DB, _nearest_rank_threshold
+from conftest import count_calls
 
 
 class TestSiSdr:
@@ -192,18 +193,6 @@ class TestAnalysisMemo:
             assert metrics._analyse(ref, cfg).config == cfg
             assert score == self._cold(est, ref, 0.5, stft_config=cfg)
 
-    def _count(self, monkeypatch, name):
-        """Replace ``metrics.<name>`` by a wrapper that counts its calls."""
-        calls = []
-        func = getattr(metrics, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return func(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, name, wrapper)
-        return calls
-
     @pytest.mark.parametrize("speakers", (1, 3))
     def test_evaluate_scene_analyses_each_pair_once(self, monkeypatch, speakers):
         scene = simulate_scene(
@@ -211,8 +200,8 @@ class TestAnalysisMemo:
         )
         noise = np.random.default_rng(5).standard_normal(scene.mixture.shape)
         estimates = [img + 0.1 * noise for img in scene.reverberant_image]
-        stft_calls = self._count(monkeypatch, "stft")
-        le_calls = self._count(monkeypatch, "si_sdr_le")
+        stft_calls = count_calls(monkeypatch, metrics, "stft")
+        le_calls = count_calls(monkeypatch, metrics, "si_sdr_le")
         evaluate_scene(estimates, scene, quantiles=self.QUANTILES)
         assert len(stft_calls) == 2 * speakers
         assert len(le_calls) == speakers * len(self.QUANTILES)
@@ -220,7 +209,7 @@ class TestAnalysisMemo:
     def test_sweep_keeps_the_reference_across_systems(self, rng, monkeypatch):
         ref = rng.standard_normal(3000)
         systems = {name: ref + rng.standard_normal(3000) for name in "abc"}
-        stft_calls = self._count(monkeypatch, "stft")
+        stft_calls = count_calls(monkeypatch, metrics, "stft")
         quantile_sweep(systems, ref, self.QUANTILES)
         assert len(stft_calls) == 1 + len(systems)
 
