@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
+import cxfilter.cli
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
-from cxfilter.cli import main
+from cxfilter.cli import build_parser, main
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.io import config_to_dict, read_json, write_json
 from cxfilter.pipeline import export_estimates, oracle_separate
@@ -350,6 +352,247 @@ class TestSweep:
             ]
         )
         assert code == 5
+
+
+# Flag -> (argument, dotted config path, value in ``config_to_dict`` form).
+_CONFIG_FLAGS = {
+    "--seed": ("7", "seed", 7),
+    "--count": ("3", "num_scenes", 3),
+    "--speakers": ("3", "scene.num_speakers", 3),
+    "--duration": ("1.5", "scene.duration_s", 1.5),
+    "--t60-range": ("0.3,0.6", "scene.t60_range_s", [0.3, 0.6]),
+    "--drr-range": ("1,4", "scene.drr_range_db", [1.0, 4.0]),
+    "--snr-range": ("10,12.5", "scene.noise_snr_range_db", [10.0, 12.5]),
+    "--gains": ("0,-6", "scene.speaker_gains_db", [0.0, -6.0]),
+    "--fcp": ("essu", "fcp_mode", "essu"),
+    "--iterations": ("3", "iterations", 3),
+    "--refinement": ("fcp_substitute", "refinement", "fcp_substitute"),
+    "--external-dir": ("ext", "external_dir", "ext"),
+    "--degradation-snr": ("12.5", "degradation.snr_db", 12.5),
+    "--degradation-mode": ("cross_talk", "degradation.mode", "cross_talk"),
+    "--cross-talk-fraction": ("0.25", "degradation.cross_talk_fraction", 0.25),
+    "--quantiles": ("0.25,0.5", "quantiles", [0.25, 0.5]),
+}
+_SUBCOMMAND_CONFIG_FLAGS = {
+    "simulate": (
+        "--seed", "--count", "--speakers", "--duration", "--t60-range",
+        "--drr-range", "--snr-range", "--gains",
+    ),
+    "separate": (
+        "--seed", "--count", "--fcp", "--iterations", "--refinement",
+        "--external-dir", "--degradation-snr", "--degradation-mode",
+        "--cross-talk-fraction", "--quantiles",
+    ),
+    "sweep": ("--seed", "--count", "--fcp", "--degradation-snr"),
+}
+_REQUIRED_ARGS = {
+    "simulate": (),
+    "separate": (),
+    "eval": ("--scene", "scene", "--estimates", "est"),
+    "sweep": ("--axis", "taps", "--values", "2"),
+}
+# A config file in which every flag-mapped field differs from both its
+# default and the flag's value above.
+_FILE_CONFIG = ExperimentConfig(
+    seed=2,
+    num_scenes=2,
+    scene=SceneRanges(
+        num_speakers=1,
+        duration_s=0.8,
+        t60_range_s=(0.25, 0.25),
+        drr_range_db=(-2.0, -1.0),
+        noise_snr_range_db=(30.0, 40.0),
+        speaker_gains_db=(1.0,),
+    ),
+    degradation=DegradationSpec(mode="combined", snr_db=20.0, cross_talk_fraction=0.1),
+    iterations=2,
+    external_dir="base_ext",
+    quantiles=(0.1,),
+)
+_CONFIG_CASES = [
+    (command, flag, with_file)
+    for command, flags in _SUBCOMMAND_CONFIG_FLAGS.items()
+    for flag in (None, *flags)
+    for with_file in (False, True)
+]
+_HELP = (("-h", "--help"), None, None, False, argparse.SUPPRESS)
+_RANGE = "LO,HI"
+# Subcommand -> sorted (option strings, choices, metavar, required, default).
+_SURFACE = {
+    "simulate": [
+        (("--config",), None, None, False, None),
+        (("--count",), None, None, False, None),
+        (("--drr-range",), None, _RANGE, False, None),
+        (("--duration",), None, None, False, None),
+        (("--gains",), None, "DB,...", False, None),
+        (("--out",), None, None, True, None),
+        (("--seed",), None, None, False, None),
+        (("--snr-range",), None, _RANGE, False, None),
+        (("--speakers",), None, None, False, None),
+        (("--t60-range",), None, _RANGE, False, None),
+        _HELP,
+    ],
+    "separate": [
+        (("--config",), None, None, False, None),
+        (("--count",), None, None, False, None),
+        (("--cross-talk-fraction",), None, None, False, None),
+        (
+            ("--degradation-mode",),
+            ("additive_noise", "cross_talk", "combined"),
+            None, False, None,
+        ),
+        (("--degradation-snr",), None, "DB", False, None),
+        (("--external-dir",), None, None, False, None),
+        (("--fcp",), ("off", "fcp", "essu"), None, False, None),
+        (("--iterations",), None, None, False, None),
+        (("--jobs",), None, None, False, 1),
+        (("--out",), None, None, True, None),
+        (("--quantiles",), None, "Q,...", False, None),
+        (
+            ("--refinement",),
+            ("passthrough", "fcp_substitute", "external"),
+            None, False, None,
+        ),
+        (("--scenes",), None, None, False, None),
+        (("--seed",), None, None, False, None),
+        _HELP,
+    ],
+    "eval": [
+        (("--estimates",), None, None, True, None),
+        (("--out",), None, None, True, None),
+        (
+            ("--quantiles",), None, "Q,...", False,
+            (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+        ),
+        (("--scene",), None, None, True, None),
+        _HELP,
+    ],
+    "sweep": [
+        (
+            ("--axis",), ("taps", "epsilon", "degradation_snr", "t60"),
+            None, True, None,
+        ),
+        (("--config",), None, None, False, None),
+        (("--count",), None, None, False, None),
+        (("--degradation-snr",), None, "DB", False, None),
+        (("--fcp",), ("fcp", "essu"), None, False, None),
+        (("--jobs",), None, None, False, 1),
+        (("--out",), None, None, True, None),
+        (("--seed",), None, None, False, None),
+        (("--values",), None, "V,...", True, None),
+        _HELP,
+    ],
+}
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Stand-ins for the batch runners: each call is recorded, no scene runs."""
+    calls = []
+
+    def recorder(result):
+        def record(config, *args, **kwargs):
+            calls.append((config_to_dict(config), args, kwargs))
+            return result
+
+        return record
+
+    monkeypatch.setattr(cxfilter.cli, "run_simulation", recorder([]))
+    monkeypatch.setattr(
+        cxfilter.cli,
+        "run_separation",
+        recorder({"num_scenes": 0, "mean": {"si_sdr_db": 0.0}}),
+    )
+    monkeypatch.setattr(cxfilter.cli, "run_sweep", recorder([]))
+    return calls
+
+
+class TestSurface:
+    """What each flag sets, and what each subcommand takes."""
+
+    @pytest.mark.parametrize("command, flag, with_file", _CONFIG_CASES)
+    def test_flag_sets_its_config_field(
+        self, tmp_path, capsys, recorded, command, flag, with_file
+    ):
+        out = str(tmp_path / "out")
+        argv = [command, "--out", out, *_REQUIRED_ARGS[command]]
+        base = _FILE_CONFIG if with_file else ExperimentConfig()
+        if with_file:
+            write_json(tmp_path / "config.json", config_to_dict(base))
+            argv += ["--config", str(tmp_path / "config.json")]
+        expected = config_to_dict(base)
+        expected["out"] = out
+        if flag is not None:
+            text, path, value = _CONFIG_FLAGS[flag]
+            argv += [flag, text]
+            *parents, name = path.split(".")
+            node = expected
+            for key in parents:
+                node = node[key]
+            node[name] = value
+        assert main(argv) == 0, capsys.readouterr().err
+        [(config, _, _)] = recorded
+        assert config == expected
+
+    def test_run_arguments(self, tmp_path, recorded):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "scene.json").write_text("{}")
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert main(
+            ["separate", "--out", str(out), "--scenes", str(scenes), "--jobs", "3"]
+        ) == 0
+        assert main(
+            [
+                "sweep", "--out", str(out), "--axis", "epsilon",
+                "--values", "0.5,1e-2", "--jobs", "2",
+            ]
+        ) == 0
+        assert [(args, kwargs) for _, args, kwargs in recorded] == [
+            ((out,), {}),
+            ((out,), {"scenes_dir": scenes, "jobs": 3}),
+            (("epsilon", (0.5, 0.01), out), {"jobs": 2}),
+        ]
+
+    def test_options_of_each_subcommand(self):
+        parser = build_parser()
+        [sub] = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: sorted(
+                (
+                    tuple(a.option_strings),
+                    None if a.choices is None else tuple(a.choices),
+                    a.metavar,
+                    a.required,
+                    a.default,
+                )
+                for a in subparser._actions
+            )
+            for name, subparser in sub.choices.items()
+        }
+        assert surface == _SURFACE
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("simulate", ("--fcp", "fcp")),
+            ("separate", ("--speakers", "2")),
+            ("eval", ("--seed", "1")),
+            ("sweep", ("--fcp", "off")),
+        ],
+    )
+    def test_flag_not_taken_is_usage_error(
+        self, tmp_path, capsys, recorded, command, flag
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), *_REQUIRED_ARGS[command], *flag]
+        assert main(argv) == 5
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+        assert recorded == []
 
 
 class TestEntryPoint:
