@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from cxfilter.experiment import (
@@ -21,6 +20,7 @@ from cxfilter.experiment import (
     ExperimentConfig,
     discover_scene_dirs,
     evaluate_estimates,
+    override,
     run_separation,
     run_simulation,
     run_sweep,
@@ -72,19 +72,49 @@ def _float_pair(text: str) -> tuple:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, jobs: bool = True):
-    parser.add_argument("--seed", type=int, default=None, help="global seed")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--config", default=None, help="JSON experiment config file"
-    )
-    if jobs:
-        parser.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="scene-level parallel workers (results merge in scene order)",
-        )
+_SIM, _SEP, _SWEEP, _EVAL = ("simulate",), ("separate",), ("sweep",), ("eval",)
+_RUNS, _BATCHES = _SIM + _SEP + _SWEEP, _SEP + _SWEEP
+_PAIR = dict(type=_float_pair, metavar="LO,HI")
+
+# One row per flag: (flag, dotted ExperimentConfig field path or None,
+# argparse keywords, subcommands that take it).  A supplied flag with a
+# path overrides that field of the --config file or default config.
+FLAGS = (
+    ("--seed", "seed", dict(type=int, help="global seed"), _RUNS),
+    ("--out", "out", dict(required=True, help="output directory"), _RUNS + _EVAL),
+    ("--config", None, dict(help="JSON experiment config file"), _RUNS),
+    ("--jobs", None, dict(type=int, default=1, help="scene-level parallel workers "
+                          "(results merge in scene order)"), _BATCHES),
+    ("--scenes", None, dict(help="directory of scene directories; omitted: "
+                            "simulate from config"), _SEP),
+    ("--scene", None, dict(required=True, help="scene directory"), _EVAL),
+    ("--estimates", None, dict(required=True, help="estimates directory"), _EVAL),
+    ("--axis", None, dict(required=True, choices=tuple(SWEEP_AXES)), _SWEEP),
+    ("--values", None, dict(type=_float_list, required=True, metavar="V,..."), _SWEEP),
+    ("--count", "num_scenes", dict(type=int, help="number of scenes (per sweep value)"),
+     _RUNS),
+    ("--speakers", "scene.num_speakers", dict(type=int, help="speakers per scene"),
+     _SIM),
+    ("--duration", "scene.duration_s", dict(type=float, help="scene seconds"), _SIM),
+    ("--t60-range", "scene.t60_range_s", _PAIR, _SIM),
+    ("--drr-range", "scene.drr_range_db", _PAIR, _SIM),
+    ("--snr-range", "scene.noise_snr_range_db", _PAIR, _SIM),
+    ("--gains", "scene.speaker_gains_db", dict(type=_float_list, metavar="DB,...",
+                                               help="per-speaker gains in dB"), _SIM),
+    ("--fcp", "fcp_mode", dict(choices=FCP_MODES), _SEP),
+    ("--fcp", "fcp_mode", dict(choices=[m for m in FCP_MODES if m != "off"]), _SWEEP),
+    ("--iterations", "iterations", dict(type=int), _SEP),
+    ("--refinement", "refinement", dict(choices=REFINEMENTS), _SEP),
+    ("--external-dir", "external_dir", {}, _SEP),
+    ("--degradation-snr", "degradation.snr_db", dict(type=float, metavar="DB"),
+     _BATCHES),
+    ("--degradation-mode", "degradation.mode", dict(choices=DEGRADATION_MODES), _SEP),
+    ("--cross-talk-fraction", "degradation.cross_talk_fraction", dict(type=float),
+     _SEP),
+    ("--quantiles", "quantiles", dict(type=_float_list, metavar="Q,..."), _SEP),
+    ("--quantiles", None, dict(type=_float_list, metavar="Q,...",
+                               default=_float_list(DEFAULT_EVAL_QUANTILES)), _EVAL),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,66 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("simulate", help="generate seeded scene directories")
-    _add_common(p, jobs=False)
-    p.add_argument("--count", type=int, default=None, help="number of scenes")
-    p.add_argument("--speakers", type=int, default=None, help="speakers per scene")
-    p.add_argument("--duration", type=float, default=None, help="scene seconds")
-    p.add_argument("--t60-range", type=_float_pair, default=None, metavar="LO,HI")
-    p.add_argument("--drr-range", type=_float_pair, default=None, metavar="LO,HI")
-    p.add_argument("--snr-range", type=_float_pair, default=None, metavar="LO,HI")
-    p.add_argument(
-        "--gains",
-        type=_float_list,
-        default=None,
-        metavar="DB,...",
-        help="per-speaker gains in dB",
-    )
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("separate", help="run the separation pipeline per scene")
-    _add_common(p)
-    p.add_argument(
-        "--scenes",
-        default=None,
-        help="directory of scene directories; omitted: simulate from config",
-    )
-    p.add_argument("--count", type=int, default=None, help="scenes to simulate")
-    p.add_argument("--fcp", choices=FCP_MODES, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--refinement", choices=REFINEMENTS, default=None)
-    p.add_argument("--external-dir", default=None)
-    p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
-    p.add_argument("--degradation-mode", choices=DEGRADATION_MODES, default=None)
-    p.add_argument("--cross-talk-fraction", type=float, default=None)
-    p.add_argument("--quantiles", type=_float_list, default=None, metavar="Q,...")
-    p.set_defaults(func=cmd_separate)
-
-    p = sub.add_parser("eval", help="score an estimates directory against a scene")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scene", required=True, help="scene directory")
-    p.add_argument("--estimates", required=True, help="estimates directory")
-    p.add_argument(
-        "--quantiles",
-        type=_float_list,
-        default=_float_list(DEFAULT_EVAL_QUANTILES),
-        metavar="Q,...",
-    )
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="sweep one parameter across seeded batches")
-    _add_common(p)
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument(
-        "--values", type=_float_list, required=True, metavar="V,..."
-    )
-    p.add_argument("--count", type=int, default=None, help="scenes per value")
-    p.add_argument(
-        "--fcp", choices=[m for m in FCP_MODES if m != "off"], default=None
-    )
-    p.add_argument("--degradation-snr", type=float, default=None, metavar="DB")
-    p.set_defaults(func=cmd_sweep)
+    for name, func, help_text in (
+        ("simulate", cmd_simulate, "generate seeded scene directories"),
+        ("separate", cmd_separate, "run the separation pipeline per scene"),
+        ("eval", cmd_eval, "score an estimates directory against a scene"),
+        ("sweep", cmd_sweep, "sweep one parameter across seeded batches"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag, _, kwargs, commands in FLAGS:
+            if name in commands:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -171,54 +152,15 @@ def _resolve_config(args) -> ExperimentConfig:
             raise CliError(EXIT_BAD_ARGS, f"bad config file {path}: {err}")
     else:
         config = ExperimentConfig()
-
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "count", None) is not None:
-        updates["num_scenes"] = args.count
-    if getattr(args, "fcp", None) is not None:
-        updates["fcp_mode"] = args.fcp
-    if getattr(args, "iterations", None) is not None:
-        updates["iterations"] = args.iterations
-    if getattr(args, "refinement", None) is not None:
-        updates["refinement"] = args.refinement
-    if getattr(args, "external_dir", None) is not None:
-        updates["external_dir"] = args.external_dir
-    if getattr(args, "quantiles", None) is not None:
-        updates["quantiles"] = args.quantiles
-    if args.out is not None:
-        updates["out"] = args.out
-
-    scene_updates = {}
-    for attr, fld in (
-        ("speakers", "num_speakers"),
-        ("duration", "duration_s"),
-        ("t60_range", "t60_range_s"),
-        ("drr_range", "drr_range_db"),
-        ("snr_range", "noise_snr_range_db"),
-        ("gains", "speaker_gains_db"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            scene_updates[fld] = value
-    if scene_updates:
-        updates["scene"] = replace(config.scene, **scene_updates)
-
-    degradation_updates = {}
-    if getattr(args, "degradation_snr", None) is not None:
-        degradation_updates["snr_db"] = args.degradation_snr
-    if getattr(args, "degradation_mode", None) is not None:
-        degradation_updates["mode"] = args.degradation_mode
-    if getattr(args, "cross_talk_fraction", None) is not None:
-        degradation_updates["cross_talk_fraction"] = args.cross_talk_fraction
-    if degradation_updates:
-        updates["degradation"] = replace(config.degradation, **degradation_updates)
-
+    supplied = vars(args)
     try:
-        return replace(config, **updates)
+        for flag, path, _, commands in FLAGS:
+            value = supplied.get(flag[2:].replace("-", "_"))
+            if path is not None and args.command in commands and value is not None:
+                config = override(config, path, value)
     except ValueError as err:
         raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
+    return config
 
 
 def _make_out_dir(args) -> Path:

@@ -48,7 +48,13 @@ EXPERIMENT_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
 FCP_MODES = ("off", "fcp", "essu")
-SWEEP_AXES = ("taps", "epsilon", "degradation_snr", "t60")
+# Sweep axis -> (dotted ExperimentConfig field path, cast of the swept value).
+SWEEP_AXES = {
+    "taps": ("fcp.taps", int),
+    "epsilon": ("fcp.epsilon", float),
+    "degradation_snr": ("degradation.snr_db", float),
+    "t60": ("scene.t60_range_s", lambda v: (v, v)),
+}
 
 
 def _range_pair(value, name: str) -> tuple:
@@ -389,24 +395,22 @@ def evaluate_estimates(
     return payload
 
 
+def override(config, path: str, value):
+    """A copy of a nested config with the field at a dotted path replaced."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = override(getattr(config, name), rest, value)
+    return replace(config, **{name: value})
+
+
 def apply_sweep_axis(
     config: ExperimentConfig, axis: str, value: float
 ) -> ExperimentConfig:
     """A copy of the config with one swept parameter replaced."""
-    if axis == "taps":
-        return replace(config, fcp=replace(config.fcp, taps=int(value)))
-    if axis == "epsilon":
-        return replace(config, fcp=replace(config.fcp, epsilon=float(value)))
-    if axis == "degradation_snr":
-        return replace(
-            config, degradation=replace(config.degradation, snr_db=float(value))
-        )
-    if axis == "t60":
-        return replace(
-            config,
-            scene=replace(config.scene, t60_range_s=(float(value), float(value))),
-        )
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    path, cast = SWEEP_AXES[axis]
+    return override(config, path, cast(value))
 
 
 def _sweep_worker(payload: dict):
@@ -436,7 +440,9 @@ def run_sweep(
     refinement mode.  Requires an FCP-enabled config.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r} (choose from {SWEEP_AXES})")
+        raise ValueError(
+            f"unknown sweep axis {axis!r} (choose from {tuple(SWEEP_AXES)})"
+        )
     if config.fcp_mode == "off":
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
     check_external_dir(config)
