@@ -11,6 +11,7 @@ mismatch, 5 bad arguments.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -52,7 +53,16 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse variant that reports usage errors as exit code 5."""
+    """Argparse variant that reports usage errors as exit code 5.
+
+    A token such as ``-5,0`` or ``-inf`` is a value, not an option: no
+    cxfilter option starts with a dash followed by a digit, ``.`` or
+    ``inf``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf\b)")
 
     def error(self, message):
         raise CliError(EXIT_BAD_ARGS, f"{self.prog}: error: {message}")

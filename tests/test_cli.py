@@ -595,6 +595,39 @@ class TestSurface:
         assert recorded == []
 
 
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "argv, section, name, expected",
+        [
+            (["simulate", "--drr-range", "-5,0"], "scene", "drr_range_db", [-5.0, 0.0]),
+            (["simulate", "--gains", "-3,0"], "scene", "speaker_gains_db", [-3.0, 0.0]),
+            (
+                ["simulate", "--gains", "-inf,.5"],
+                "scene", "speaker_gains_db", ["-inf", 0.5],
+            ),
+            (["separate", "--degradation-snr", "-.5"], "degradation", "snr_db", -0.5),
+        ],
+        ids=["drr_range", "gains", "gains_inf", "degradation_snr"],
+    )
+    def test_list_and_pair_flags_take_negative_values(
+        self, tmp_path, recorded, argv, section, name, expected
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        [(config, _, _)] = recorded
+        assert config[section][name] == expected
+
+    def test_sweep_takes_negative_values(self, tmp_path, recorded):
+        argv = ["sweep", "--axis", "degradation_snr", "--values", "-5,0"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        [(_, args, _)] = recorded
+        assert args[:2] == ("degradation_snr", (-5.0, 0.0))
+
+    def test_an_option_is_still_no_value(self, tmp_path, capsys, recorded):
+        argv = ["simulate", "--out", str(tmp_path), "--drr-range", "--gains", "0"]
+        assert main(argv) == 5
+        assert "--drr-range: expected one argument" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
