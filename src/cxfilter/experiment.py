@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -96,18 +97,27 @@ class SceneRanges:
             )
 
     def draw_scene_spec(self, seed: int, index: int) -> SceneSpec:
-        """Deterministic per-scene spec for one batch slot."""
+        """Deterministic per-scene spec for one batch slot.
 
-        def draw(rng, lo, hi):
-            return lo if lo == hi else float(rng.uniform(lo, hi))
+        A range with ``lo == hi`` gives that value, infinite or not; one
+        with ``lo < hi`` is drawn from uniformly and needs finite ends.
+        """
+
+        def draw(name):
+            lo, hi = getattr(self, name)
+            if lo == hi:
+                return lo
+            if math.isinf(lo) or math.isinf(hi):
+                raise ValueError(f"{name} ({lo}, {hi}): lo < hi needs finite ends")
+            return float(rng.uniform(lo, hi))
 
         rng = np.random.default_rng([seed, index])
         return SceneSpec(
             num_speakers=self.num_speakers,
             duration_s=self.duration_s,
-            t60_s=draw(rng, *self.t60_range_s),
-            drr_db=draw(rng, *self.drr_range_db),
-            noise_snr_db=draw(rng, *self.noise_snr_range_db),
+            t60_s=draw("t60_range_s"),
+            drr_db=draw("drr_range_db"),
+            noise_snr_db=draw("noise_snr_range_db"),
             seed=int(rng.integers(0, 2**63)),
             sample_rate_hz=self.sample_rate_hz,
             speaker_gains_db=self.speaker_gains_db,

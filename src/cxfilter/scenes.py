@@ -68,15 +68,21 @@ class SceneSpec:
             raise ValueError("num_speakers must be >= 1")
         if not self.duration_s > 0:
             raise ValueError("duration_s must be positive")
-        for name in ("t60_s", "drr_db", "noise_snr_db"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must not be NaN")
+        if not 0 < self.t60_s < math.inf:
+            raise ValueError("t60_s must be positive and finite")
+        # +inf disables the reverberant tail or the noise; -inf has no
+        # rendering, so it is rejected rather than read as +inf.
+        for name in ("drr_db", "noise_snr_db"):
+            value = getattr(self, name)
+            if math.isnan(value) or value == -math.inf:
+                raise ValueError(f"{name} must be finite or +inf")
         if self.speaker_gains_db is not None:
             if len(self.speaker_gains_db) != self.num_speakers:
                 raise ValueError("speaker_gains_db length must equal num_speakers")
-            object.__setattr__(
-                self, "speaker_gains_db", tuple(float(g) for g in self.speaker_gains_db)
-            )
+            gains = tuple(float(g) for g in self.speaker_gains_db)
+            if any(math.isnan(g) or g == math.inf for g in gains):
+                raise ValueError("speaker_gains_db must be finite or -inf")
+            object.__setattr__(self, "speaker_gains_db", gains)
 
     @property
     def num_samples(self) -> int:
@@ -126,7 +132,7 @@ def generate_rir(
     Parameters
     ----------
     t60_s : float
-        Reverberation time in seconds, > 0.
+        Reverberation time in seconds, positive and finite.
     direct_delay_samples : int
         Position of the unit direct impulse.
     drr_db : float
@@ -134,8 +140,8 @@ def generate_rir(
     rng : numpy.random.Generator
         Source of the tail noise realization.
     """
-    if t60_s <= 0:
-        raise ValueError("t60_s must be positive")
+    if not 0 < t60_s < math.inf:
+        raise ValueError("t60_s must be positive and finite")
     if direct_delay_samples < 0:
         raise ValueError("direct_delay_samples must be non-negative")
 

@@ -71,6 +71,22 @@ class TestSimulate:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "scenes").exists()
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            (("--t60-range", "inf,inf"), "t60_s"),
+            (("--snr-range", "15,inf"), "noise_snr_range_db"),
+            (("--snr-range", "-inf,-inf"), "noise_snr_db"),
+            (("--gains", "nan,0"), "speaker_gains_db"),
+        ],
+        ids=["t60_inf", "snr_range_to_inf", "noise_minus_inf", "gain_nan"],
+    )
+    def test_non_finite_scene_input_is_exit_5(self, tmp_path, capsys, flag, name):
+        assert _simulate(tmp_path / "scenes", speakers=2, extra=flag) == 5
+        err = capsys.readouterr().err
+        assert name in err
+        assert err.count("\n") == 1
+
     def test_out_under_a_file_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")

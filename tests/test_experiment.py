@@ -82,6 +82,16 @@ class TestSceneRanges:
         assert spec.drr_db == 0.0
         assert spec.noise_snr_db == 25.0
 
+    def test_infinite_end_is_drawn_only_from_a_point_range(self):
+        assert _tiny_ranges(
+            noise_snr_range_db=(np.inf, np.inf)
+        ).draw_scene_spec(0, 0).noise_snr_db == np.inf
+        ranges = _tiny_ranges(noise_snr_range_db=(15.0, np.inf))
+        with pytest.raises(ValueError, match="noise_snr_range_db"):
+            ranges.draw_scene_spec(0, 0)
+        with pytest.raises(ValueError, match="t60_s"):
+            _tiny_ranges(t60_range_s=(np.inf, np.inf)).draw_scene_spec(0, 0)
+
 
 class TestExperimentConfig:
     def test_dict_round_trip_with_infinite_snr(self):

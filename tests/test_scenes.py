@@ -71,6 +71,10 @@ class TestGenerateRir:
         with pytest.raises(ValueError):
             generate_rir(0.0, 0, 0.0, np.random.default_rng(0))
 
+    def test_infinite_t60_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            generate_rir(math.inf, 0, 0.0, np.random.default_rng(0))
+
 
 class TestRenderScene:
     def test_degenerate_scene_is_delayed_source(self, rng):
@@ -251,6 +255,33 @@ class TestSceneSpecValidation:
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             SceneSpec(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"t60_s": math.inf},
+            {"t60_s": -math.inf},
+            {"drr_db": -math.inf},
+            {"noise_snr_db": -math.inf},
+            {"num_speakers": 2, "speaker_gains_db": (0.0, math.nan)},
+            {"num_speakers": 2, "speaker_gains_db": (math.inf, 0.0)},
+        ],
+        ids=["t60_inf", "t60_minus_inf", "drr_minus_inf", "noise_minus_inf",
+             "gain_nan", "gain_inf"],
+    )
+    def test_value_without_a_rendering_rejected(self, fields):
+        (name,) = [k for k in fields if k != "num_speakers"]
+        with pytest.raises(ValueError, match=name):
+            SceneSpec(**fields)
+
+    def test_infinities_with_a_rendering_accepted(self):
+        spec = SceneSpec(
+            num_speakers=2,
+            drr_db=math.inf,
+            noise_snr_db=math.inf,
+            speaker_gains_db=(0.0, -math.inf),
+        )
+        assert spec.speaker_gains_db == (0.0, -math.inf)
 
     def test_dict_round_trip_with_infinities(self):
         spec = SceneSpec(drr_db=np.inf, noise_snr_db=np.inf, seed=3)
