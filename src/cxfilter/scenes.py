@@ -305,7 +305,11 @@ def save_scene(scene: Scene, directory) -> Path:
 
 
 def load_scene(directory) -> Scene:
-    """Load a scene directory written by :func:`save_scene` (or externally)."""
+    """Load a scene directory written by :func:`save_scene` (or externally).
+
+    The noise and every direct-path and image component must have as
+    many samples as the mixture.
+    """
     directory = Path(directory)
     manifest_path = directory / SCENE_MANIFEST
     if not manifest_path.is_file():
@@ -325,18 +329,24 @@ def load_scene(directory) -> Scene:
     spec = config_from_dict(SceneSpec, manifest)
     files = manifest["files"]
 
-    def component(name: str) -> np.ndarray:
+    def component(name: str, length: int | None = None) -> np.ndarray:
         if name not in files:
             raise FileNotFoundError(f"scene manifest lists no '{name}' component")
         path = directory / files[name]
         if not path.is_file():
             raise FileNotFoundError(f"scene component '{name}' missing: {path}")
-        return read_wav(path, expected_rate=spec.sample_rate_hz)
+        data = read_wav(path, expected_rate=spec.sample_rate_hz)
+        if length is not None and data.size != length:
+            raise ValueError(
+                f"{path}: {data.size} samples, but the mixture has {length}"
+            )
+        return data
 
     mixture = component("mixture")
-    noise = component("noise")
-    directs = [component(f"s{c + 1}_direct") for c in range(spec.num_speakers)]
-    images = [component(f"s{c + 1}_image") for c in range(spec.num_speakers)]
+    n = mixture.size
+    noise = component("noise", n)
+    directs = [component(f"s{c + 1}_direct", n) for c in range(spec.num_speakers)]
+    images = [component(f"s{c + 1}_image", n) for c in range(spec.num_speakers)]
 
     rirs = None
     delays = manifest.get("rir_direct_delays_samples")

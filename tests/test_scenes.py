@@ -16,7 +16,7 @@ from cxfilter import (
     simulate_scene,
     synthesize_dry_sources,
 )
-from cxfilter.io import config_from_dict, config_to_dict
+from cxfilter.io import config_from_dict, config_to_dict, write_wav
 
 
 def tail_energy(rir):
@@ -208,6 +208,17 @@ class TestSceneSerialization:
         save_scene(small_scene, tmp_path / "sc")
         (tmp_path / "sc" / "noise.wav").unlink()
         with pytest.raises(FileNotFoundError, match="noise"):
+            load_scene(tmp_path / "sc")
+
+    def test_component_length_must_match_mixture(self, tmp_path, small_scene):
+        save_scene(small_scene, tmp_path / "sc")
+        n = small_scene.num_samples
+        write_wav(
+            tmp_path / "sc" / "s1_image.wav",
+            small_scene.reverberant_image[0][: n // 2],
+            small_scene.spec.sample_rate_hz,
+        )
+        with pytest.raises(ValueError, match=rf"s1_image\.wav: {n // 2} .* {n}$"):
             load_scene(tmp_path / "sc")
 
     def test_missing_manifest(self, tmp_path):
