@@ -4,6 +4,12 @@ Every subcommand writes under ``--out``.  ``simulate``, ``separate``
 and ``sweep`` also take ``--seed`` and ``--config FILE`` (flag values
 override config-file values); ``separate`` and ``sweep`` run scenes on
 ``--jobs`` worker processes.  ``eval`` takes no other common flag.
+:data:`FLAGS` is the one table of flags and the config fields they set.
+Negative values parse (``--drr-range -5,0``, ``--values -5,0``).  A
+scene input with no rendering is rejected with exit 5: a ``t60_s`` that
+is not positive and finite, a ``-inf`` or NaN DRR or noise SNR, a NaN
+or ``+inf`` speaker gain, and a range with ``lo < hi`` and an infinite
+end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.
 Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
 mismatch, 5 bad arguments.
 """
@@ -164,10 +170,10 @@ def _resolve_config(args) -> ExperimentConfig:
         config = ExperimentConfig()
     supplied = vars(args)
     try:
-        for flag, path, _, commands in FLAGS:
+        for flag, field_path, _, commands in FLAGS:
             value = supplied.get(flag[2:].replace("-", "_"))
-            if path is not None and args.command in commands and value is not None:
-                config = override(config, path, value)
+            if field_path and args.command in commands and value is not None:
+                config = override(config, field_path, value)
     except ValueError as err:
         raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
     return config
