@@ -86,3 +86,54 @@ def mono_scene():
     return simulate_scene(
         SceneSpec(num_speakers=1, duration_s=1.5, t60_s=0.3, seed=902)
     )
+
+
+def divided_tile_fcp_filter(target, s_hat, config) -> np.ndarray:
+    """Reference copy of the tiled FCP fit that divides each tile by the weights.
+
+    Same tiles (8 bins x 512 frames), same BLAS products and the same
+    per-bin solve as the kernel, but ``X_w = X / w`` by complex division,
+    so a kernel that scales the tiles another way can be held to the same
+    bits.  Not an independent oracle: ``naive_fcp_filter`` in
+    ``test_fcp.py`` is.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    taps = config.taps
+    z = target.data
+    w = np.abs(z) ** 2
+    w += config.epsilon * (
+        w.max(axis=0, keepdims=True) if config.per_freq_floor else w.max()
+    )
+    w[~(w > 0.0)] = 1.0
+    frames, bins = z.shape
+    gram = np.zeros((bins, taps, taps), dtype=np.complex128)
+    cross = np.zeros((bins, taps), dtype=np.complex128)
+    for f0 in range(0, bins, 8):
+        f1 = min(f0 + 8, bins)
+        padded = np.zeros((f1 - f0, taps - 1 + frames), dtype=np.complex128)
+        padded[:, taps - 1 :] = s_hat.data[:, f0:f1].T
+        regress = sliding_window_view(padded, frames, axis=1)[:, ::-1]
+        w_blk = w[:, f0:f1].T
+        z_blk = z[:, f0:f1].T.conj()
+        for t0 in range(0, frames, 512):
+            t = slice(t0, t0 + 512)
+            x = regress[:, :, t]
+            xw = x / w_blk[:, None, t]
+            gram[f0:f1] += xw @ x.conj().transpose(0, 2, 1)
+            cross[f0:f1] += (xw @ z_blk[:, t, None])[:, :, 0]
+    gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+
+    filters = np.zeros((bins, taps), dtype=np.complex128)
+    trace = np.einsum("fkk->f", gram).real
+    load = config.diag_load_delta * trace / taps
+    for f in range(bins):
+        if trace[f] <= 0.0:
+            continue
+        system = gram[f] + load[f] * np.eye(taps)
+        try:
+            filters[f] = cho_solve(cho_factor(system), cross[f])
+        except LinAlgError:
+            filters[f] = np.linalg.lstsq(system, cross[f], rcond=None)[0]
+    return filters

@@ -21,7 +21,7 @@ from cxfilter import (
     si_sdr,
     stft,
 )
-from conftest import rand_spec
+from conftest import divided_tile_fcp_filter, rand_spec
 
 # Small grids for synthetic-spectrogram tests; only bin count matters.
 GRID = StftConfig(16, 4, 16, 8000)  # 9 bins
@@ -271,6 +271,55 @@ class TestNaiveOracleEdgeCases:
         want = naive_fcp_filter(target, s_hat, config)
         assert len(failures) == GRID64.bins
         assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _signed_zero_inputs(rng):
+    # 33 bins x 600 frames: a partial last tile along both axes, zeros of
+    # both signs in either part, zero target units and a silent s_hat bin.
+    target = rand_spec(rng, 600, GRID64)
+    s_hat = rand_spec(rng, 600, GRID64)
+    target.data.real[::7] = -0.0
+    target.data.imag[3::5] = -0.0
+    target.data[::11, 4] = 0.0
+    s_hat.data.real[::3, ::2] = -0.0
+    s_hat.data.imag[1::4] = -0.0
+    s_hat.data[:, 8] = 0.0
+    return target, s_hat
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKernelBits:
+    """The fit and the filter apply keep the bits of their reference forms."""
+
+    @pytest.mark.parametrize(
+        "taps, per_freq_floor", [(1, False), (6, False), (6, True)]
+    )
+    def test_fit_equals_divided_tile_reference(self, rng, taps, per_freq_floor):
+        target, s_hat = _signed_zero_inputs(rng)
+        config = FcpConfig(taps=taps, stft=GRID64, per_freq_floor=per_freq_floor)
+        got = estimate_fcp_filter(target, s_hat, config)
+        want = divided_tile_fcp_filter(target, s_hat, config)
+        assert np.array_equal(got, want)
+        assert _same_bits(got, want)
+        assert np.all(got[8] == 0)
+
+    def test_apply_equals_einsum_form(self, rng):
+        _, s_hat = _signed_zero_inputs(rng)
+        taps = 6
+        g = rng.standard_normal((GRID64.bins, taps)) + 1j * rng.standard_normal(
+            (GRID64.bins, taps)
+        )
+        g.real[::4] = -0.0
+        g[5] = 0.0
+        got = apply_filter(g, s_hat).data
+        stack = fcp_module._tap_stack(s_hat.data, taps)
+        want = np.einsum("fat,fa->tf", stack, g.conj())
+        assert np.array_equal(got, want)
+        assert _same_bits(got, want)
 
 
 class TestBoundedMemory:
