@@ -128,6 +128,7 @@ def estimate_fcp_filter(
     taps = config.taps
     z = target.data
     w = _weights(z, config)
+    recip = np.reciprocal(w, out=w)
     frames, bins = z.shape
 
     gram = np.zeros((bins, taps, taps), dtype=np.complex128)
@@ -135,12 +136,22 @@ def estimate_fcp_filter(
     for f0 in range(0, bins, _BIN_BLOCK):
         f1 = min(f0 + _BIN_BLOCK, bins)
         regress = _tap_stack(s_hat.data[:, f0:f1], taps)
-        w_blk = w[:, f0:f1].T
+        # X_w = X / w as X times 1/w on the float64 view, frames
+        # innermost.  Complex division by w + 0j rounds every nonzero
+        # part the same way at several times the cost; only a zero's sign
+        # can differ in the tile, and the sums below start at +0, so the
+        # Gram and cross terms keep the same bits.
+        scale = np.repeat(recip[:, f0:f1].T, 2, axis=1)
         z_blk = z[:, f0:f1].T.conj()
         for t0 in range(0, frames, _FRAME_BLOCK):
             t = slice(t0, t0 + _FRAME_BLOCK)
             x = regress[:, :, t]
-            xw = x / w_blk[:, None, t]
+            xw = np.empty(x.shape, dtype=np.complex128)
+            np.multiply(
+                x.view(np.float64),
+                scale[:, None, 2 * t0 : 2 * (t0 + x.shape[2])],
+                out=xw.view(np.float64),
+            )
             gram[f0:f1] += xw @ x.conj().transpose(0, 2, 1)
             cross[f0:f1] += (xw @ z_blk[:, t, None])[:, :, 0]
     gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
@@ -175,7 +186,7 @@ def apply_filter(
             f"({s_hat.bins}, taps)"
         )
     stack = _tap_stack(s_hat.data, filters.shape[1])
-    out = np.einsum("fat,fa->tf", stack, filters.conj())
+    out = (filters.conj()[:, None, :] @ stack)[:, 0, :].T
     return ComplexSpectrogram(out, s_hat.config)
 
 
