@@ -12,6 +12,8 @@ in deterministic scene order.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from cxfilter.fcp import FcpConfig
 from cxfilter.io import config_from_dict, config_to_dict, write_json
@@ -193,19 +196,86 @@ def discover_scene_dirs(scenes_dir) -> list:
     )
 
 
+# (package, library file pattern in <package>.libs, thread-count symbol)
+# of the OpenBLAS builds that the numpy and scipy wheels bundle.
+_OPENBLAS = (
+    (np, "libscipy_openblas64_*.so", "scipy_openblas_{}_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so", "scipy_openblas_{}_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_apis() -> dict:
+    """Package name -> (get, set) thread-count functions of its OpenBLAS.
+
+    A package whose bundled OpenBLAS is not found (another BLAS) is left
+    out.
+    """
+    apis = {}
+    for package, pattern, symbol in _OPENBLAS:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        try:
+            lib = ctypes.CDLL(str(sorted(libs.glob(pattern))[0]))
+            apis[package.__name__] = (
+                getattr(lib, symbol.format("get")),
+                getattr(lib, symbol.format("set")),
+            )
+        except (IndexError, OSError, AttributeError):
+            pass
+    return apis
+
+
+def _pin_blas_threads() -> list:
+    """Run numpy's and scipy's OpenBLAS on one thread each.
+
+    On the small Gram products of the FCP fit a second BLAS thread costs
+    more than it saves, and it competes with the other workers for the
+    cores.  Pinning every batch process, serial or pooled, also keeps
+    report bytes independent of ``jobs`` and of the CPU count.  Returns
+    (set function, previous count) pairs to restore.
+    """
+    pinned = []
+    for get, set_ in _openblas_thread_apis().values():
+        pinned.append((set_, get()))
+        set_(1)
+    return pinned
+
+
+def _run_pinned(func, payloads: list) -> list:
+    """Apply a worker in this process on one BLAS thread, then restore."""
+    pinned = _pin_blas_threads()
+    try:
+        return [func(p) for p in payloads]
+    finally:
+        for set_, count in pinned:
+            set_(count)
+
+
 def _map_jobs(func, payloads: list, jobs: int) -> list:
     """Apply a worker over payloads, merging in submission order.
 
     At most ``jobs`` worker processes run, and never more than there
-    are CPUs or payloads.
+    are CPUs or payloads.  Every worker runs OpenBLAS on one thread
+    (:func:`_pin_blas_threads`); where a bundled OpenBLAS is not found,
+    one warning line goes to stderr and its threads are left as they are.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    apis = _openblas_thread_apis()
+    missing = [p.__name__ for p, _, _ in _OPENBLAS if p.__name__ not in apis]
+    if missing:
+        print(
+            f"warning: no OpenBLAS thread control found for {', '.join(missing)}; "
+            "BLAS keeps its default thread count",
+            file=sys.stderr,
+        )
     workers = min(jobs, os.cpu_count() or 1, len(payloads))
     if workers <= 1:
-        return [func(p) for p in payloads]
+        return _run_pinned(func, payloads)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pin_blas_threads
+        ) as pool:
             return list(pool.map(func, payloads))
     except (OSError, PermissionError) as err:
         print(
@@ -213,7 +283,7 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
             "sequentially",
             file=sys.stderr,
         )
-        return [func(p) for p in payloads]
+        return _run_pinned(func, payloads)
 
 
 def _scene_from_payload(payload: dict) -> Scene:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import json
 import subprocess
 import sys
 
@@ -242,6 +243,28 @@ class TestSeparate:
         first = (tmp_path / "out" / "report.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+
+    def test_output_bytes_do_not_depend_on_jobs(self, tmp_path):
+        scenes = tmp_path / "scenes"
+        assert _simulate(scenes, count=4, speakers=2, duration=0.8) == 0
+        runs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["separate", "--scenes", str(scenes), "--out", str(out),
+                    "--fcp", "fcp", "--refinement", "fcp_substitute",
+                    "--jobs", str(jobs)]
+            assert main(argv) == 0
+            report = read_json(out / "report.json")
+            assert report["config"].pop("out") == str(out)
+            files = {
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path != out / "report.json"
+            }
+            runs[jobs] = json.dumps(report), files
+        assert sum(name.suffix == ".wav" for name in runs[1][1]) == 4 * 4
+        assert runs[1] == runs[2]
 
 
 class TestEval:

@@ -32,6 +32,16 @@ def _square(x):
     return x * x
 
 
+@pytest.fixture
+def openblas():
+    """OpenBLAS (get, set) pairs by package; thread counts restored after."""
+    apis = experiment._openblas_thread_apis()
+    before = [get() for get, _ in apis.values()]
+    yield apis
+    for (_, set_), count in zip(apis.values(), before):
+        set_(count)
+
+
 def _tiny_ranges(**kw):
     base = dict(
         num_speakers=1,
@@ -291,12 +301,14 @@ class TestBatchRuns:
         assert _map_jobs(_square, values, jobs=1) == [v * v for v in values]
         assert _map_jobs(_square, values, jobs=2) == [v * v for v in values]
 
-    def test_map_jobs_clamps_workers(self, monkeypatch):
-        started = []
+    def test_map_jobs_clamps_workers(self, monkeypatch, openblas):
+        started, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 started.append(max_workers)
+                initializers.append(initializer)
+                initializer()  # pins this process, restored by the fixture
 
             def __enter__(self):
                 return self
@@ -320,9 +332,38 @@ class TestBatchRuns:
                 v * v for v in values[:count]
             ]
             assert started == [workers]
+            assert initializers == [experiment._pin_blas_threads]
+            initializers.clear()
         started.clear()
         assert _map_jobs(_square, values[:1], 10**6) == [0]
         assert started == []  # one payload runs in this process
+
+    def test_serial_workers_run_on_one_blas_thread(self, openblas):
+        if sorted(openblas) != ["numpy", "scipy"]:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
+
+        def counts(_=None):
+            return [get() for get, _ in openblas.values()]
+
+        def fail(_):
+            assert counts() == [1, 1]
+            raise RuntimeError("worker failed")
+
+        for _, set_ in openblas.values():
+            set_(2)
+        assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, 1]] * 3
+        assert counts() == [2, 2]
+        with pytest.raises(RuntimeError, match="worker failed"):
+            _map_jobs(fail, [0], jobs=1)
+        assert counts() == [2, 2]
+
+    def test_missing_openblas_warns_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
+        report = run_separation(_tiny_config(), tmp_path / "out", jobs=1)
+        assert report["num_scenes"] == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no OpenBLAS thread control found for numpy, scipy" in err
 
     @pytest.mark.parametrize("jobs", [0, -7])
     def test_map_jobs_rejects_fewer_than_one(self, jobs):
