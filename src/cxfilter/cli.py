@@ -17,6 +17,7 @@ mismatch, 5 bad arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from pathlib import Path
@@ -191,10 +192,30 @@ def _make_out_dir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _run_into(args):
+    """The ``--out`` directory of a batch run.
+
+    A directory made here is removed again if the run fails before
+    writing into it, as a run with a rejected value does.
+    """
+    made = not Path(args.out).exists()
+    out = _make_out_dir(args)
+    try:
+        yield out
+    except Exception:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
+
+
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    out = _make_out_dir(args)
-    rows = run_simulation(config, out)
+    with _run_into(args) as out:
+        try:
+            rows = run_simulation(config, out)
+        except ValueError as err:
+            raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
     header = f"{'scene':<12}{'spk':>4}{'dur_s':>7}{'t60_s':>7}{'drr_db':>8}{'snr_db':>8}  seed"
     print(header)
     for row in rows:
@@ -209,7 +230,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_separate(args) -> int:
     config = _resolve_config(args)
-    out = _make_out_dir(args)
     scenes_dir = None
     if args.scenes is not None:
         scenes_dir = Path(args.scenes)
@@ -219,7 +239,8 @@ def cmd_separate(args) -> int:
                 f"no scene manifest found: expected {scenes_dir / SCENE_MANIFEST} "
                 f"or {scenes_dir}/*/{SCENE_MANIFEST}",
             )
-    aggregate = run_separation(config, out, scenes_dir=scenes_dir, jobs=args.jobs)
+    with _run_into(args) as out:
+        aggregate = run_separation(config, out, scenes_dir=scenes_dir, jobs=args.jobs)
     mean = aggregate["mean"]["si_sdr_db"]
     print(
         f"separated {aggregate['num_scenes']} scene(s): "
@@ -265,11 +286,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    out = _make_out_dir(args)
-    try:
-        rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
-    except ValueError as err:
-        raise CliError(EXIT_BAD_ARGS, str(err))
+    with _run_into(args) as out:
+        try:
+            rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
+        except ValueError as err:
+            raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
     print(f"{'axis':<16}{'value':>12}{'mean_fcp_si_sdr_db':>20}")
     for row in rows:
         print(

@@ -186,6 +186,14 @@ def run_scene(scene: Scene, config: ExperimentConfig) -> PipelineResult:
     return run_pipeline(scene, config)
 
 
+def draw_scene_specs(config: ExperimentConfig) -> list:
+    """The scene specs of a generated batch, one per scene, in order."""
+    return [
+        config.scene.draw_scene_spec(config.seed, i)
+        for i in range(config.num_scenes)
+    ]
+
+
 def discover_scene_dirs(scenes_dir) -> list:
     """Scene directories under a root, in deterministic name order."""
     root = Path(scenes_dir)
@@ -320,7 +328,6 @@ def run_separation(
     """
     check_external_dir(config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_dict = config_to_dict(config)
     payloads = []
     if scenes_dir is not None:
@@ -340,19 +347,18 @@ def run_separation(
                 f"{Path(scenes_dir)}/*/{SCENE_MANIFEST})"
             )
     else:
-        for i in range(config.num_scenes):
+        for i, spec in enumerate(draw_scene_specs(config)):
             key = f"scene_{i + 1:04d}"
             payloads.append(
                 {
                     "key": key,
                     "scene_dir": None,
-                    "scene_spec": config_to_dict(
-                        config.scene.draw_scene_spec(config.seed, i)
-                    ),
+                    "scene_spec": config_to_dict(spec),
                     "config": config_dict,
                     "out_dir": str(out_dir / key),
                 }
             )
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = _map_jobs(_separate_worker, payloads, jobs)
     scenes = {key: report for key, report in results}
     aggregate = {
@@ -382,11 +388,11 @@ def run_simulation(config: ExperimentConfig, out_dir) -> list:
 
     Returns one summary row per scene (name, drawn parameters, seed).
     """
+    specs = draw_scene_specs(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i in range(config.num_scenes):
-        spec = config.scene.draw_scene_spec(config.seed, i)
+    for i, spec in enumerate(specs):
         scene = simulate_scene(spec)
         key = f"scene_{i + 1:04d}"
         save_scene(scene, out_dir / key)
@@ -526,20 +532,19 @@ def run_sweep(
     if config.fcp_mode == "off":
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
     check_external_dir(config)
+    sweeps = [apply_sweep_axis(config, axis, value) for value in values]
+    specs = [draw_scene_specs(swept) for swept in sweeps]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        swept = apply_sweep_axis(config, axis, value)
+    for value, swept, swept_specs in zip(values, sweeps, specs):
         payloads = [
             {
                 "scene_dir": None,
-                "scene_spec": config_to_dict(
-                    swept.scene.draw_scene_spec(swept.seed, i)
-                ),
+                "scene_spec": config_to_dict(spec),
                 "config": config_to_dict(swept),
             }
-            for i in range(swept.num_scenes)
+            for spec in swept_specs
         ]
         scores = _map_jobs(_sweep_worker, payloads, jobs)
         rows.append(

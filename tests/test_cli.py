@@ -88,6 +88,12 @@ class TestSimulate:
         assert name in err
         assert err.count("\n") == 1
 
+    def test_rejected_value_makes_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--t60-range", "inf,inf"]) == 5
+        assert capsys.readouterr().err.startswith("bad arguments: t60_s ")
+        assert not out.exists()
+
     def test_out_under_a_file_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
@@ -245,6 +251,16 @@ class TestSeparate:
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
+    def test_rejected_value_makes_no_out_directory(self, tmp_path, capsys):
+        config = config_to_dict(ExperimentConfig())
+        config["scene"]["t60_range_s"] = [float("inf")] * 2
+        write_json(tmp_path / "config.json", config)
+        out = tmp_path / "o"
+        argv = ["separate", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        assert main(argv) == 5
+        assert "t60_s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_bytes_do_not_depend_on_jobs(self, tmp_path):
         scenes = tmp_path / "scenes"
         assert _simulate(scenes, count=4, speakers=2, duration=0.8) == 0
@@ -380,6 +396,13 @@ class TestSweep:
         lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert "wrote" in capsys.readouterr().out
+
+    def test_rejected_value_makes_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "o2"
+        argv = ["sweep", "--out", str(out), "--axis", "taps", "--values", "0"]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "bad arguments: taps must be >= 1\n"
+        assert not out.exists()
 
     def test_bad_axis_is_usage_error(self, tmp_path, capsys):
         code = main(

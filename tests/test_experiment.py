@@ -406,6 +406,14 @@ class TestEvaluateEstimates:
 
 
 class TestSweep:
+    def test_every_value_is_checked_before_any_scene(self, tmp_path, monkeypatch):
+        config = _tiny_config(fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        stage_calls = count_calls(monkeypatch, pipeline, "run_fcp_stage")
+        with pytest.raises(ValueError, match="taps must be >= 1"):
+            run_sweep(config, "taps", [2, 0], tmp_path / "out")
+        assert stage_calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_axis_application(self):
         config = _tiny_config(fcp_mode="fcp")
         assert apply_sweep_axis(config, "taps", 9).fcp.taps == 9
