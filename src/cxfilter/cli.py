@@ -9,7 +9,9 @@ Negative values parse (``--drr-range -5,0``, ``--values -5,0``).  A
 scene input with no rendering is rejected with exit 5: a ``t60_s`` that
 is not positive and finite, a ``-inf`` or NaN DRR or noise SNR, a NaN
 or ``+inf`` speaker gain, and a range with ``lo < hi`` and an infinite
-end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.
+end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.  A run
+that fails before writing into ``--out`` removes the directory if it
+made it.
 Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
 mismatch, 5 bad arguments.
 """

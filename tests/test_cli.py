@@ -262,8 +262,11 @@ class TestSeparate:
         assert not out.exists()
 
     def test_output_bytes_do_not_depend_on_jobs(self, tmp_path):
+        # At 1.5 s the FCP fit's products are large enough for OpenBLAS
+        # to split them over threads, so a process left unpinned rounds
+        # differently; at 0.8 s they are not.
         scenes = tmp_path / "scenes"
-        assert _simulate(scenes, count=4, speakers=2, duration=0.8) == 0
+        assert _simulate(scenes, count=4, speakers=2, duration=1.5) == 0
         runs = {}
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
