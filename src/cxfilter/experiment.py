@@ -236,11 +236,11 @@ def _openblas_thread_apis() -> dict:
 def _pin_blas_threads() -> list:
     """Run numpy's and scipy's OpenBLAS on one thread each.
 
-    On the small Gram products of the FCP fit a second BLAS thread costs
-    more than it saves, and it competes with the other workers for the
-    cores.  Pinning every batch process, serial or pooled, also keeps
-    report bytes independent of ``jobs`` and of the CPU count.  Returns
-    (set function, previous count) pairs to restore.
+    Pool workers that each run several BLAS threads oversubscribe the
+    cores, which made parallel batches slower than serial ones.  The
+    serial path is pinned too, so report bytes depend neither on
+    ``jobs`` nor on the CPU count.  Returns (set function, previous
+    count) pairs to restore.
     """
     pinned = []
     for get, set_ in _openblas_thread_apis().values():
