@@ -250,7 +250,6 @@ class TestSeparate:
         assert main(argv) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
-
     def test_rejected_value_makes_no_out_directory(self, tmp_path, capsys):
         config = config_to_dict(ExperimentConfig())
         config["scene"]["t60_range_s"] = [float("inf")] * 2
