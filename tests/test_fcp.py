@@ -1,5 +1,6 @@
 """Convolutive prediction: WLS oracle equivalence, recovery, ESSU."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,9 +297,21 @@ class TestKernelBits:
     """The fit and the filter apply keep the bits of their reference forms."""
 
     @pytest.mark.parametrize(
-        "taps, per_freq_floor", [(1, False), (6, False), (6, True)]
+        "taps, per_freq_floor, threads",
+        [
+            # 8 threads is more than most test hosts have cores.
+            pytest.param(
+                taps, floor, threads,
+                id=f"{taps}-{floor}" + (f"-{threads}threads" if threads > 1 else ""),
+            )
+            for taps, floor in [(1, False), (6, False), (6, True)]
+            for threads in (1, 2, 3, 8)
+        ],
     )
-    def test_fit_equals_divided_tile_reference(self, rng, taps, per_freq_floor):
+    def test_fit_equals_divided_tile_reference(
+        self, rng, monkeypatch, taps, per_freq_floor, threads
+    ):
+        monkeypatch.setattr(fcp_module, "fit_threads", threads, raising=False)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=taps, stft=GRID64, per_freq_floor=per_freq_floor)
         got = estimate_fcp_filter(target, s_hat, config)
@@ -320,6 +333,30 @@ class TestKernelBits:
         want = np.einsum("fat,fa->tf", stack, g.conj())
         assert np.array_equal(got, want)
         assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("failing_block", [0, 8, 32])
+    def test_threaded_fit_joins_its_threads(self, rng, monkeypatch, failing_block):
+        # Batch runners fork worker processes after a fit, so no helper
+        # thread may outlive it, also when a block raises.
+        monkeypatch.setattr(fcp_module, "fit_threads", 2, raising=False)
+        target, s_hat = _signed_zero_inputs(rng)
+        config = FcpConfig(taps=6, stft=GRID64)
+        before = threading.active_count()
+        estimate_fcp_filter(target, s_hat, config)
+        assert threading.active_count() == before
+
+        tap_stack = fcp_module._tap_stack
+        bad = s_hat.data[:, failing_block : failing_block + 8]
+
+        def failing_tap_stack(data, taps):
+            if np.array_equal(data, bad):
+                raise RuntimeError("block failed")
+            return tap_stack(data, taps)
+
+        monkeypatch.setattr(fcp_module, "_tap_stack", failing_tap_stack)
+        with pytest.raises(RuntimeError, match="block failed"):
+            estimate_fcp_filter(target, s_hat, config)
+        assert threading.active_count() == before
 
 
 class TestBoundedMemory:
@@ -347,22 +384,25 @@ class TestBoundedMemory:
         silent = fcp_module._weights(np.zeros((3, 4), complex), FcpConfig())
         assert np.array_equal(silent, np.ones((3, 4)))
 
-    def test_sixty_second_fit_stays_under_bound(self):
+    def test_sixty_second_fit_stays_under_bound(self, monkeypatch):
         # One speaker, 60 s on the filter grid: 7515 frames x 513 bins
         # and 40 taps.  A whole (bins, frames, taps) regressor would be
         # 2.3 GiB on its own; the inputs are allocated before tracing.
         rng = np.random.default_rng(60)
         target = rand_spec(rng, 7515, FILTER_STFT)
         s_hat = rand_spec(rng, 7515, FILTER_STFT)
-        tracemalloc.start()
-        try:
-            g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.shape == (FILTER_STFT.bins, 40)
-        assert np.all(np.isfinite(g))
-        assert peak < 256 * 2**20
+        for threads in (1, 2):
+            # Each fit thread holds its own tiles.
+            monkeypatch.setattr(fcp_module, "fit_threads", threads, raising=False)
+            tracemalloc.start()
+            try:
+                g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert g.shape == (FILTER_STFT.bins, 40)
+            assert np.all(np.isfinite(g))
+            assert peak < 256 * 2**20
 
 
 class TestOptimalityInvariants:
