@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
 from cxfilter.io import config_from_dict, config_to_dict, write_json
 from cxfilter.metrics import QuantileSweep, evaluate_scene, quantile_sweep
@@ -233,25 +234,30 @@ def _openblas_thread_apis() -> dict:
     return apis
 
 
-def _pin_blas_threads() -> list:
+def _pin_blas_threads(fit_threads: int = 1) -> list:
     """Run numpy's and scipy's OpenBLAS on one thread each.
 
     Pool workers that each run several BLAS threads oversubscribe the
     cores, which made parallel batches slower than serial ones.  The
     serial path is pinned too, so report bytes depend neither on
-    ``jobs`` nor on the CPU count.  Returns (set function, previous
-    count) pairs to restore.
+    ``jobs`` nor on the CPU count.  The FCP fit then builds its Gram on
+    ``fit_threads`` threads (:data:`cxfilter.fcp.fit_threads`), which
+    changes no bits.  Returns (set function, previous count) pairs to
+    restore.
     """
-    pinned = []
+    pinned = [
+        (functools.partial(setattr, fcp_module, "fit_threads"), fcp_module.fit_threads)
+    ]
+    fcp_module.fit_threads = fit_threads
     for get, set_ in _openblas_thread_apis().values():
         pinned.append((set_, get()))
         set_(1)
     return pinned
 
 
-def _run_pinned(func, payloads: list) -> list:
+def _run_pinned(func, payloads: list, fit_threads: int) -> list:
     """Apply a worker in this process on one BLAS thread, then restore."""
-    pinned = _pin_blas_threads()
+    pinned = _pin_blas_threads(fit_threads)
     try:
         return [func(p) for p in payloads]
     finally:
@@ -259,13 +265,24 @@ def _run_pinned(func, payloads: list) -> list:
             set_(count)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on (its affinity set)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_jobs(func, payloads: list, jobs: int) -> list:
     """Apply a worker over payloads, merging in submission order.
 
     At most ``jobs`` worker processes run, and never more than there
     are CPUs or payloads.  Every worker runs OpenBLAS on one thread
-    (:func:`_pin_blas_threads`); where a bundled OpenBLAS is not found,
-    one warning line goes to stderr and its threads are left as they are.
+    (:func:`_pin_blas_threads`) and fits FCP filters on its share of the
+    CPUs: all of them in this process, ``CPUs // workers`` in a pool.
+    Where a bundled OpenBLAS is not found, one warning line goes to
+    stderr, its threads are left as they are, and the fits run on one
+    thread, since Python threads over a multi-threaded BLAS would
+    oversubscribe the cores.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -277,12 +294,16 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
             "BLAS keeps its default thread count",
             file=sys.stderr,
         )
-    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    cpus = _cpu_count()
+    workers = min(jobs, cpus, len(payloads))
+    fit_threads = 1 if missing else cpus
     if workers <= 1:
-        return _run_pinned(func, payloads)
+        return _run_pinned(func, payloads, fit_threads)
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pin_blas_threads
+            max_workers=workers,
+            initializer=_pin_blas_threads,
+            initargs=(max(1, fit_threads // workers),),
         ) as pool:
             return list(pool.map(func, payloads))
     except (OSError, PermissionError) as err:
@@ -291,7 +312,7 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
             "sequentially",
             file=sys.stderr,
         )
-        return _run_pinned(func, payloads)
+        return _run_pinned(func, payloads, fit_threads)
 
 
 def _scene_from_payload(payload: dict) -> Scene:
@@ -519,7 +540,10 @@ def run_sweep(
     out_dir,
     jobs: int = 1,
 ) -> list:
-    """One batch per axis value; aggregate CSV of mean FCP-image SI-SDR.
+    """One seeded batch per axis value; CSV of mean FCP-image SI-SDR.
+
+    Every scene of every value runs in one :func:`_map_jobs` call, so
+    ``jobs`` workers share the whole sweep, whatever the scenes per value.
 
     The swept metric scores the prediction-stage images themselves (not
     the refined outputs) so the axis effect is visible regardless of
@@ -536,23 +560,25 @@ def run_sweep(
     specs = [draw_scene_specs(swept) for swept in sweeps]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    payloads = [
+        {
+            "scene_dir": None,
+            "scene_spec": config_to_dict(spec),
+            "config": config_to_dict(swept),
+        }
+        for swept, swept_specs in zip(sweeps, specs)
+        for spec in swept_specs
+    ]
+    scores = iter(_map_jobs(_sweep_worker, payloads, jobs))
     rows = []
-    for value, swept, swept_specs in zip(values, sweeps, specs):
-        payloads = [
-            {
-                "scene_dir": None,
-                "scene_spec": config_to_dict(spec),
-                "config": config_to_dict(swept),
-            }
-            for spec in swept_specs
-        ]
-        scores = _map_jobs(_sweep_worker, payloads, jobs)
+    for value, swept in zip(values, sweeps):
+        value_scores = [next(scores) for _ in range(swept.num_scenes)]
         rows.append(
             {
                 "axis": axis,
                 "value": float(value),
                 "num_scenes": swept.num_scenes,
-                "mean_fcp_image_si_sdr_db": float(np.mean(scores)),
+                "mean_fcp_image_si_sdr_db": float(np.mean(value_scores)),
                 "config_sha256": swept.config_hash(),
             }
         )

@@ -17,6 +17,7 @@ target before fitting.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,35 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
 _BIN_BLOCK = 8
 _FRAME_BLOCK = 512
 
+# Threads that build a fit's Gram over its bin blocks: this process's
+# share of the CPUs.  Only the batch runner sets it, next to the BLAS
+# thread count (``experiment._map_jobs``); at 1 the caller runs every
+# block.  The bits of a fit do not depend on it.
+fit_threads = 1
+
+
+def _run_blocks(block, starts: list, threads: int) -> None:
+    """Call ``block(f0)`` for every start, on up to ``threads`` threads.
+
+    The calling thread runs one share of the starts itself; helper
+    threads, one per further share, are joined before this returns,
+    also when a block raises, and the first error reaches the caller.
+    """
+    threads = max(1, min(threads, len(starts)))
+
+    def run(share):
+        for f0 in share:
+            block(f0)
+
+    if threads == 1:
+        run(starts)
+        return
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(run, starts[i::threads]) for i in range(1, threads)]
+        run(starts[::threads])
+        for helper in helpers:
+            helper.result()
+
 
 def estimate_fcp_filter(
     target: ComplexSpectrogram,
@@ -115,9 +145,14 @@ def estimate_fcp_filter(
     tiles of ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, each with
     its own contiguous ``(bins, taps, frames)`` regressor, as
     ``R += X_w X^H`` and ``p += X_w target^H`` with ``X_w = X / w``.
-    Beyond the ``(frames, bins)`` weights and the ``_BIN_BLOCK`` input
-    rows in use, memory is two tiles (about 5 MiB at 40 taps) and the
-    ``(bins, taps, taps)`` Gram stack, whatever the number of frames.
+    The bin blocks are independent, and run on :data:`fit_threads`
+    threads; each bin's sums come from the same BLAS calls in the same
+    order on any thread, so the result has the same bits at any thread
+    count.  Beyond the ``(frames, bins)`` weights and the ``_BIN_BLOCK``
+    input rows in use, memory is two tiles (about 5 MiB at 40 taps) per
+    fit thread and the ``(bins, taps, taps)`` Gram stack, whatever the
+    number of frames.  Weights and the per-bin solves run on the calling
+    thread.
 
     Returns
     -------
@@ -133,7 +168,9 @@ def estimate_fcp_filter(
 
     gram = np.zeros((bins, taps, taps), dtype=np.complex128)
     cross = np.zeros((bins, taps), dtype=np.complex128)
-    for f0 in range(0, bins, _BIN_BLOCK):
+
+    def accumulate(f0):
+        # Writes only its own rows of gram and cross, so blocks need no lock.
         f1 = min(f0 + _BIN_BLOCK, bins)
         regress = _tap_stack(s_hat.data[:, f0:f1], taps)
         # X_w = X / w as X times 1/w on the float64 view, frames
@@ -154,6 +191,8 @@ def estimate_fcp_filter(
             )
             gram[f0:f1] += xw @ x.conj().transpose(0, 2, 1)
             cross[f0:f1] += (xw @ z_blk[:, t, None])[:, :, 0]
+
+    _run_blocks(accumulate, list(range(0, bins, _BIN_BLOCK)), fit_threads)
     gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
 
     filters = np.zeros((bins, taps), dtype=np.complex128)

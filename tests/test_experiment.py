@@ -8,6 +8,7 @@ import pytest
 
 from cxfilter import DegradationSpec, FcpConfig, SceneSpec, simulate_scene
 from cxfilter import experiment, metrics, pipeline
+from cxfilter import fcp as fcp_module
 from cxfilter.experiment import (
     ExperimentConfig,
     SceneRanges,
@@ -305,10 +306,10 @@ class TestBatchRuns:
         started, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
-                initializers.append(initializer)
-                initializer()  # pins this process, restored by the fixture
+                initializers.append((initializer, initargs))
+                initializer(*initargs)  # pins this process; restored below
 
             def __enter__(self):
                 return self
@@ -320,19 +321,24 @@ class TestBatchRuns:
                 return map(func, payloads)
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(fcp_module, "fit_threads", 1)
+        blas_found = sorted(openblas) == ["numpy", "scipy"]
         values = list(range(7))
-        for jobs, count, workers in (
-            (10**6, 7, 4),  # CPU count
-            (10**6, 3, 3),  # payload count
-            (2, 7, 2),  # jobs
+        for jobs, count, workers, fit_threads in (
+            (10**6, 7, 4, 1),  # CPU count
+            (10**6, 3, 3, 1),  # payload count
+            (2, 7, 2, 2),  # jobs
         ):
             started.clear()
             assert _map_jobs(_square, values[:count], jobs) == [
                 v * v for v in values[:count]
             ]
             assert started == [workers]
-            assert initializers == [experiment._pin_blas_threads]
+            if not blas_found:
+                fit_threads = 1
+            assert initializers == [(experiment._pin_blas_threads, (fit_threads,))]
+            assert fcp_module.fit_threads == fit_threads
             initializers.clear()
         started.clear()
         assert _map_jobs(_square, values[:1], 10**6) == [0]
@@ -343,19 +349,21 @@ class TestBatchRuns:
             pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
 
         def counts(_=None):
-            return [get() for get, _ in openblas.values()]
+            return [get() for get, _ in openblas.values()] + [fcp_module.fit_threads]
+
+        cpus = experiment._cpu_count()
 
         def fail(_):
-            assert counts() == [1, 1]
+            assert counts() == [1, 1, cpus]
             raise RuntimeError("worker failed")
 
         for _, set_ in openblas.values():
             set_(2)
-        assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, 1]] * 3
-        assert counts() == [2, 2]
+        assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, 1, cpus]] * 3
+        assert counts() == [2, 2, 1]
         with pytest.raises(RuntimeError, match="worker failed"):
             _map_jobs(fail, [0], jobs=1)
-        assert counts() == [2, 2]
+        assert counts() == [2, 2, 1]
 
     def test_missing_openblas_warns_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
@@ -457,6 +465,22 @@ class TestSweep:
             rows[0]["mean_fcp_image_si_sdr_db"]
             == plain[0]["mean_fcp_image_si_sdr_db"]
         )
+
+    def test_one_pool_per_sweep_warns_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
+        config = _tiny_config(num_scenes=1, fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        rows = run_sweep(config, "taps", [2, 3, 4], tmp_path)
+        assert len(rows) == 3
+        assert capsys.readouterr().err.count("no OpenBLAS thread control") == 1
+        # Without OpenBLAS thread control the fits stay on one thread.
+        assert _map_jobs(lambda _: fcp_module.fit_threads, [0], jobs=1) == [1]
+
+    def test_pooled_sweep_groups_scores_by_value(self, tmp_path):
+        config = _tiny_config(num_scenes=2, fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        rows = run_sweep(config, "taps", [2, 6], tmp_path / "all", jobs=2)
+        for i, value in enumerate([2, 6]):
+            alone = run_sweep(config, "taps", [value], tmp_path / f"v{value}")
+            assert rows[i] == alone[0]
 
     def test_run_sweep_rejects_off_mode_and_bad_axis(self, tmp_path):
         with pytest.raises(ValueError, match="fcp_mode"):
