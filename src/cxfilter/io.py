@@ -6,13 +6,19 @@ and :func:`config_from_dict`; report hashes are taken over that form.
 Audio is stored as mono 32-bit float little-endian WAV.  Arrays are
 float64 in memory; writing quantizes to float32, so one write/read trip
 is exact at float32 precision and idempotent afterwards.
+
+Writers are atomic: a file is written whole under a temporary name in
+its directory and then renamed over the target, so an interrupted run
+leaves either the old file or the new one, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import types
 import typing
 from pathlib import Path
@@ -21,12 +27,30 @@ import numpy as np
 from scipy.io import wavfile
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path beside ``path``, renamed over it on success.
+
+    If the body raises, the temporary file is removed and ``path`` keeps
+    its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_wav(path, samples, sample_rate_hz: int) -> None:
     """Write a mono float32 WAV file."""
     data = np.asarray(samples, dtype=np.float32)
     if data.ndim != 1:
         raise ValueError("only mono signals are written")
-    wavfile.write(str(path), int(sample_rate_hz), data)
+    with _replacing(path) as tmp:
+        wavfile.write(str(tmp), int(sample_rate_hz), data)
 
 
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
@@ -109,9 +133,11 @@ def config_from_dict(cls, d: dict):
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _replacing(path) as tmp:
+        tmp.write_text(
+            json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
 
 
 def read_json(path) -> dict:

@@ -1,8 +1,12 @@
 """WAV and JSON helpers: precision, rejection paths, manifest safety."""
 
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cxfilter import io as io_module
 from cxfilter.experiment import ExperimentConfig
 from cxfilter.io import (
     config_from_dict,
@@ -68,6 +72,50 @@ class TestJson:
         write_json(p1, obj)
         write_json(p2, {"list": [3, 2, 1], "a": 1, "b": 2})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", ["wav", "json"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"out.{kind}"
+        if kind == "wav":
+            write_wav(path, np.ones(100), 8000)
+
+            def torn_wav(filename, rate, data):
+                Path(filename).write_bytes(b"RIFF\0\0")
+                raise OSError("disk full")
+
+            fake = types.SimpleNamespace(write=torn_wav)
+            monkeypatch.setattr(io_module, "wavfile", fake)
+
+            def write():
+                write_wav(path, np.zeros(50), 8000)
+
+        else:
+            write_json(path, {"a": 1})
+
+            def torn_text(self, text, encoding=None):
+                with open(self, "w", encoding=encoding) as fh:
+                    fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            monkeypatch.setattr(Path, "write_text", torn_text)
+
+            def write():
+                write_json(path, {"a": 2, "b": [1, 2, 3]})
+
+        old = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_write_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, {"a": 1})
+        write_json(path, {"a": 2})
+        assert read_json(path) == {"a": 2}
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestConfigDict:
