@@ -6,9 +6,15 @@ not by calling back into the library code they check.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cxfilter import SceneSpec, simulate_scene
 from cxfilter.stft import ComplexSpectrogram, StftConfig
+
+# Property tests: no per-example deadline (timings on a shared host vary),
+# and few enough examples that the suite stays quick.
+settings.register_profile("cxfilter", deadline=None, max_examples=100)
+settings.load_profile("cxfilter")
 
 
 def naive_stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:

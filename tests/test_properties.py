@@ -1,0 +1,121 @@
+"""Property tests of the FCP fit and its drivers, over drawn shapes.
+
+Spectrograms come from a drawn seed, with silent bins, silent frames and
+negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
+tile edges.  A grid has at least two bins (even DFT sizes only).
+"""
+
+import contextlib
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cxfilter import fcp as fcp_module
+from cxfilter import (
+    ComplexSpectrogram,
+    FcpConfig,
+    StftConfig,
+    estimate_fcp_filter,
+    fcp_essu_separate,
+    fcp_separate,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _grid(bins: int) -> StftConfig:
+    n = 2 * (bins - 1)
+    return StftConfig(n, n // 2, n, 8000)
+
+
+def _specs(seed: int, frames: int, bins: int, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    grid = _grid(bins)
+    out = []
+    for _ in range(count):
+        data = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal(
+            (frames, bins)
+        )
+        data[:, rng.random(bins) < 0.2] = 0.0
+        data[rng.random(frames) < 0.1] = 0.0
+        data.real[rng.random((frames, bins)) < 0.1] = -0.0
+        out.append(ComplexSpectrogram(data, grid))
+    return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def _fit_threads(count: int):
+    before = fcp_module.fit_threads
+    fcp_module.fit_threads = count
+    try:
+        yield
+    finally:
+        fcp_module.fit_threads = before
+
+
+@given(
+    seed=seeds,
+    bins=st.integers(2, 40),
+    frames=st.integers(1, 1100),
+    taps=st.integers(1, 12),
+    per_freq_floor=st.booleans(),
+    threads=st.integers(1, 8),
+)
+def test_threaded_fit_equals_serial_fit(
+    seed, bins, frames, taps, per_freq_floor, threads
+):
+    target, s_hat = _specs(seed, frames, bins, 2)
+    config = FcpConfig(taps=taps, stft=_grid(bins), per_freq_floor=per_freq_floor)
+    with _fit_threads(1):
+        serial = estimate_fcp_filter(target, s_hat, config)
+    with _fit_threads(threads):
+        threaded = estimate_fcp_filter(target, s_hat, config)
+    assert np.array_equal(threaded, serial)
+    assert _same_bits(threaded, serial)
+
+
+@given(
+    seed=seeds,
+    bins=st.integers(2, 24),
+    frames=st.integers(1, 300),
+    taps=st.integers(1, 8),
+)
+def test_essu_equals_plain_fcp_for_one_speaker(seed, bins, frames, taps):
+    mixture, s_hat = _specs(seed, frames, bins, 2)
+    config = FcpConfig(taps=taps, stft=_grid(bins))
+    (plain,), plain_filters = fcp_separate(
+        mixture, [s_hat], config, return_filters=True
+    )
+    (essu,), essu_filters = fcp_essu_separate(
+        mixture, [s_hat], config, return_filters=True
+    )
+    assert _same_bits(essu.data, plain.data)
+    assert _same_bits(essu_filters, plain_filters)
+
+
+@given(
+    data=st.data(),
+    seed=seeds,
+    speakers=st.integers(2, 4),
+    bins=st.integers(2, 24),
+    frames=st.integers(1, 300),
+    taps=st.integers(1, 8),
+)
+def test_plain_fcp_is_invariant_to_speaker_order(
+    data, seed, speakers, bins, frames, taps
+):
+    mixture, *s_hats = _specs(seed, frames, bins, 1 + speakers)
+    order = data.draw(st.permutations(range(speakers)))
+    config = FcpConfig(taps=taps, stft=_grid(bins))
+    images, filters = fcp_separate(mixture, s_hats, config, return_filters=True)
+    permuted, permuted_filters = fcp_separate(
+        mixture, [s_hats[c] for c in order], config, return_filters=True
+    )
+    for i, c in enumerate(order):
+        assert _same_bits(permuted[i].data, images[c].data)
+    assert _same_bits(permuted_filters, filters[list(order)])
