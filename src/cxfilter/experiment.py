@@ -234,7 +234,7 @@ def _openblas_thread_apis() -> dict:
     return apis
 
 
-def _pin_blas_threads(fit_threads: int = 1) -> list:
+def _pin_blas_threads(fit_threads: int) -> list:
     """Run numpy's and scipy's OpenBLAS on one thread each.
 
     Pool workers that each run several BLAS threads oversubscribe the
@@ -256,7 +256,8 @@ def _pin_blas_threads(fit_threads: int = 1) -> list:
 
 
 def _run_pinned(func, payloads: list, fit_threads: int) -> list:
-    """Apply a worker in this process on one BLAS thread, then restore."""
+    """Apply a worker in this process on one BLAS thread and ``fit_threads``
+    FCP fit threads, then restore both counts."""
     pinned = _pin_blas_threads(fit_threads)
     try:
         return [func(p) for p in payloads]

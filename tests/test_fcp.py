@@ -1,5 +1,6 @@
 """Convolutive prediction: WLS oracle equivalence, recovery, ESSU."""
 
+import sys
 import threading
 import tracemalloc
 
@@ -314,7 +315,13 @@ class TestKernelBits:
         monkeypatch.setattr(fcp_module, "fit_threads", threads, raising=False)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=taps, stft=GRID64, per_freq_floor=per_freq_floor)
-        got = estimate_fcp_filter(target, s_hat, config)
+        # Frequent thread switches, so a lost update between blocks shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_fcp_filter(target, s_hat, config)
+        finally:
+            sys.setswitchinterval(interval)
         want = divided_tile_fcp_filter(target, s_hat, config)
         assert np.array_equal(got, want)
         assert _same_bits(got, want)
