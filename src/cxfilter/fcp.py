@@ -106,13 +106,13 @@ def _run_blocks(block, starts: list, threads: int) -> None:
     threads, one per further share, are joined before this returns,
     also when a block raises, and the first error reaches the caller.
     """
-    threads = max(1, min(threads, len(starts)))
+    threads = min(threads, len(starts))
 
     def run(share):
         for f0 in share:
             block(f0)
 
-    if threads == 1:
+    if threads <= 1:
         run(starts)
         return
     with ThreadPoolExecutor(threads - 1) as pool:

@@ -335,10 +335,9 @@ class TestBatchRuns:
                 v * v for v in values[:count]
             ]
             assert started == [workers]
-            if not blas_found:
-                fit_threads = 1
-            assert initializers == [(experiment._pin_blas_threads, (fit_threads,))]
-            assert fcp_module.fit_threads == fit_threads
+            share = fit_threads if blas_found else 1
+            assert initializers == [(experiment._pin_blas_threads, (share,))]
+            assert fcp_module.fit_threads == share
             initializers.clear()
         started.clear()
         assert _map_jobs(_square, values[:1], 10**6) == [0]

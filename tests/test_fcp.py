@@ -312,7 +312,7 @@ class TestKernelBits:
     def test_fit_equals_divided_tile_reference(
         self, rng, monkeypatch, taps, per_freq_floor, threads
     ):
-        monkeypatch.setattr(fcp_module, "fit_threads", threads, raising=False)
+        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=taps, stft=GRID64, per_freq_floor=per_freq_floor)
         # Frequent thread switches, so a lost update between blocks shows.
@@ -345,7 +345,7 @@ class TestKernelBits:
     def test_threaded_fit_joins_its_threads(self, rng, monkeypatch, failing_block):
         # Batch runners fork worker processes after a fit, so no helper
         # thread may outlive it, also when a block raises.
-        monkeypatch.setattr(fcp_module, "fit_threads", 2, raising=False)
+        monkeypatch.setattr(fcp_module, "fit_threads", 2)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=6, stft=GRID64)
         before = threading.active_count()
@@ -400,7 +400,7 @@ class TestBoundedMemory:
         s_hat = rand_spec(rng, 7515, FILTER_STFT)
         for threads in (1, 2):
             # Each fit thread holds its own tiles.
-            monkeypatch.setattr(fcp_module, "fit_threads", threads, raising=False)
+            monkeypatch.setattr(fcp_module, "fit_threads", threads)
             tracemalloc.start()
             try:
                 g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40))
