@@ -102,9 +102,10 @@ fit_threads = 1
 def _run_blocks(block, starts: list, threads: int) -> None:
     """Call ``block(f0)`` for every start, on up to ``threads`` threads.
 
-    The calling thread runs one share of the starts itself; helper
-    threads, one per further share, are joined before this returns,
-    also when a block raises, and the first error reaches the caller.
+    The calling thread runs one share of the starts itself (each extra
+    thread costs peak memory of its own); helper threads, one per
+    further share, are joined before this returns, also when a block
+    raises, and a block's error reaches the caller.
     """
     threads = min(threads, len(starts))
 
