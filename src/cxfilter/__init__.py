@@ -59,7 +59,7 @@ from cxfilter.pipeline import (
     PipelineResult,
     oracle_separate,
     run_fcp_stage,
-    assemble_features,
+    predict,
     run_pipeline,
     export_features,
     import_estimates,
@@ -111,7 +111,7 @@ __all__ = [
     "PipelineResult",
     "oracle_separate",
     "run_fcp_stage",
-    "assemble_features",
+    "predict",
     "run_pipeline",
     "export_features",
     "import_estimates",

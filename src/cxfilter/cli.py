@@ -196,7 +196,7 @@ def _make_out_dir(args) -> Path:
 
 @contextlib.contextmanager
 def _run_into(args):
-    """The ``--out`` directory of a batch run.
+    """The ``--out`` directory of a subcommand run.
 
     A directory made here is removed again if the run fails before
     writing into it, as a run with a rejected value does.
@@ -262,20 +262,23 @@ def cmd_eval(args) -> int:
             EXIT_IO,
             f"estimates manifest not found: {estimates_dir / ESTIMATES_MANIFEST}",
         )
-    out = _make_out_dir(args)
-    try:
-        scene = load_scene(scene_dir)
-        estimates = import_estimates(estimates_dir)
-    except FileNotFoundError as err:
-        raise CliError(EXIT_IO, str(err))
-    except ValueError as err:
-        raise CliError(EXIT_IO, f"unreadable inputs: {err}")
-    try:
-        payload = evaluate_estimates(
-            scene, estimates, args.quantiles, out,
-        )
-    except ValueError as err:
-        raise CliError(EXIT_SHAPE_MISMATCH, str(err))
+    with _run_into(args) as out:
+        try:
+            scene = load_scene(scene_dir)
+            estimates = import_estimates(estimates_dir)
+            num_samples = int(
+                read_json(estimates_dir / ESTIMATES_MANIFEST)["num_samples"]
+            )
+        except FileNotFoundError as err:
+            raise CliError(EXIT_IO, str(err))
+        except ValueError as err:
+            raise CliError(EXIT_IO, f"unreadable inputs: {err}")
+        try:
+            payload = evaluate_estimates(
+                scene, estimates, args.quantiles, out, num_samples
+            )
+        except ValueError as err:
+            raise CliError(EXIT_SHAPE_MISMATCH, str(err))
     mean = payload["report"]["mean"]["si_sdr_db"]
     print(f"mean SI-SDR {mean:.3f} dB (report: {out / 'report.json'})")
     if "sweep" in payload:

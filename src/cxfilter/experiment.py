@@ -37,6 +37,7 @@ from cxfilter.pipeline import (
     SeparatorOutput,
     check_external_dir,
     export_estimates,
+    predict,
     run_pipeline,
 )
 from cxfilter.scenes import (
@@ -437,27 +438,28 @@ def evaluate_estimates(
     estimates: SeparatorOutput,
     quantiles,
     out_dir,
-    num_samples: int | None = None,
+    num_samples: int,
 ) -> dict:
     """Score imported estimates against a scene; write report and CSVs.
 
-    Raises ValueError on speaker-count or length mismatches.  When
+    Raises ValueError, before writing, when the speaker count or the
+    estimates' length ``num_samples`` differs from the scene's.  When
     quantiles are given, a combined low-energy sweep compares the
     estimates with the unprocessed mixture, averaged over speakers, and
     both CSV exports are written next to the report.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if estimates.num_speakers != scene.num_speakers:
         raise ValueError(
             f"estimate speaker count {estimates.num_speakers} does not match "
             f"scene speaker count {scene.num_speakers}"
         )
     n = scene.num_samples
-    if num_samples is not None and num_samples != n:
+    if num_samples != n:
         raise ValueError(
             f"estimates carry {num_samples} samples but the scene has {n}"
         )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     images = [istft(s, output_length=n) for s in estimates.image_estimates]
     quantiles = tuple(float(q) for q in quantiles)
     report = evaluate_scene(images, scene, quantiles=quantiles)
@@ -524,14 +526,9 @@ def apply_sweep_axis(
 def _sweep_worker(payload: dict):
     config = config_from_dict(ExperimentConfig, payload["config"])
     scene = _scene_from_payload(payload)
-    # Only the FCP images are scored here, so the refined estimates'
-    # low-energy sweep is skipped.
-    result = run_scene(scene, replace(config, quantiles=()))
-    images = [
-        istft(s, output_length=scene.num_samples) for s in result.fcp_images
-    ]
-    report = evaluate_scene(images, scene)
-    return float(report.mean["si_sdr_db"])
+    _, stack = predict(scene, config)
+    images = [istft(s, output_length=scene.num_samples) for s in stack.fcp_images]
+    return float(evaluate_scene(images, scene).mean["si_sdr_db"])
 
 
 def run_sweep(
@@ -548,7 +545,9 @@ def run_sweep(
 
     The swept metric scores the prediction-stage images themselves (not
     the refined outputs) so the axis effect is visible regardless of
-    refinement mode.  Requires an FCP-enabled config.
+    refinement mode.  Each scene runs :func:`cxfilter.pipeline.predict`
+    only, and its last images are scored once; ``config.quantiles``
+    enter the hashes but no score.  Requires an FCP-enabled config.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(

@@ -152,15 +152,15 @@ class FeatureStack:
 class PipelineResult:
     """Everything a pipeline run produced.
 
-    Estimate lists are time-domain signals at the scene length, indexed
-    by the separator's speaker order; the report aligns them to the
-    true speakers via its recorded permutation.
+    ``separator`` holds the final estimates as spectrograms, ``features``
+    the last iteration's stack (``None`` with ``fcp_mode='off'``).
+    ``image_estimates`` are the final images at the scene length, in the
+    separator's speaker order; ``report`` scores them and records the
+    permutation that aligns them to the true speakers.
     """
 
     separator: SeparatorOutput
-    fcp_images: list
-    features: FeatureStack
-    direct_estimates: list
+    features: FeatureStack | None
     image_estimates: list
     report: MetricsReport
 
@@ -233,22 +233,6 @@ def run_fcp_stage(
     separate = fcp_essu_separate if config.fcp_mode == "essu" else fcp_separate
     images = separate(mix_spec, s_hats, config.fcp)
     return [convert_config(img, grid, config.stft_dnn, n) for img in images]
-
-
-def assemble_features(
-    mixture_spec: ComplexSpectrogram,
-    separator_output: SeparatorOutput,
-    fcp_images: list,
-    num_samples: int | None = None,
-) -> FeatureStack:
-    """Bundle mixture, first-stage estimates, and predicted images."""
-    return FeatureStack(
-        mixture=mixture_spec,
-        stage1_direct=list(separator_output.direct_estimates),
-        stage1_image=list(separator_output.image_estimates),
-        fcp_images=list(fcp_images),
-        num_samples=num_samples,
-    )
 
 
 def _feature_files(count: int) -> list:
@@ -446,41 +430,44 @@ def _refine(
     return refined
 
 
-def run_pipeline(scene: Scene, config: ExperimentConfig) -> PipelineResult:
+def predict(
+    scene: Scene, config: ExperimentConfig
+) -> tuple[SeparatorOutput, FeatureStack | None]:
     """Run separator, prediction, and refinement over a scene.
 
     The separator output is degraded per ``config.degradation``.  With
-    ``fcp_mode='off'`` it is scored as it is; otherwise each iteration
-    re-runs the prediction stage on the current direct estimates and
-    then refines, and refined estimates feed the next iteration.  The
-    report scores the final image estimates against the scene's true
-    reverberant images at ``config.quantiles``.
+    ``fcp_mode='off'`` it is returned as it is, with no feature stack.
+    Otherwise each iteration predicts images from the current direct
+    estimates and refines; refined estimates feed the next iteration.
+    Returns the final estimates and the last iteration's feature stack.
     """
-    n = scene.mixture.shape[0]
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
-    fcp_images = None
     if config.fcp_mode != "off":
         mixture_spec = stft(scene.mixture, config.stft_dnn)
         for iteration in range(1, config.iterations + 1):
-            fcp_images = run_fcp_stage(scene.mixture, current, config)
-            stack = assemble_features(
-                mixture_spec, current, fcp_images, num_samples=n
+            stack = FeatureStack(
+                mixture=mixture_spec,
+                stage1_direct=list(current.direct_estimates),
+                stage1_image=list(current.image_estimates),
+                fcp_images=run_fcp_stage(scene.mixture, current, config),
+                num_samples=scene.num_samples,
             )
             current = _refine(stack, current, config, iteration)
+    return current, stack
 
-    direct_estimates = [
-        istft(s, output_length=n) for s in current.direct_estimates
-    ]
+
+def run_pipeline(scene: Scene, config: ExperimentConfig) -> PipelineResult:
+    """Run :func:`predict`, then score the final image estimates once
+    against the scene's true reverberant images at ``config.quantiles``."""
+    separator, features = predict(scene, config)
     image_estimates = [
-        istft(s, output_length=n) for s in current.image_estimates
+        istft(s, output_length=scene.num_samples) for s in separator.image_estimates
     ]
     report = evaluate_scene(image_estimates, scene, quantiles=config.quantiles)
     return PipelineResult(
-        separator=current,
-        fcp_images=fcp_images,
-        features=stack,
-        direct_estimates=direct_estimates,
+        separator=separator,
+        features=features,
         image_estimates=image_estimates,
         report=report,
     )

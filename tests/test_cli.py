@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -369,6 +370,33 @@ class TestEval:
             ]
         )
         assert code == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scene_s, estimates_s", [(1.0, 2.0), (2.0, 1.0)], ids=["longer", "shorter"]
+    )
+    def test_length_mismatch_is_exit_4(self, tmp_path, capsys, scene_s, estimates_s):
+        spec = SceneSpec(num_speakers=1, duration_s=scene_s, seed=6)
+        save_scene(simulate_scene(spec), tmp_path / "scene")
+        other = simulate_scene(replace(spec, duration_s=estimates_s))
+        export_estimates(
+            oracle_separate(other, DegradationSpec()), tmp_path / "est",
+            other.num_samples,
+        )
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 4
+        assert (
+            f"estimates carry {int(estimates_s * 8000)} samples but the scene "
+            f"has {int(scene_s * 8000)}"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:

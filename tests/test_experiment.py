@@ -148,7 +148,6 @@ class TestRunScene:
     def test_off_mode_skips_prediction(self):
         scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=1.0, seed=5))
         result = run_scene(scene, _tiny_config(degradation=DegradationSpec()))
-        assert result.fcp_images is None
         assert result.features is None
         assert result.report.mean["si_sdr_db"] >= 60.0
 
@@ -160,23 +159,19 @@ class TestRunScene:
             fcp=FcpConfig(taps=5),
         )
         result = run_scene(scene, config)
-        assert result.fcp_images is not None
-        assert len(result.fcp_images) == 1
+        assert result.features is not None
+        assert len(result.features.fcp_images) == 1
 
 
 class TestSingleScoringPath:
     """``run_scene`` equals an explicit composition of the pipeline stages."""
 
-    def _assert_same(self, result, scene, directs, images, quantiles):
+    def _assert_same(self, result, scene, images, quantiles):
         n = scene.num_samples
-        want_directs = [istft(s, output_length=n) for s in directs]
         want_images = [istft(s, output_length=n) for s in images]
         report = evaluate_scene(want_images, scene, quantiles=quantiles)
         assert result.report.to_dict() == report.to_dict()
-        assert len(result.direct_estimates) == len(want_directs)
         assert len(result.image_estimates) == len(want_images)
-        for got, want in zip(result.direct_estimates, want_directs):
-            assert np.array_equal(got, want)
         for got, want in zip(result.image_estimates, want_images):
             assert np.array_equal(got, want)
 
@@ -190,10 +185,7 @@ class TestSingleScoringPath:
         )
         result = run_scene(scene, config)
         sep = oracle_separate(scene, config.degradation, config.stft_dnn)
-        self._assert_same(
-            result, scene, sep.direct_estimates, sep.image_estimates,
-            config.quantiles,
-        )
+        self._assert_same(result, scene, sep.image_estimates, config.quantiles)
 
     def test_essu_substitute_scores_predicted_images(self):
         scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=5))
@@ -206,9 +198,7 @@ class TestSingleScoringPath:
         result = run_scene(scene, config)
         sep = oracle_separate(scene, config.degradation, config.stft_dnn)
         images = run_fcp_stage(scene.mixture, sep, config)
-        self._assert_same(
-            result, scene, sep.direct_estimates, images, config.quantiles
-        )
+        self._assert_same(result, scene, images, config.quantiles)
 
 
 class TestSceneDiscovery:
@@ -390,7 +380,7 @@ class TestEvaluateEstimates:
     def test_ground_truth_scores_at_cap(self, tmp_path):
         scene, estimates = self._scene_and_truth(tmp_path)
         payload = evaluate_estimates(
-            scene, estimates, (0.25, 0.5), tmp_path / "out"
+            scene, estimates, (0.25, 0.5), tmp_path / "out", scene.num_samples
         )
         assert payload["report"]["mean"]["si_sdr_db"] >= 60.0
         assert (tmp_path / "out" / "report.json").is_file()
@@ -402,14 +392,16 @@ class TestEvaluateEstimates:
         _, estimates = self._scene_and_truth(tmp_path)
         other = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=9))
         with pytest.raises(ValueError, match="speaker count"):
-            evaluate_estimates(other, estimates, (), tmp_path / "out")
+            evaluate_estimates(
+                other, estimates, (), tmp_path / "out", other.num_samples
+            )
+        assert not (tmp_path / "out").exists()
 
     def test_length_mismatch(self, tmp_path):
         scene, estimates = self._scene_and_truth(tmp_path)
         with pytest.raises(ValueError, match="samples"):
-            evaluate_estimates(
-                scene, estimates, (), tmp_path / "out", num_samples=123
-            )
+            evaluate_estimates(scene, estimates, (), tmp_path / "out", 123)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -464,6 +456,13 @@ class TestSweep:
             rows[0]["mean_fcp_image_si_sdr_db"]
             == plain[0]["mean_fcp_image_si_sdr_db"]
         )
+
+    def test_each_scene_is_scored_once(self, tmp_path, monkeypatch):
+        config = _tiny_config(num_scenes=2, fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        scored = count_calls(monkeypatch, pipeline, "evaluate_scene")
+        scored_here = count_calls(monkeypatch, experiment, "evaluate_scene")
+        run_sweep(config, "taps", [2, 6], tmp_path)
+        assert len(scored) + len(scored_here) == 2 * 2
 
     def test_one_pool_per_sweep_warns_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)

@@ -13,7 +13,6 @@ from cxfilter import (
     FeatureStack,
     SEPARATOR_STFT,
     SeparatorOutput,
-    assemble_features,
     convert_config,
     export_features,
     fcp_essu_separate,
@@ -21,6 +20,7 @@ from cxfilter import (
     import_estimates,
     istft,
     oracle_separate,
+    predict,
     run_fcp_stage,
     run_pipeline,
     si_sdr,
@@ -190,8 +190,12 @@ class TestFeatureStack:
     def test_order_and_count(self, small_scene):
         sep = oracle_separate(small_scene, IDENTITY)
         mix = stft(small_scene.mixture, SEPARATOR_STFT)
-        stack = assemble_features(
-            mix, sep, list(sep.image_estimates), num_samples=small_scene.num_samples
+        stack = FeatureStack(
+            mixture=mix,
+            stage1_direct=list(sep.direct_estimates),
+            stage1_image=list(sep.image_estimates),
+            fcp_images=list(sep.image_estimates),
+            num_samples=small_scene.num_samples,
         )
         specs = stack.spectrograms()
         assert len(specs) == 1 + 3 * 2
@@ -223,7 +227,14 @@ class TestFeatureExchange:
         images = [stft(q(s), SEPARATOR_STFT) for s in scene.reverberant_image]
         sep = SeparatorOutput(direct_estimates=directs, image_estimates=images)
         mix = stft(q(scene.mixture), SEPARATOR_STFT)
-        return assemble_features(mix, sep, images, num_samples=n), sep, n
+        stack = FeatureStack(
+            mixture=mix,
+            stage1_direct=directs,
+            stage1_image=images,
+            fcp_images=images,
+            num_samples=n,
+        )
+        return stack, sep, n
 
     def test_features_round_trip(self, small_scene, tmp_path):
         stack, _, n = self._float32_scene_stack(small_scene)
@@ -294,6 +305,20 @@ class TestRunPipeline:
         # Oracle direct estimates never change, so a second FCP pass
         # reproduces the first bit for bit.
         assert np.array_equal(one.image_estimates[0], two.image_estimates[0])
+
+    def test_predict_is_the_pipeline_before_scoring(self, mono_scene):
+        config = ExperimentConfig(
+            refinement="fcp_substitute", iterations=2, fcp=FcpConfig(taps=10)
+        )
+        separator, stack = predict(mono_scene, config)
+        result = run_pipeline(mono_scene, config)
+        # The substitute refinement hands the last predicted images on.
+        assert separator.image_estimates == stack.fcp_images
+        assert np.array_equal(
+            result.image_estimates[0],
+            istft(stack.fcp_images[0], output_length=mono_scene.num_samples),
+        )
+        assert predict(mono_scene, replace(config, fcp_mode="off"))[1] is None
 
     def test_external_mode_two_phase(self, mono_scene, tmp_path):
         config = ExperimentConfig(

@@ -1,4 +1,5 @@
-"""Property tests of the FCP fit and its drivers, over drawn shapes.
+"""Property tests over drawn shapes: the FCP fit and its drivers, the
+STFT round trip, and the scale invariance of SI-SDR.
 
 Spectrograms come from a drawn seed, with silent bins, silent frames and
 negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
@@ -13,13 +14,19 @@ from hypothesis import strategies as st
 
 from cxfilter import fcp as fcp_module
 from cxfilter import (
+    FILTER_STFT,
+    SEPARATOR_STFT,
     ComplexSpectrogram,
     FcpConfig,
     StftConfig,
     estimate_fcp_filter,
     fcp_essu_separate,
     fcp_separate,
+    istft,
+    si_sdr,
+    stft,
 )
+from conftest import naive_istft
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -119,3 +126,30 @@ def test_plain_fcp_is_invariant_to_speaker_order(
     for i, c in enumerate(order):
         assert _same_bits(permuted[i].data, images[c].data)
     assert _same_bits(permuted_filters, filters[list(order)])
+
+
+@given(
+    seed=seeds,
+    length=st.integers(1, 5000),
+    grid=st.sampled_from([SEPARATOR_STFT, FILTER_STFT]),
+)
+def test_stft_round_trip_matches_the_frame_loop(seed, length, grid):
+    signal = np.random.default_rng(seed).standard_normal(length)
+    spec = stft(signal, grid)
+    back = istft(spec, output_length=length)
+    assert _same_bits(back, naive_istft(spec, length))
+    assert np.max(np.abs(back - signal)) <= 1e-12
+
+
+@given(
+    seed=seeds,
+    length=st.integers(2, 4000),
+    exponent=st.floats(-6.0, 6.0),
+    negative=st.booleans(),
+)
+def test_si_sdr_ignores_the_estimate_scale(seed, length, exponent, negative):
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(length)
+    est = ref + 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(length)
+    scale = (-1.0 if negative else 1.0) * 10.0**exponent
+    assert abs(si_sdr(scale * est, ref) - si_sdr(est, ref)) <= 1e-9

@@ -1,4 +1,5 @@
-"""The README's ``cxfilter`` commands parse against the current CLI."""
+"""The README's ``cxfilter`` commands parse against the current CLI, and its
+library example runs."""
 
 import re
 import shlex
@@ -34,3 +35,9 @@ def test_readme_lists_every_subcommand():
 def test_readme_command_parses(argv):
     args = build_parser().parse_args(argv[1:])
     assert args.command == argv[1]
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
