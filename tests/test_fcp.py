@@ -520,17 +520,14 @@ class TestFcpSeparate:
         )
         assert gain >= 5.0
 
-    def test_return_filters(self, rng):
+    def test_images_apply_the_fitted_filters(self, rng):
         mix = rand_spec(rng, 20, GRID)
         s_hats = [rand_spec(rng, 20, GRID) for _ in range(2)]
-        images, filters = fcp_separate(
-            mix, s_hats, FcpConfig(taps=3, stft=GRID), return_filters=True
-        )
-        assert filters.shape == (2, GRID.bins, 3)
+        config = FcpConfig(taps=3, stft=GRID)
+        images = fcp_separate(mix, s_hats, config)
         for c in range(2):
-            np.testing.assert_array_equal(
-                apply_filter(filters[c], s_hats[c]).data, images[c].data
-            )
+            want = apply_filter(estimate_fcp_filter(mix, s_hats[c], config), s_hats[c])
+            assert images[c].data.tobytes() == want.data.tobytes()
 
 
 class TestEnergySort:
@@ -605,10 +602,22 @@ class TestFcpEssu:
             err = np.linalg.norm(image.data - mix.data) / np.linalg.norm(mix.data)
             assert err <= 1e-6
 
-    def test_return_filters(self, rng):
+    def test_images_apply_the_fitted_filters(self, rng):
+        # Each speaker's target is the mixture minus the images of the
+        # speakers processed before it, subtracted in index order.
         mix = rand_spec(rng, 20, GRID)
-        s_hats = [rand_spec(rng, 20, GRID) for _ in range(2)]
-        images, filters = fcp_essu_separate(
-            mix, s_hats, FcpConfig(taps=2, stft=GRID), return_filters=True
-        )
-        assert filters.shape == (2, GRID.bins, 2)
+        s_hats = [
+            ComplexSpectrogram(gain * rand_spec(rng, 20, GRID).data, GRID)
+            for gain in (1.0, 3.0, 2.0)
+        ]
+        config = FcpConfig(taps=2, stft=GRID)
+        images = fcp_essu_separate(mix, s_hats, config)
+        order = [1, 2, 0]
+        assert energy_sort(s_hats) == order
+        for i, c in enumerate(order):
+            target = mix.data.copy()
+            for other in sorted(order[:i]):
+                target -= images[other].data
+            target = ComplexSpectrogram(target, GRID)
+            want = apply_filter(estimate_fcp_filter(target, s_hats[c], config), s_hats[c])
+            assert images[c].data.tobytes() == want.data.tobytes()

@@ -8,6 +8,7 @@ config (de)serializer that moves a byte fails here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -198,3 +199,45 @@ def test_scene_manifest_bytes_are_pinned(tmp_path):
     path = save_scene(simulate_scene(spec), tmp_path)
     assert path.read_bytes() == SCENE_JSON.encode("utf-8")
     assert load_scene(tmp_path).spec == spec
+
+
+def _eval_outputs(tmp_path) -> dict:
+    """``cxfilter eval`` of degraded oracle estimates of one fixed scene."""
+    from cxfilter.cli import main
+    from cxfilter.pipeline import export_estimates, oracle_separate
+
+    scene = simulate_scene(
+        SceneSpec(num_speakers=2, duration_s=0.8, t60_s=0.3, seed=31)
+    )
+    save_scene(scene, tmp_path / "scene")
+    separator = oracle_separate(scene, DegradationSpec(snr_db=10.0, seed=3))
+    export_estimates(separator, tmp_path / "est", scene.num_samples)
+    code = main(
+        [
+            "eval",
+            "--scene", str(tmp_path / "scene"),
+            "--estimates", str(tmp_path / "est"),
+            "--out", str(tmp_path / "out"),
+            "--quantiles", "0.1,0.3,0.5,0.7,0.9",
+        ]
+    )
+    assert code == 0
+    return {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in EVAL_SHA256
+    }
+
+
+EVAL_SHA256 = {
+    "report.json": "e7113d1f8891969ddbd2abcd83260e4431fb471eb79b7665c70b855dc63c059e",
+    "si_sdr_le_values.csv": (
+        "c47eab98f68564c0f510928f148c09feca1e944dfb38c4b0f8f183d064527eed"
+    ),
+    "si_sdr_le_improvements.csv": (
+        "9abee2fd7c9136e2fd5c7bc08397a29e86a074c5ea526217a6eb37c0b9019b00"
+    ),
+}
+
+
+def test_eval_output_bytes_are_pinned(tmp_path):
+    assert _eval_outputs(tmp_path) == EVAL_SHA256

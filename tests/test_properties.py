@@ -1,5 +1,6 @@
-"""Property tests over drawn shapes: the FCP fit and its drivers, the
-STFT round trip, and the scale invariance of SI-SDR.
+"""Property tests over drawn shapes: the FCP fit and its drivers, exact
+recovery of a known filter, the STFT round trip, and the scale
+invariance of SI-SDR.
 
 Spectrograms come from a drawn seed, with silent bins, silent frames and
 negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
@@ -19,6 +20,7 @@ from cxfilter import (
     ComplexSpectrogram,
     FcpConfig,
     StftConfig,
+    apply_filter,
     estimate_fcp_filter,
     fcp_essu_separate,
     fcp_separate,
@@ -95,14 +97,9 @@ def test_threaded_fit_equals_serial_fit(
 def test_essu_equals_plain_fcp_for_one_speaker(seed, bins, frames, taps):
     mixture, s_hat = _specs(seed, frames, bins, 2)
     config = FcpConfig(taps=taps, stft=_grid(bins))
-    (plain,), plain_filters = fcp_separate(
-        mixture, [s_hat], config, return_filters=True
-    )
-    (essu,), essu_filters = fcp_essu_separate(
-        mixture, [s_hat], config, return_filters=True
-    )
+    (plain,) = fcp_separate(mixture, [s_hat], config)
+    (essu,) = fcp_essu_separate(mixture, [s_hat], config)
     assert _same_bits(essu.data, plain.data)
-    assert _same_bits(essu_filters, plain_filters)
 
 
 @given(
@@ -119,13 +116,34 @@ def test_plain_fcp_is_invariant_to_speaker_order(
     mixture, *s_hats = _specs(seed, frames, bins, 1 + speakers)
     order = data.draw(st.permutations(range(speakers)))
     config = FcpConfig(taps=taps, stft=_grid(bins))
-    images, filters = fcp_separate(mixture, s_hats, config, return_filters=True)
-    permuted, permuted_filters = fcp_separate(
-        mixture, [s_hats[c] for c in order], config, return_filters=True
-    )
+    images = fcp_separate(mixture, s_hats, config)
+    permuted = fcp_separate(mixture, [s_hats[c] for c in order], config)
     for i, c in enumerate(order):
         assert _same_bits(permuted[i].data, images[c].data)
-    assert _same_bits(permuted_filters, filters[list(order)])
+
+
+@given(
+    seed=seeds,
+    bins=st.integers(2, 24),
+    taps=st.integers(1, 8),
+    extra_frames=st.integers(0, 700),
+)
+def test_fit_recovers_a_known_filter(seed, bins, taps, extra_frames):
+    # A target that is exactly the known filter applied to the estimate
+    # is fit without residual, whatever the weights, once no loading
+    # biases the solve.  At least two frames per tap keep the normal
+    # equations well conditioned (at one per tap the last tap sees a
+    # single frame).
+    rng = np.random.default_rng(seed)
+    shape = (2 * taps + extra_frames, bins)
+    s_hat = ComplexSpectrogram(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), _grid(bins)
+    )
+    known = rng.standard_normal((bins, taps)) + 1j * rng.standard_normal((bins, taps))
+    target = apply_filter(known, s_hat)
+    config = FcpConfig(taps=taps, stft=_grid(bins), diag_load_delta=0.0)
+    fitted = estimate_fcp_filter(target, s_hat, config)
+    assert np.max(np.abs(fitted - known)) <= 1e-8 * np.max(np.abs(known))
 
 
 @given(
