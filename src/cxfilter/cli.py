@@ -265,10 +265,7 @@ def cmd_eval(args) -> int:
     with _run_into(args) as out:
         try:
             scene = load_scene(scene_dir)
-            estimates = import_estimates(estimates_dir)
-            num_samples = int(
-                read_json(estimates_dir / ESTIMATES_MANIFEST)["num_samples"]
-            )
+            estimates, num_samples = import_estimates(estimates_dir)
         except FileNotFoundError as err:
             raise CliError(EXIT_IO, str(err))
         except ValueError as err:

@@ -47,6 +47,9 @@ ESTIMATES_MANIFEST = "estimates.json"
 FEATURES_FORMAT_VERSION = 1
 ESTIMATES_FORMAT_VERSION = 1
 
+# Keys that both exchange manifests must carry.
+_MANIFEST_KEYS = ("num_speakers", "num_samples", "stft")
+
 DEGRADATION_MODES = ("additive_noise", "cross_talk", "combined")
 REFINEMENTS = ("passthrough", "fcp_substitute", "external")
 
@@ -296,6 +299,9 @@ def _load_manifest(directory: Path, name: str, version: int, required: str) -> d
             f"{path}: version {manifest.get('version')!r} unsupported "
             f"(expected {version})"
         )
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
     return manifest
 
 
@@ -369,8 +375,11 @@ def export_estimates(output: SeparatorOutput, directory, num_samples: int) -> Pa
     return path
 
 
-def import_estimates(directory) -> SeparatorOutput:
-    """Read refined per-speaker estimates from an exchange directory."""
+def import_estimates(directory) -> tuple[SeparatorOutput, int]:
+    """Read refined per-speaker estimates from an exchange directory.
+
+    Returns the estimates and the sample count their manifest records.
+    """
     directory = Path(directory)
     manifest = _load_manifest(
         directory,
@@ -383,9 +392,10 @@ def import_estimates(directory) -> SeparatorOutput:
         f"s{c}_{kind}.wav" for kind in ("direct", "image") for c in range(1, count + 1)
     ]
     specs = _read_spectrograms(directory, manifest, names, "estimate")
-    return SeparatorOutput(
+    output = SeparatorOutput(
         direct_estimates=specs[:count], image_estimates=specs[count:]
     )
+    return output, int(manifest["num_samples"])
 
 
 def check_external_dir(config: ExperimentConfig) -> None:
@@ -421,7 +431,7 @@ def _refine(
             f"external refinement estimates not found: expected {manifest}; "
             f"features were exported to {base / 'features'}"
         )
-    refined = import_estimates(estimates_dir)
+    refined, _ = import_estimates(estimates_dir)
     if refined.num_speakers != separator.num_speakers:
         raise ValueError(
             f"external estimates have {refined.num_speakers} speakers, "

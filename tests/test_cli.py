@@ -398,6 +398,26 @@ class TestEval:
         ) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["num_samples", "stft", "num_speakers"])
+    def test_manifest_missing_a_key_is_exit_2(self, tmp_path, capsys, key):
+        self._fixture(tmp_path)
+        manifest = read_json(tmp_path / "est" / "estimates.json")
+        del manifest[key]
+        write_json(tmp_path / "est" / "estimates.json", manifest)
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"missing required key(s) {key}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_taps_axis_via_config(self, tmp_path, capsys):

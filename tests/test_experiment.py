@@ -240,7 +240,8 @@ class TestBatchRuns:
         assert on_disk == json.loads(json.dumps(report))
         per_scene = tmp_path / "out" / "scene_0001"
         assert (per_scene / "report.json").is_file()
-        import_estimates(per_scene / "estimates")  # round-trippable layout
+        _, length = import_estimates(per_scene / "estimates")  # round-trippable
+        assert length == round(config.scene.duration_s * config.scene.sample_rate_hz)
 
     def test_separation_over_scene_directory(self, tmp_path):
         config = _tiny_config()
@@ -375,7 +376,9 @@ class TestEvaluateEstimates:
         scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=1.0, seed=9))
         sep = oracle_separate(scene, DegradationSpec())
         export_estimates(sep, tmp_path / "est", scene.num_samples)
-        return scene, import_estimates(tmp_path / "est")
+        estimates, length = import_estimates(tmp_path / "est")
+        assert length == scene.num_samples
+        return scene, estimates
 
     def test_ground_truth_scores_at_cap(self, tmp_path):
         scene, estimates = self._scene_and_truth(tmp_path)

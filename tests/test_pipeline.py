@@ -262,7 +262,8 @@ class TestFeatureExchange:
         export_estimates(sep, tmp_path / "est", n)
         assert (tmp_path / "est" / "s1_direct.wav").is_file()
         assert (tmp_path / "est" / "s2_image.wav").is_file()
-        back = import_estimates(tmp_path / "est")
+        back, length = import_estimates(tmp_path / "est")
+        assert length == n
         for a, b in zip(sep.image_estimates, back.image_estimates):
             assert np.allclose(a.data, b.data, atol=1e-6)
 
@@ -280,6 +281,21 @@ class TestFeatureExchange:
         write_json(tmp_path / "features.json", manifest)
         with pytest.raises(ValueError, match="version"):
             import_features(tmp_path)
+
+    @pytest.mark.parametrize("key", ["num_samples", "stft", "num_speakers"])
+    def test_missing_manifest_key_is_named(self, small_scene, tmp_path, key):
+        stack, sep, n = self._float32_scene_stack(small_scene)
+        export_features(stack, tmp_path / "feat")
+        export_estimates(sep, tmp_path / "est", n)
+        for directory, name, read in (
+            (tmp_path / "feat", "features.json", import_features),
+            (tmp_path / "est", "estimates.json", import_estimates),
+        ):
+            manifest = read_json(directory / name)
+            del manifest[key]
+            write_json(directory / name, manifest)
+            with pytest.raises(ValueError, match=rf"missing required key\(s\) {key}"):
+                read(directory)
 
     def test_missing_wav_is_named(self, small_scene, tmp_path):
         stack, _, _ = self._float32_scene_stack(small_scene)
