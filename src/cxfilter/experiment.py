@@ -15,6 +15,7 @@ import csv
 import ctypes
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import scipy
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
 from cxfilter.io import config_from_dict, config_to_dict, write_json
-from cxfilter.metrics import QuantileSweep, evaluate_scene, quantile_sweep
+from cxfilter.metrics import QuantileSweep, evaluate_scene, si_sdr_le
 from cxfilter.pipeline import (
     REFINEMENTS,
     DegradationSpec,
@@ -446,7 +447,9 @@ def evaluate_estimates(
     estimates' length ``num_samples`` differs from the scene's.  When
     quantiles are given, a combined low-energy sweep compares the
     estimates with the unprocessed mixture, averaged over speakers, and
-    both CSV exports are written next to the report.
+    both CSV exports are written next to the report.  The estimates'
+    SI-SDR-LE values in the sweep are the report's; only the mixture is
+    scored again, once per speaker and quantile.
     """
     if estimates.num_speakers != scene.num_speakers:
         raise ValueError(
@@ -471,33 +474,29 @@ def evaluate_estimates(
     write_json(out_dir / "report.json", payload)
 
     if quantiles:
-        per_speaker = []
-        for c, ref in enumerate(scene.reverberant_image):
-            sweep = quantile_sweep(
-                {
-                    "estimate": images[report.permutation[c]],
-                    "unprocessed": scene.mixture,
-                },
-                ref,
-                quantiles,
-            )
-            per_speaker.append(sweep)
-        values = {
-            name: tuple(
-                float(np.mean([s.values[name][i] for s in per_speaker]))
-                for i in range(len(quantiles))
-            )
-            for name in per_speaker[0].values
-        }
-        improvements = {
-            pair: tuple(
-                float(np.mean([s.improvements[pair][i] for s in per_speaker]))
-                for i in range(len(quantiles))
-            )
-            for pair in per_speaker[0].improvements
+        # (speakers, quantiles) SI-SDR-LE tables: the estimates' from the
+        # report, the unprocessed mixture's against the same references.
+        systems = {
+            "estimate": np.array(
+                [[s["si_sdr_le_db"][q] for q in quantiles] for s in report.per_speaker]
+            ),
+            "unprocessed": np.array(
+                [
+                    [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
+                    for ref in scene.reverberant_image
+                ]
+            ),
         }
         combined = QuantileSweep(
-            quantiles=quantiles, values=values, improvements=improvements
+            quantiles=quantiles,
+            values={
+                name: tuple(float(np.mean(col)) for col in table.T)
+                for name, table in systems.items()
+            },
+            improvements={
+                (a, b): tuple(float(np.mean(col)) for col in (systems[a] - systems[b]).T)
+                for a, b in itertools.permutations(systems, 2)
+            },
         )
         combined.write_values_csv(out_dir / "si_sdr_le_values.csv")
         combined.write_improvements_csv(out_dir / "si_sdr_le_improvements.csv")

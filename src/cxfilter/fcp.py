@@ -231,29 +231,21 @@ def apply_filter(
 
 
 def fcp_separate(
-    mixture_spec: ComplexSpectrogram,
-    s_hats: list,
-    config: FcpConfig,
-    return_filters: bool = False,
-):
+    mixture_spec: ComplexSpectrogram, s_hats: list, config: FcpConfig
+) -> list:
     """Independent per-speaker FCP against the mixture.
 
     Every speaker's filter is estimated with the mixture as target and
     applied to that speaker's direct-path estimate; speakers do not
-    interact, so the outputs are invariant to their ordering.  With
-    ``return_filters`` the filters are returned too, as a complex
-    ``(speakers, bins, taps)`` array.
+    interact, so the outputs are invariant to their ordering.  Returns
+    the predicted images in speaker order.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_separate needs at least one speaker estimate")
-    images, filters = [], []
-    for s_hat in s_hats:
-        g = estimate_fcp_filter(mixture_spec, s_hat, config)
-        filters.append(g)
-        images.append(apply_filter(g, s_hat))
-    if return_filters:
-        return images, np.stack(filters)
-    return images
+    return [
+        apply_filter(estimate_fcp_filter(mixture_spec, s_hat, config), s_hat)
+        for s_hat in s_hats
+    ]
 
 
 def energy_sort(s_hats: list) -> list:
@@ -269,11 +261,8 @@ def energy_sort(s_hats: list) -> list:
 
 
 def fcp_essu_separate(
-    mixture_spec: ComplexSpectrogram,
-    s_hats: list,
-    config: FcpConfig,
-    return_filters: bool = False,
-):
+    mixture_spec: ComplexSpectrogram, s_hats: list, config: FcpConfig
+) -> list:
     """FCP with energy-sorted source update.
 
     Speakers are processed in descending energy order.  Each speaker's
@@ -282,8 +271,8 @@ def fcp_essu_separate(
     weight denominators are recomputed from that per-speaker target.
     Removing the stronger sources first keeps their energy from biasing
     the filter fits of the weaker ones; for a single speaker this
-    reduces exactly to :func:`fcp_separate`.  ``return_filters`` is as
-    in :func:`fcp_separate`.
+    reduces exactly to :func:`fcp_separate`.  Returns the predicted
+    images in speaker order.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")
@@ -295,7 +284,6 @@ def fcp_essu_separate(
         ComplexSpectrogram(np.zeros_like(mixture_spec.data), mixture_spec.config)
         for _ in range(count)
     ]
-    filters = [None] * count
     for c in energy_sort(s_hats):
         residual = mixture_spec.data.copy()
         for other in range(count):
@@ -303,8 +291,5 @@ def fcp_essu_separate(
                 residual -= images[other].data
         target = ComplexSpectrogram(residual, mixture_spec.config)
         g = estimate_fcp_filter(target, s_hats[c], config)
-        filters[c] = g
         images[c] = apply_filter(g, s_hats[c])
-    if return_filters:
-        return images, np.stack(filters)
     return images

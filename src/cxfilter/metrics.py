@@ -20,7 +20,7 @@ import numpy as np
 from cxfilter.io import config_to_dict
 from cxfilter.losses import MAX_SPEAKERS, best_permutation
 from cxfilter.scenes import Scene
-from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, StftConfig, istft, stft
+from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, istft, stft
 
 # Caps keep reports finite when the residual is (near) zero.
 SI_SDR_CAP_DB = 100.0
@@ -56,26 +56,27 @@ def si_sdr(est, ref) -> float:
     return float(min(SI_SDR_CAP_DB, max(SI_SDR_FLOOR_DB, value)))
 
 
-# The last two SI-SDR-LE analyses as (config, copy of the signal,
-# spectrogram), most recently used first.  A quantile sweep scores one
-# (estimate, reference) pair at every quantile, so two entries let every
-# quantile after the first reuse both spectrograms.
+# The last two SI-SDR-LE analyses as (copy of the signal, spectrogram),
+# most recently used first.  A quantile sweep scores one (estimate,
+# reference) pair at every quantile, so two entries let every quantile
+# after the first reuse both spectrograms.
 _ANALYSES: list = []
 
 
-def _analyse(signal: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
-    """``stft(signal, config)``, reused while the signal's values are unchanged.
+def _analyse(signal: np.ndarray) -> ComplexSpectrogram:
+    """``stft(signal, SEPARATOR_STFT)``, reused while the signal's values
+    are unchanged.
 
-    An entry matches only on an equal config and an element-wise equal
-    copy of the signal, so changing an array in place between calls
-    never returns a stale spectrogram.
+    An entry matches only on an element-wise equal copy of the signal,
+    so changing an array in place between calls never returns a stale
+    spectrogram.
     """
-    for i, (cached_config, cached_signal, spec) in enumerate(_ANALYSES):
-        if cached_config == config and np.array_equal(cached_signal, signal):
+    for i, (cached_signal, spec) in enumerate(_ANALYSES):
+        if np.array_equal(cached_signal, signal):
             _ANALYSES.insert(0, _ANALYSES.pop(i))
             return spec
-    spec = stft(signal, config)
-    _ANALYSES.insert(0, (config, signal.copy(), spec))
+    spec = stft(signal, SEPARATOR_STFT)
+    _ANALYSES.insert(0, (signal.copy(), spec))
     del _ANALYSES[2:]
     return spec
 
@@ -100,20 +101,13 @@ def low_energy_mask(ref_spec: ComplexSpectrogram, quantile: float) -> np.ndarray
     return energies <= _nearest_rank_threshold(energies, quantile)
 
 
-def si_sdr_le(
-    est,
-    ref,
-    quantile: float,
-    stft_config: StftConfig | None = None,
-    domain: str = "time",
-) -> float:
+def si_sdr_le(est, ref, quantile: float) -> float:
     """SI-SDR restricted to the reference's low-energy T-F region.
 
-    Both signals are transformed with ``stft_config`` (separator-domain
-    256/64 by default), masked by :func:`low_energy_mask` computed from
-    the reference, and compared.  ``domain="time"`` inverts both masked
-    spectrograms and scores the time signals; ``domain="tf"`` scores
-    the flattened real/imaginary parts of the masked units directly.
+    Both signals are transformed on the separator grid
+    :data:`~cxfilter.stft.SEPARATOR_STFT` (256/64), masked by
+    :func:`low_energy_mask` computed from the reference, inverted to
+    the time domain, and scored with :func:`si_sdr`.
     """
     est = np.asarray(est, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -121,22 +115,13 @@ def si_sdr_le(
         raise ValueError(
             f"si_sdr_le needs equal-length 1-D signals, got {est.shape} vs {ref.shape}"
         )
-    if domain not in ("time", "tf"):
-        raise ValueError(f"domain must be 'time' or 'tf', got {domain!r}")
-    config = SEPARATOR_STFT if stft_config is None else stft_config
-    ref_spec = _analyse(ref, config)
-    est_spec = _analyse(est, config)
+    ref_spec = _analyse(ref)
+    est_spec = _analyse(est)
     mask = low_energy_mask(ref_spec, quantile)
-    ref_masked = ref_spec.data * mask
-    est_masked = est_spec.data * mask
-    if domain == "tf":
-        return si_sdr(
-            np.concatenate([est_masked.real.ravel(), est_masked.imag.ravel()]),
-            np.concatenate([ref_masked.real.ravel(), ref_masked.imag.ravel()]),
-        )
-    length = est.shape[0]
-    ref_time = istft(ComplexSpectrogram(ref_masked, config), output_length=length)
-    est_time = istft(ComplexSpectrogram(est_masked, config), output_length=length)
+    ref_time, est_time = (
+        istft(ComplexSpectrogram(s.data * mask, s.config), output_length=est.size)
+        for s in (ref_spec, est_spec)
+    )
     return si_sdr(est_time, ref_time)
 
 
@@ -185,14 +170,9 @@ class QuantileSweep:
         }
 
 
-def quantile_sweep(
-    est_systems: dict,
-    ref,
-    quantiles,
-    stft_config: StftConfig | None = None,
-    domain: str = "time",
-) -> QuantileSweep:
-    """Evaluate named estimate signals at every energy quantile.
+def quantile_sweep(est_systems: dict, ref, quantiles) -> QuantileSweep:
+    """Evaluate named estimate signals with :func:`si_sdr_le` at every
+    energy quantile.
 
     ``est_systems`` maps system name to a time-domain estimate of the
     same reference.  Improvement curves cover every ordered pair of
@@ -202,10 +182,7 @@ def quantile_sweep(
         raise ValueError("quantile_sweep needs at least one system")
     quantiles = tuple(float(q) for q in quantiles)
     values = {
-        name: tuple(
-            si_sdr_le(est, ref, q, stft_config=stft_config, domain=domain)
-            for q in quantiles
-        )
+        name: tuple(si_sdr_le(est, ref, q) for q in quantiles)
         for name, est in est_systems.items()
     }
     improvements = {

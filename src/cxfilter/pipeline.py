@@ -119,7 +119,7 @@ class FeatureStack:
     stage1_direct: list
     stage1_image: list
     fcp_images: list
-    num_samples: int | None = None
+    num_samples: int
 
     def __post_init__(self):
         count = len(self.stage1_direct)
@@ -229,13 +229,10 @@ def run_fcp_stage(
     n = mixture.shape[0]
     grid = config.fcp.stft
     mix_spec = stft(mixture, grid)
-    s_hats = [
-        convert_config(s, s.config, grid, n)
-        for s in separator_output.direct_estimates
-    ]
+    s_hats = [convert_config(s, grid, n) for s in separator_output.direct_estimates]
     separate = fcp_essu_separate if config.fcp_mode == "essu" else fcp_separate
     images = separate(mix_spec, s_hats, config.fcp)
-    return [convert_config(img, grid, config.stft_dnn, n) for img in images]
+    return [convert_config(img, config.stft_dnn, n) for img in images]
 
 
 def _feature_files(count: int) -> list:
@@ -260,23 +257,18 @@ def export_features(stack: FeatureStack, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     config = stack.mixture.config
-    length = (
-        stack.num_samples
-        if stack.num_samples is not None
-        else config.max_signal_length(stack.mixture.frames)
-    )
     names = _feature_files(stack.num_speakers)
     for name, spec in zip(names, stack.spectrograms()):
         write_wav(
             directory / name,
-            istft(spec, output_length=length),
+            istft(spec, output_length=stack.num_samples),
             config.sample_rate_hz,
         )
     manifest = {
         "format": "feature-stack",
         "version": FEATURES_FORMAT_VERSION,
         "num_speakers": stack.num_speakers,
-        "num_samples": length,
+        "num_samples": stack.num_samples,
         "frames": stack.mixture.frames,
         "bins": stack.mixture.bins,
         "stft": config_to_dict(config),

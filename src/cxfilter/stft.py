@@ -177,11 +177,7 @@ def stft(signal, config: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, config)
 
 
-def istft(
-    spec: ComplexSpectrogram,
-    config: StftConfig | None = None,
-    output_length: int | None = None,
-) -> np.ndarray:
+def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndarray:
     """Overlap-add synthesis back to a real signal.
 
     Square-root Hann synthesis windowing followed by division by the
@@ -194,15 +190,11 @@ def istft(
     Parameters
     ----------
     spec : ComplexSpectrogram
-        One-sided spectrogram to invert.
-    config : StftConfig, optional
-        Must equal ``spec.config`` when given; a mismatch is rejected.
+        One-sided spectrogram to invert, on its own ``spec.config`` grid.
     output_length : int, optional
         Number of samples to return.  Defaults to, and may not exceed,
         ``spec.config.max_signal_length(spec.frames)``.
     """
-    if config is not None and config != spec.config:
-        raise ValueError("istft config does not match the spectrogram's config")
     cfg = spec.config
     w = cfg.window_length_samples
     h = cfg.hop_samples
@@ -231,19 +223,16 @@ def istft(
 
 
 def convert_config(
-    spec: ComplexSpectrogram,
-    from_config: StftConfig,
-    to_config: StftConfig,
-    length: int,
+    spec: ComplexSpectrogram, to_config: StftConfig, length: int
 ) -> ComplexSpectrogram:
-    """Re-analyze a spectrogram under a different STFT configuration.
+    """Re-analyze a spectrogram from its own grid under ``to_config``.
 
-    Defined as ``stft(istft(spec, from_config, length), to_config)``;
-    exactness is inherited from the round-trip guarantees.  ``length``
-    is the time-domain sample count carried through the conversion.
-    When both configurations are equal the result is an exact copy of
+    Defined as ``stft(istft(spec, length), to_config)``; exactness is
+    inherited from the round-trip guarantees.  ``length`` is the
+    time-domain sample count carried through the conversion.  When
+    ``to_config`` is ``spec.config`` the result is an exact copy of
     ``spec`` and ``length`` is not used.
     """
-    if from_config == to_config == spec.config:
+    if to_config == spec.config:
         return ComplexSpectrogram(spec.data.copy(), to_config)
-    return stft(istft(spec, from_config, length), to_config)
+    return stft(istft(spec, length), to_config)

@@ -406,6 +406,19 @@ class TestEvaluateEstimates:
             evaluate_estimates(scene, estimates, (), tmp_path / "out", 123)
         assert not (tmp_path / "out").exists()
 
+    def test_each_pair_is_scored_once_per_quantile(self, tmp_path, monkeypatch):
+        # The sweep takes the estimates' SI-SDR-LE from the report and
+        # scores only the mixture again: 2 x speakers x quantiles calls.
+        scene = simulate_scene(SceneSpec(num_speakers=3, duration_s=0.5, seed=9))
+        estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
+        quantiles = (0.1, 0.3, 0.5, 0.7, 0.9)
+        in_metrics = count_calls(monkeypatch, metrics, "si_sdr_le")
+        in_experiment = count_calls(monkeypatch, experiment, "si_sdr_le")
+        evaluate_estimates(
+            scene, estimates, quantiles, tmp_path / "out", scene.num_samples
+        )
+        assert len(in_metrics) + len(in_experiment) == 2 * 3 * len(quantiles)
+
 
 class TestSweep:
     def test_every_value_is_checked_before_any_scene(self, tmp_path, monkeypatch):

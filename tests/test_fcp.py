@@ -618,6 +618,6 @@ class TestFcpEssu:
             target = mix.data.copy()
             for other in sorted(order[:i]):
                 target -= images[other].data
-            target = ComplexSpectrogram(target, GRID)
-            want = apply_filter(estimate_fcp_filter(target, s_hats[c], config), s_hats[c])
+            g = estimate_fcp_filter(ComplexSpectrogram(target, GRID), s_hats[c], config)
+            want = apply_filter(g, s_hats[c])
             assert images[c].data.tobytes() == want.data.tobytes()

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from cxfilter import (
-    FILTER_STFT,
-    SEPARATOR_STFT,
     ComplexSpectrogram,
     MetricsReport,
     QuantileSweep,
@@ -126,7 +124,6 @@ class TestSiSdrLe:
         _, ref = self._signals(rng)
         for q in (0.1, 0.5, 0.9, 1.0):
             assert si_sdr_le(ref, ref, q) == SI_SDR_CAP_DB
-            assert si_sdr_le(ref, ref, q, domain="tf") == SI_SDR_CAP_DB
 
     def test_monotone_in_fidelity(self, rng):
         ref = rng.standard_normal(4000)
@@ -134,24 +131,10 @@ class TestSiSdrLe:
         scores = [si_sdr_le(ref + s * noise, ref, 0.5) for s in (0.01, 0.1, 1.0)]
         assert scores[0] > scores[1] > scores[2]
 
-    def test_tf_domain_is_a_distinct_score(self, rng):
-        est, ref = self._signals(rng)
-        t = si_sdr_le(est, ref, 0.5, domain="time")
-        f = si_sdr_le(est, ref, 0.5, domain="tf")
-        assert np.isfinite(t) and np.isfinite(f)
-        assert t != f
-
-    def test_custom_config_accepted(self, rng):
-        est, ref = self._signals(rng, n=200)
-        cfg = StftConfig(64, 16, 64, 8000)
-        assert np.isfinite(si_sdr_le(est, ref, 0.5, stft_config=cfg))
-
     def test_rejects_bad_inputs(self, rng):
         est, ref = self._signals(rng, n=512)
         with pytest.raises(ValueError):
             si_sdr_le(est[:-1], ref, 0.5)
-        with pytest.raises(ValueError):
-            si_sdr_le(est, ref, 0.5, domain="cepstral")
 
 
 class TestAnalysisMemo:
@@ -163,19 +146,18 @@ class TestAnalysisMemo:
         yield
         metrics._ANALYSES.clear()
 
-    def _cold(self, est, ref, q, **kwargs):
+    def _cold(self, est, ref, q):
         metrics._ANALYSES.clear()
-        return si_sdr_le(est, ref, q, **kwargs)
+        return si_sdr_le(est, ref, q)
 
     def _signals(self, rng, n=3000):
         ref = rng.standard_normal(n)
         return ref + 0.2 * rng.standard_normal(n), ref
 
-    @pytest.mark.parametrize("domain", ("time", "tf"))
-    def test_scores_match_cold_calls(self, rng, domain):
+    def test_scores_match_cold_calls(self, rng):
         est, ref = self._signals(rng)
-        warm = [si_sdr_le(est, ref, q, domain=domain) for q in self.QUANTILES]
-        cold = [self._cold(est, ref, q, domain=domain) for q in self.QUANTILES]
+        warm = [si_sdr_le(est, ref, q) for q in self.QUANTILES]
+        cold = [self._cold(est, ref, q) for q in self.QUANTILES]
         assert warm == cold
 
     def test_in_place_change_gives_fresh_score(self, rng):
@@ -185,13 +167,6 @@ class TestAnalysisMemo:
         after = si_sdr_le(est, ref, 0.5)
         assert after != before
         assert after == self._cold(est, ref, 0.5)
-
-    def test_grids_do_not_collide(self, rng):
-        est, ref = self._signals(rng)
-        for cfg in (SEPARATOR_STFT, FILTER_STFT, SEPARATOR_STFT):
-            score = si_sdr_le(est, ref, 0.5, stft_config=cfg)
-            assert metrics._analyse(ref, cfg).config == cfg
-            assert score == self._cold(est, ref, 0.5, stft_config=cfg)
 
     @pytest.mark.parametrize("speakers", (1, 3))
     def test_evaluate_scene_analyses_each_pair_once(self, monkeypatch, speakers):

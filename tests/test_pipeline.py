@@ -164,9 +164,9 @@ class TestRunFcpStage:
         cfg = FcpConfig(taps=6)
         assert cfg.stft != SEPARATOR_STFT
         images = run_fcp_stage(mono_scene.mixture, sep, ExperimentConfig(fcp=cfg))
-        s_hat = convert_config(sep.direct_estimates[0], SEPARATOR_STFT, cfg.stft, n)
+        s_hat = convert_config(sep.direct_estimates[0], cfg.stft, n)
         (image,) = fcp_separate(stft(mono_scene.mixture, cfg.stft), [s_hat], cfg)
-        want = convert_config(image, cfg.stft, SEPARATOR_STFT, n)
+        want = convert_config(image, SEPARATOR_STFT, n)
         assert np.array_equal(images[0].data, want.data)
 
 
@@ -213,6 +213,7 @@ class TestFeatureStack:
                 stage1_direct=list(sep.direct_estimates),
                 stage1_image=list(sep.image_estimates),
                 fcp_images=list(sep.image_estimates[:1]),
+                num_samples=small_scene.num_samples,
             )
         with pytest.raises(ValueError):
             SeparatorOutput(direct_estimates=[], image_estimates=[])
