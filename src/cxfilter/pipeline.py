@@ -423,11 +423,16 @@ def _refine(
             f"external refinement estimates not found: expected {manifest}; "
             f"features were exported to {base / 'features'}"
         )
-    refined, _ = import_estimates(estimates_dir)
+    refined, num_samples = import_estimates(estimates_dir)
     if refined.num_speakers != separator.num_speakers:
         raise ValueError(
             f"external estimates have {refined.num_speakers} speakers, "
             f"expected {separator.num_speakers}"
+        )
+    if num_samples != stack.num_samples:
+        raise ValueError(
+            f"external estimates carry {num_samples} samples, "
+            f"expected {stack.num_samples}"
         )
     return refined
 

@@ -24,6 +24,7 @@ from cxfilter import (
     run_fcp_stage,
     run_pipeline,
     si_sdr,
+    simulate_scene,
     stft,
 )
 from cxfilter.pipeline import export_estimates, import_features
@@ -356,6 +357,19 @@ class TestRunPipeline:
         )
         result = run_pipeline(mono_scene, config)
         assert result.report.mean["si_sdr_db"] >= 60.0
+
+    def test_external_estimates_of_another_length_rejected(self, mono_scene, tmp_path):
+        config = ExperimentConfig(
+            refinement="external", external_dir=str(tmp_path), fcp=FcpConfig(taps=4)
+        )
+        longer = simulate_scene(replace(mono_scene.spec, duration_s=3.0))
+        export_estimates(
+            oracle_separate(longer, IDENTITY),
+            tmp_path / "iteration_1" / "estimates",
+            longer.num_samples,
+        )
+        with pytest.raises(ValueError, match="carry 24000 samples, expected 12000"):
+            run_pipeline(mono_scene, config)
 
     def test_external_refinement_requires_external_dir(self, mono_scene):
         config = ExperimentConfig(refinement="external", fcp=FcpConfig(taps=4))
