@@ -36,12 +36,7 @@ from cxfilter.experiment import (
     run_sweep,
 )
 from cxfilter.io import config_from_dict, read_json
-from cxfilter.pipeline import (
-    DEGRADATION_MODES,
-    ESTIMATES_MANIFEST,
-    REFINEMENTS,
-    import_estimates,
-)
+from cxfilter.pipeline import DEGRADATION_MODES, REFINEMENTS, import_estimates
 from cxfilter.scenes import SCENE_MANIFEST, load_scene
 
 EXIT_OK = 0
@@ -256,16 +251,10 @@ def cmd_eval(args) -> int:
     manifest = scene_dir / SCENE_MANIFEST
     if not manifest.is_file():
         raise CliError(EXIT_MISSING_SCENE, f"scene manifest not found: {manifest}")
-    estimates_dir = Path(args.estimates)
-    if not (estimates_dir / ESTIMATES_MANIFEST).is_file():
-        raise CliError(
-            EXIT_IO,
-            f"estimates manifest not found: {estimates_dir / ESTIMATES_MANIFEST}",
-        )
     with _run_into(args) as out:
         try:
             scene = load_scene(scene_dir)
-            estimates, num_samples = import_estimates(estimates_dir)
+            estimates, num_samples = import_estimates(args.estimates)
         except FileNotFoundError as err:
             raise CliError(EXIT_IO, str(err))
         except ValueError as err:

@@ -494,7 +494,9 @@ def evaluate_estimates(
                 for name, table in systems.items()
             },
             improvements={
-                (a, b): tuple(float(np.mean(col)) for col in (systems[a] - systems[b]).T)
+                (a, b): tuple(
+                    float(np.mean(col)) for col in (systems[a] - systems[b]).T
+                )
                 for a, b in itertools.permutations(systems, 2)
             },
         )

@@ -344,7 +344,7 @@ class TestEval:
         )
         assert code == 3
 
-    def test_missing_estimates_is_exit_2(self, tmp_path):
+    def test_missing_estimates_is_exit_2(self, tmp_path, capsys):
         self._fixture(tmp_path)
         code = main(
             [
@@ -355,6 +355,8 @@ class TestEval:
             ]
         )
         assert code == 2
+        assert str(tmp_path / "nope" / "estimates.json") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_speaker_count_mismatch_is_exit_4(self, tmp_path):
         self._fixture(tmp_path)  # writes 1-speaker estimates
