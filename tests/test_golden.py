@@ -241,3 +241,133 @@ EVAL_SHA256 = {
 
 def test_eval_output_bytes_are_pinned(tmp_path):
     assert _eval_outputs(tmp_path) == EVAL_SHA256
+
+
+def _small_batch_config(tmp_path):
+    """A ``--config`` file for short 2-speaker batches."""
+    from cxfilter.io import write_json
+
+    path = tmp_path / "config.json"
+    config = ExperimentConfig(
+        seed=5,
+        scene=SceneRanges(duration_s=0.8),
+        degradation=DegradationSpec(snr_db=10.0),
+        fcp=FcpConfig(taps=4),
+    )
+    write_json(path, config_to_dict(config))
+    return path
+
+
+def _file_digests(root) -> dict:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _sweep_outputs(tmp_path) -> dict:
+    """``cxfilter sweep`` of 2 taps values x 2 generated scenes on 2 jobs."""
+    from cxfilter.cli import main
+
+    code = main(
+        [
+            "sweep",
+            "--config", str(_small_batch_config(tmp_path)),
+            "--axis", "taps",
+            "--values", "3,6",
+            "--count", "2",
+            "--jobs", "2",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    return _file_digests(tmp_path / "out")
+
+
+SWEEP_SHA256 = {
+    "sweep.csv": "ec9cfeda032daf48c38e750ddde7a89c6a21da15c6fbd0c7d3ceae833fc804c3",
+}
+
+
+def test_sweep_output_bytes_are_pinned(tmp_path):
+    assert _sweep_outputs(tmp_path) == SWEEP_SHA256
+
+
+def _separate_outputs(tmp_path) -> dict:
+    """``cxfilter separate`` of 2 generated scenes with ESSU, two
+    ``fcp_substitute`` iterations and two quantiles.
+
+    The batch report is hashed with ``config.out`` removed, since that
+    field names the output directory.
+    """
+    from cxfilter.cli import main
+    from cxfilter.io import read_json
+
+    out = tmp_path / "out"
+    code = main(
+        [
+            "separate",
+            "--config", str(_small_batch_config(tmp_path)),
+            "--count", "2",
+            "--fcp", "essu",
+            "--iterations", "2",
+            "--refinement", "fcp_substitute",
+            "--quantiles", "0.25,0.75",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    digests = _file_digests(out)
+    report = read_json(out / "report.json")
+    assert report["config"].pop("out") == str(out)
+    blob = json.dumps(report, indent=2, sort_keys=True).encode("utf-8")
+    digests["report.json"] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+SEPARATE_SHA256 = {
+    "report.json": (
+        "cec5c97b0e3de208aeada06f0ac3ec6ab66e909e2b1b135e18462986a52d6e73"
+    ),
+    "scene_0001/estimates/estimates.json": (
+        "a5f5097176a91ba933e124127c1848d9202a3992c080b14bbdd8f699000289e1"
+    ),
+    "scene_0001/estimates/s1_direct.wav": (
+        "fe1ab46b0cfca949826f836179f33311e60879b285b6a91b47c65d7bcf313238"
+    ),
+    "scene_0001/estimates/s1_image.wav": (
+        "9a82a38741751e7c2d1dba62d569fe20e142c477cbefc479caf0067e636f169a"
+    ),
+    "scene_0001/estimates/s2_direct.wav": (
+        "4bf26059111ae4f8ccf9a7e4dd78908d2e9b2cfc29d6ab94ed8813f9bf932360"
+    ),
+    "scene_0001/estimates/s2_image.wav": (
+        "73728453e52cf3d305810b3760968432038eb5a1a0c23621d7fd25604bfa6f11"
+    ),
+    "scene_0001/report.json": (
+        "64e7bd7ab449de65458eb61185d81811ef33f5d14604b76509e7957f5fa079e7"
+    ),
+    "scene_0002/estimates/estimates.json": (
+        "a5f5097176a91ba933e124127c1848d9202a3992c080b14bbdd8f699000289e1"
+    ),
+    "scene_0002/estimates/s1_direct.wav": (
+        "b7983955287946df680056a707e6ab59b8c4145b87a777309608d546cda993be"
+    ),
+    "scene_0002/estimates/s1_image.wav": (
+        "795ec5329c49fe8ba2db8c89f55a32307d5afe65e9fe0fbb772ed568a0b9e8f0"
+    ),
+    "scene_0002/estimates/s2_direct.wav": (
+        "330b7098c8a955d621a9d11b64e91d7ed3863d531ed38ed5590b1ee517eebe21"
+    ),
+    "scene_0002/estimates/s2_image.wav": (
+        "18d470d6bb17237061d30804f548c117fc1afe0117eecd8b3cb43f97b7f75cfa"
+    ),
+    "scene_0002/report.json": (
+        "ca86bae2a7a1db27a1749d723c13641bbe435118637bd24b48479bf6714e521f"
+    ),
+}
+
+
+def test_separate_output_bytes_are_pinned(tmp_path):
+    assert _separate_outputs(tmp_path) == SEPARATE_SHA256
