@@ -36,6 +36,7 @@ from cxfilter.experiment import (
     run_sweep,
 )
 from cxfilter.io import config_from_dict, read_json
+from cxfilter.metrics import check_quantiles
 from cxfilter.pipeline import DEGRADATION_MODES, REFINEMENTS, import_estimates
 from cxfilter.scenes import SCENE_MANIFEST, load_scene
 
@@ -251,6 +252,10 @@ def cmd_eval(args) -> int:
     manifest = scene_dir / SCENE_MANIFEST
     if not manifest.is_file():
         raise CliError(EXIT_MISSING_SCENE, f"scene manifest not found: {manifest}")
+    try:
+        quantiles = check_quantiles(args.quantiles)
+    except ValueError as err:
+        raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
     with _run_into(args) as out:
         try:
             scene = load_scene(scene_dir)
@@ -261,7 +266,7 @@ def cmd_eval(args) -> int:
             raise CliError(EXIT_IO, f"unreadable inputs: {err}")
         try:
             payload = evaluate_estimates(
-                scene, estimates, args.quantiles, out, num_samples
+                scene, estimates, quantiles, out, num_samples
             )
         except ValueError as err:
             raise CliError(EXIT_SHAPE_MISMATCH, str(err))

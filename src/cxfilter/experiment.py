@@ -30,7 +30,12 @@ import scipy
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
 from cxfilter.io import config_from_dict, config_to_dict, write_json
-from cxfilter.metrics import QuantileSweep, evaluate_scene, si_sdr_le
+from cxfilter.metrics import (
+    QuantileSweep,
+    check_quantiles,
+    evaluate_scene,
+    si_sdr_le,
+)
 from cxfilter.pipeline import (
     REFINEMENTS,
     DegradationSpec,
@@ -172,9 +177,7 @@ class ExperimentConfig:
             raise ValueError("num_scenes must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        object.__setattr__(
-            self, "quantiles", tuple(float(q) for q in self.quantiles)
-        )
+        object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
 
     def config_hash(self) -> str:
         hashed = config_to_dict(self)
@@ -444,7 +447,8 @@ def evaluate_estimates(
     """Score imported estimates against a scene; write report and CSVs.
 
     Raises ValueError, before writing, when the speaker count or the
-    estimates' length ``num_samples`` differs from the scene's.  When
+    estimates' length ``num_samples`` differs from the scene's, or the
+    quantiles are not strictly ascending within (0, 1].  When
     quantiles are given, a combined low-energy sweep compares the
     estimates with the unprocessed mixture, averaged over speakers, and
     both CSV exports are written next to the report.  The estimates'
@@ -461,10 +465,10 @@ def evaluate_estimates(
         raise ValueError(
             f"estimates carry {num_samples} samples but the scene has {n}"
         )
+    quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     images = [istft(s, output_length=n) for s in estimates.image_estimates]
-    quantiles = tuple(float(q) for q in quantiles)
     report = evaluate_scene(images, scene, quantiles=quantiles)
 
     payload = {

@@ -81,6 +81,19 @@ def _analyse(signal: np.ndarray) -> ComplexSpectrogram:
     return spec
 
 
+def check_quantiles(quantiles) -> tuple:
+    """The quantiles as a tuple of floats, strictly ascending, each in (0, 1].
+
+    Raises ValueError otherwise.  An empty grid is valid.
+    """
+    q = tuple(float(v) for v in quantiles)
+    if not all(0.0 < v <= 1.0 for v in q) or any(b <= a for a, b in zip(q, q[1:])):
+        raise ValueError(
+            f"quantiles must be strictly ascending, each in (0, 1], got {list(q)}"
+        )
+    return q
+
+
 def _nearest_rank_threshold(energies: np.ndarray, quantile: float) -> float:
     """Nearest-rank quantile: the ceil(q*N)-th smallest energy."""
     rank = max(1, math.ceil(quantile * energies.size))
@@ -139,9 +152,7 @@ class QuantileSweep:
     improvements: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        q = self.quantiles
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise ValueError("quantiles must be strictly ascending")
+        check_quantiles(self.quantiles)
 
     def write_values_csv(self, path):
         with open(path, "w", newline="") as fh:

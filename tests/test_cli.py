@@ -30,6 +30,10 @@ def _simulate(out, count=1, speakers=1, duration=0.8, seed=4, extra=()):
     return main(argv)
 
 
+# Quantile lists that are not strictly ascending within (0, 1].
+BAD_QUANTILES = ["0.5,0.5", "0.9,0.1", "0", "1.5"]
+
+
 class TestSimulate:
     def test_writes_scene_directories(self, tmp_path, capsys):
         assert _simulate(tmp_path / "scenes", count=2) == 0
@@ -261,6 +265,14 @@ class TestSeparate:
         assert "t60_s" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("quantiles", BAD_QUANTILES)
+    def test_bad_quantiles_are_exit_5(self, tmp_path, capsys, quantiles):
+        out = tmp_path / "o"
+        argv = ["separate", "--out", str(out), "--quantiles", quantiles]
+        assert main(argv) == 5
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_bytes_do_not_depend_on_jobs(self, tmp_path):
         # At 1.5 s the FCP fit's products are large enough for OpenBLAS
         # to split them over threads, so a process left unpinned rounds
@@ -398,6 +410,22 @@ class TestEval:
             f"estimates carry {int(estimates_s * 8000)} samples but the scene "
             f"has {int(scene_s * 8000)}"
         ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("quantiles", BAD_QUANTILES)
+    def test_bad_quantiles_are_exit_5(self, tmp_path, capsys, quantiles):
+        self._fixture(tmp_path)
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+                "--quantiles", quantiles,
+            ]
+        )
+        assert code == 5
+        assert "strictly ascending" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["num_samples", "stft", "num_speakers"])

@@ -142,6 +142,9 @@ class TestExperimentConfig:
             ExperimentConfig(fcp_mode="always")
         with pytest.raises(ValueError):
             ExperimentConfig(num_scenes=0)
+        for quantiles in ((0.5, 0.5), (0.9, 0.1), (0.0,), (1.5,)):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                ExperimentConfig(quantiles=quantiles)
 
 
 class TestRunScene:

@@ -241,8 +241,9 @@ class TestQuantileSweep:
     def test_empty_and_unsorted_rejected(self, rng):
         with pytest.raises(ValueError):
             quantile_sweep({}, rng.standard_normal(4000), self.QUANTILES)
-        with pytest.raises(ValueError):
-            QuantileSweep(quantiles=(0.5, 0.25), values={})
+        for quantiles in ((0.5, 0.25), (0.5, 0.5), (0.0,), (1.5,)):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                QuantileSweep(quantiles=quantiles, values={})
 
 
 class TestEvaluateScene:
