@@ -4,14 +4,15 @@ An :class:`ExperimentConfig` captures everything that determines a
 batch result: scene sampling ranges, separator degradation, pipeline
 settings, metric quantiles, and the global seed.  Configs serialize to
 versioned JSON, embed into every report together with a content hash,
-and identical configs reproduce byte-identical reports.  Scene-level
-parallelism is available through a jobs parameter with results merged
-in deterministic scene order.
+and identical configs reproduce byte-identical reports.  Every batch
+runner walks one list of named scene jobs (:func:`_scene_jobs`).
+Scene-level parallelism is available through a jobs parameter: workers
+receive the scene source and config objects themselves, and results
+merge in deterministic scene order.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import hashlib
@@ -29,11 +30,13 @@ import scipy
 
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
-from cxfilter.io import config_from_dict, config_to_dict, write_json
+from cxfilter.io import config_to_dict, write_csv, write_json
 from cxfilter.metrics import (
+    MetricsReport,
     QuantileSweep,
     check_quantiles,
     evaluate_scene,
+    mean_scores,
     si_sdr_le,
 )
 from cxfilter.pipeline import (
@@ -67,6 +70,9 @@ SWEEP_AXES = {
     "degradation_snr": ("degradation.snr_db", float),
     "t60": ("scene.t60_range_s", lambda v: (v, v)),
 }
+SWEEP_COLUMNS = (
+    "axis", "value", "num_scenes", "mean_fcp_image_si_sdr_db", "config_sha256"
+)
 
 
 def _range_pair(value, name: str) -> tuple:
@@ -192,14 +198,6 @@ def run_scene(scene: Scene, config: ExperimentConfig) -> PipelineResult:
     return run_pipeline(scene, config)
 
 
-def draw_scene_specs(config: ExperimentConfig) -> list:
-    """The scene specs of a generated batch, one per scene, in order."""
-    return [
-        config.scene.draw_scene_spec(config.seed, i)
-        for i in range(config.num_scenes)
-    ]
-
-
 def discover_scene_dirs(scenes_dir) -> list:
     """Scene directories under a root, in deterministic name order."""
     root = Path(scenes_dir)
@@ -208,6 +206,33 @@ def discover_scene_dirs(scenes_dir) -> list:
     return sorted(
         (p.parent for p in root.glob(f"*/{SCENE_MANIFEST}")), key=lambda p: p.name
     )
+
+
+def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
+    """(name, source) of every scene of a batch, in scene order: the
+    scene directories under ``scenes_dir``, or without one a
+    :class:`SceneSpec` per scene drawn from the config, ``scene_0001``...
+    """
+    if scenes_dir is None:
+        return [
+            (f"scene_{i + 1:04d}", config.scene.draw_scene_spec(config.seed, i))
+            for i in range(config.num_scenes)
+        ]
+    jobs = [(d.name, d) for d in discover_scene_dirs(scenes_dir)]
+    if not jobs:
+        raise FileNotFoundError(
+            f"no scene manifest found under {scenes_dir} "
+            f"(expected {Path(scenes_dir) / SCENE_MANIFEST} or "
+            f"{Path(scenes_dir)}/*/{SCENE_MANIFEST})"
+        )
+    return jobs
+
+
+def _scene(source) -> Scene:
+    """The scene of a job's source: a drawn spec simulated, a directory loaded."""
+    if isinstance(source, SceneSpec):
+        return simulate_scene(source)
+    return load_scene(source)
 
 
 # (package, library file pattern in <package>.libs, thread-count symbol)
@@ -321,23 +346,16 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
         return _run_pinned(func, payloads, fit_threads)
 
 
-def _scene_from_payload(payload: dict) -> Scene:
-    if payload.get("scene_dir") is not None:
-        return load_scene(payload["scene_dir"])
-    return simulate_scene(config_from_dict(SceneSpec, payload["scene_spec"]))
-
-
-def _separate_worker(payload: dict):
-    config = config_from_dict(ExperimentConfig, payload["config"])
-    scene = _scene_from_payload(payload)
+def _separate_worker(job) -> MetricsReport:
+    source, config, out_dir = job
+    scene = _scene(source)
     result = run_scene(scene, config)
-    out_dir = Path(payload["out_dir"])
     export_estimates(result.separator, out_dir / "estimates", scene.num_samples)
     write_json(
         out_dir / "report.json",
         {"version": REPORT_FORMAT_VERSION, "report": result.report.to_dict()},
     )
-    return payload["key"], result.report.to_dict()
+    return result.report
 
 
 def run_separation(
@@ -351,63 +369,30 @@ def run_separation(
     Scenes come from ``scenes_dir`` when given (any directory tree
     produced by the scene writer), otherwise ``config.num_scenes``
     scenes are generated from the config's ranges and seed.  Returns
-    the batch report, which is also written to ``out_dir/report.json``.
+    the batch report, which is also written to ``out_dir/report.json``;
+    its ``mean`` is the :func:`mean_scores` of the scene means.
     """
     check_external_dir(config)
     out_dir = Path(out_dir)
-    config_dict = config_to_dict(config)
-    payloads = []
-    if scenes_dir is not None:
-        for directory in discover_scene_dirs(scenes_dir):
-            payloads.append(
-                {
-                    "key": directory.name,
-                    "scene_dir": str(directory),
-                    "config": config_dict,
-                    "out_dir": str(out_dir / directory.name),
-                }
-            )
-        if not payloads:
-            raise FileNotFoundError(
-                f"no scene manifest found under {scenes_dir} "
-                f"(expected {Path(scenes_dir) / SCENE_MANIFEST} or "
-                f"{Path(scenes_dir)}/*/{SCENE_MANIFEST})"
-            )
-    else:
-        for i, spec in enumerate(draw_scene_specs(config)):
-            key = f"scene_{i + 1:04d}"
-            payloads.append(
-                {
-                    "key": key,
-                    "scene_dir": None,
-                    "scene_spec": config_to_dict(spec),
-                    "config": config_dict,
-                    "out_dir": str(out_dir / key),
-                }
-            )
+    scene_jobs = _scene_jobs(config, scenes_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_jobs(_separate_worker, payloads, jobs)
-    scenes = {key: report for key, report in results}
+    reports = _map_jobs(
+        _separate_worker,
+        [(source, config, out_dir / key) for key, source in scene_jobs],
+        jobs,
+    )
     aggregate = {
         "version": REPORT_FORMAT_VERSION,
-        "config": config_dict,
+        "config": config_to_dict(config),
         "config_sha256": config.config_hash(),
-        "num_scenes": len(scenes),
-        "scenes": scenes,
-        "mean": _mean_of_means([rep["mean"] for rep in scenes.values()]),
+        "num_scenes": len(reports),
+        "scenes": {
+            key: report.to_dict() for (key, _), report in zip(scene_jobs, reports)
+        },
+        "mean": mean_scores([report.mean for report in reports]),
     }
     write_json(out_dir / "report.json", aggregate)
     return aggregate
-
-
-def _mean_of_means(means: list) -> dict:
-    out = {"si_sdr_db": float(np.mean([m["si_sdr_db"] for m in means]))}
-    if means and "si_sdr_le_db" in means[0]:
-        out["si_sdr_le_db"] = {
-            q: float(np.mean([m["si_sdr_le_db"][q] for m in means]))
-            for q in means[0]["si_sdr_le_db"]
-        }
-    return out
 
 
 def run_simulation(config: ExperimentConfig, out_dir) -> list:
@@ -415,14 +400,12 @@ def run_simulation(config: ExperimentConfig, out_dir) -> list:
 
     Returns one summary row per scene (name, drawn parameters, seed).
     """
-    specs = draw_scene_specs(config)
+    scene_jobs = _scene_jobs(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, spec in enumerate(specs):
-        scene = simulate_scene(spec)
-        key = f"scene_{i + 1:04d}"
-        save_scene(scene, out_dir / key)
+    for key, spec in scene_jobs:
+        save_scene(simulate_scene(spec), out_dir / key)
         rows.append(
             {
                 "scene": key,
@@ -528,9 +511,9 @@ def apply_sweep_axis(
     return override(config, path, cast(value))
 
 
-def _sweep_worker(payload: dict):
-    config = config_from_dict(ExperimentConfig, payload["config"])
-    scene = _scene_from_payload(payload)
+def _sweep_worker(job) -> float:
+    source, config = job
+    scene = _scene(source)
     _, stack = predict(scene, config)
     images = [istft(s, output_length=scene.num_samples) for s in stack.fcp_images]
     return float(evaluate_scene(images, scene).mean["si_sdr_db"])
@@ -553,6 +536,8 @@ def run_sweep(
     refinement mode.  Each scene runs :func:`cxfilter.pipeline.predict`
     only, and its last images are scored once; ``config.quantiles``
     enter the hashes but no score.  Requires an FCP-enabled config.
+    Returns one row per value, a dict keyed by :data:`SWEEP_COLUMNS`,
+    which are also the columns of ``out_dir/sweep.csv``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(
@@ -562,43 +547,16 @@ def run_sweep(
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
     check_external_dir(config)
     sweeps = [apply_sweep_axis(config, axis, value) for value in values]
-    specs = [draw_scene_specs(swept) for swept in sweeps]
+    payloads = [
+        (source, swept) for swept in sweeps for _, source in _scene_jobs(swept)
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        {
-            "scene_dir": None,
-            "scene_spec": config_to_dict(spec),
-            "config": config_to_dict(swept),
-        }
-        for swept, swept_specs in zip(sweeps, specs)
-        for spec in swept_specs
-    ]
     scores = iter(_map_jobs(_sweep_worker, payloads, jobs))
     rows = []
     for value, swept in zip(values, sweeps):
-        value_scores = [next(scores) for _ in range(swept.num_scenes)]
-        rows.append(
-            {
-                "axis": axis,
-                "value": float(value),
-                "num_scenes": swept.num_scenes,
-                "mean_fcp_image_si_sdr_db": float(np.mean(value_scores)),
-                "config_sha256": swept.config_hash(),
-            }
-        )
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "axis",
-                "value",
-                "num_scenes",
-                "mean_fcp_image_si_sdr_db",
-                "config_sha256",
-            ],
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        mean = float(np.mean([next(scores) for _ in range(swept.num_scenes)]))
+        row = (axis, float(value), swept.num_scenes, mean, swept.config_hash())
+        rows.append(dict(zip(SWEEP_COLUMNS, row)))
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [r.values() for r in rows])
     return rows

@@ -1,4 +1,4 @@
-"""WAV and JSON manifest helpers shared by scene and pipeline serialization.
+"""WAV, JSON and CSV helpers shared by scene, pipeline and report writers.
 
 Config dataclasses serialize through one pair, :func:`config_to_dict`
 and :func:`config_from_dict`; report hashes are taken over that form.
@@ -15,6 +15,7 @@ leaves either the old file or the new one, never a truncated one.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -138,6 +139,14 @@ def write_json(path, obj) -> None:
             json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: the header row, then each row."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json(path) -> dict:

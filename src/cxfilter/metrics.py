@@ -10,14 +10,13 @@ hide from the plain metric.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from cxfilter.io import config_to_dict
+from cxfilter.io import config_to_dict, write_csv
 from cxfilter.losses import MAX_SPEAKERS, best_permutation
 from cxfilter.scenes import Scene
 from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, istft, stft
@@ -155,20 +154,20 @@ class QuantileSweep:
         check_quantiles(self.quantiles)
 
     def write_values_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["system", "quantile", "si_sdr_le_db"])
-            for name, vals in self.values.items():
-                for q, v in zip(self.quantiles, vals):
-                    writer.writerow([name, repr(float(q)), repr(float(v))])
+        rows = [
+            [name, float(q), float(v)]
+            for name, vals in self.values.items()
+            for q, v in zip(self.quantiles, vals)
+        ]
+        write_csv(path, ("system", "quantile", "si_sdr_le_db"), rows)
 
     def write_improvements_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["system_a", "system_b", "quantile", "delta_db"])
-            for (a, b), vals in self.improvements.items():
-                for q, v in zip(self.quantiles, vals):
-                    writer.writerow([a, b, repr(float(q)), repr(float(v))])
+        rows = [
+            [a, b, float(q), float(v)]
+            for (a, b), vals in self.improvements.items()
+            for q, v in zip(self.quantiles, vals)
+        ]
+        write_csv(path, ("system_a", "system_b", "quantile", "delta_db"), rows)
 
     def to_dict(self) -> dict:
         return {
@@ -203,34 +202,36 @@ def quantile_sweep(est_systems: dict, ref, quantiles) -> QuantileSweep:
     return QuantileSweep(quantiles=quantiles, values=values, improvements=improvements)
 
 
+def mean_scores(entries) -> dict:
+    """The arithmetic mean of every score over per-speaker or per-scene
+    entries: ``si_sdr_db`` and, if scored, ``si_sdr_le_db`` per quantile.
+    """
+    mean = {"si_sdr_db": float(np.mean([e["si_sdr_db"] for e in entries]))}
+    if "si_sdr_le_db" in entries[0]:
+        mean["si_sdr_le_db"] = {
+            q: float(np.mean([e["si_sdr_le_db"][q] for e in entries]))
+            for q in entries[0]["si_sdr_le_db"]
+        }
+    return mean
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-speaker and mean scores for one scene evaluation.
 
     ``per_speaker[c]`` holds the scores of the estimate assigned to
     reference speaker ``c``; ``permutation[c]`` names that estimate's
-    index.  ``mean`` carries the arithmetic means of every score kind.
+    index.  ``mean`` is not passed: it is computed from ``per_speaker``
+    by :func:`mean_scores`.
     """
 
     per_speaker: tuple
-    mean: dict
     permutation: tuple
     config: dict = field(default_factory=dict)
+    mean: dict = field(init=False)
 
     def __post_init__(self):
-        for key, value in self.mean.items():
-            vals = [speaker[key] for speaker in self.per_speaker]
-            flat_mean = (
-                {q: float(np.mean([v[q] for v in vals])) for q in value}
-                if isinstance(value, dict)
-                else float(np.mean(vals))
-            )
-            if isinstance(value, dict):
-                bad = any(abs(value[q] - flat_mean[q]) > 1e-9 for q in value)
-            else:
-                bad = abs(value - flat_mean) > 1e-9
-            if bad:
-                raise ValueError(f"mean[{key!r}] does not match per-speaker values")
+        object.__setattr__(self, "mean", mean_scores(self.per_speaker))
 
     def to_dict(self) -> dict:
         return {
@@ -280,12 +281,6 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
             }
         per_speaker.append(entry)
 
-    mean = {"si_sdr_db": float(np.mean([s["si_sdr_db"] for s in per_speaker]))}
-    if quantiles:
-        mean["si_sdr_le_db"] = {
-            q: float(np.mean([s["si_sdr_le_db"][q] for s in per_speaker]))
-            for q in quantiles
-        }
     config = {
         "si_sdr_cap_db": SI_SDR_CAP_DB,
         "si_sdr_floor_db": SI_SDR_FLOOR_DB,
@@ -294,8 +289,5 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
         "le_domain": "time",
     }
     return MetricsReport(
-        per_speaker=tuple(per_speaker),
-        mean=mean,
-        permutation=best_perm,
-        config=config,
+        per_speaker=tuple(per_speaker), permutation=best_perm, config=config
     )

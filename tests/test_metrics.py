@@ -285,18 +285,15 @@ class TestEvaluateScene:
 
 
 class TestMetricsReport:
-    def test_mean_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MetricsReport(
-                per_speaker=({"si_sdr_db": 1.0}, {"si_sdr_db": 3.0}),
-                mean={"si_sdr_db": 5.0},
-                permutation=(0, 1),
-            )
-
     def test_valid_report_accepted(self):
         report = MetricsReport(
-            per_speaker=({"si_sdr_db": 1.0}, {"si_sdr_db": 3.0}),
-            mean={"si_sdr_db": 2.0},
+            per_speaker=(
+                {"si_sdr_db": 1.0, "si_sdr_le_db": {0.5: -2.0, 1.0: 4.0}},
+                {"si_sdr_db": 3.0, "si_sdr_le_db": {0.5: 0.0, 1.0: 5.0}},
+            ),
             permutation=(0, 1),
         )
+        assert report.mean == {"si_sdr_db": 2.0, "si_sdr_le_db": {0.5: -1.0, 1.0: 4.5}}
         assert report.to_dict()["permutation"] == [0, 1]
+        with pytest.raises(TypeError):
+            MetricsReport(per_speaker=(), mean={}, permutation=())
