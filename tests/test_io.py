@@ -1,4 +1,4 @@
-"""WAV and JSON helpers: precision, rejection paths, manifest safety."""
+"""WAV, JSON and CSV helpers: precision, rejection paths, manifest safety."""
 
 import types
 from pathlib import Path
@@ -14,6 +14,7 @@ from cxfilter.io import (
     jsonify,
     read_json,
     read_wav,
+    write_csv,
     write_json,
     write_wav,
 )
@@ -75,7 +76,7 @@ class TestJson:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("kind", ["wav", "json"])
+    @pytest.mark.parametrize("kind", ["wav", "json", "csv"])
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
         path = tmp_path / f"out.{kind}"
         if kind == "wav":
@@ -91,7 +92,7 @@ class TestAtomicWrites:
             def write():
                 write_wav(path, np.zeros(50), 8000)
 
-        else:
+        elif kind == "json":
             write_json(path, {"a": 1})
 
             def torn_text(self, text, encoding=None):
@@ -103,6 +104,16 @@ class TestAtomicWrites:
 
             def write():
                 write_json(path, {"a": 2, "b": [1, 2, 3]})
+
+        else:
+            write_csv(path, ("a",), [[1.5]])
+
+            def torn_rows():
+                yield [2.5, 3.5]
+                raise OSError("disk full")
+
+            def write():
+                write_csv(path, ("a", "b"), torn_rows())
 
         old = path.read_bytes()
         with pytest.raises(OSError, match="disk full"):

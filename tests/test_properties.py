@@ -1,6 +1,6 @@
 """Property tests over drawn shapes: the FCP fit and its drivers, exact
-recovery of a known filter, the STFT round trip, and the scale
-invariance of SI-SDR.
+recovery of a known filter, the STFT round trip, the scale invariance
+of SI-SDR, and batch output bytes that do not depend on ``jobs``.
 
 Spectrograms come from a drawn seed, with silent bins, silent frames and
 negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
@@ -8,9 +8,12 @@ tile edges.  A grid has at least two bins (even DFT sizes only).
 """
 
 import contextlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxfilter import fcp as fcp_module
@@ -28,6 +31,15 @@ from cxfilter import (
     si_sdr,
     stft,
 )
+from cxfilter.experiment import (
+    FCP_MODES,
+    ExperimentConfig,
+    SceneRanges,
+    run_separation,
+    run_simulation,
+)
+from cxfilter.io import read_json
+from cxfilter.pipeline import DegradationSpec
 from conftest import naive_istft
 
 seeds = st.integers(0, 2**32 - 1)
@@ -171,3 +183,51 @@ def test_si_sdr_ignores_the_estimate_scale(seed, length, exponent, negative):
     est = ref + 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(length)
     scale = (-1.0 if negative else 1.0) * 10.0**exponent
     assert abs(si_sdr(scale * est, ref) - si_sdr(est, ref)) <= 1e-9
+
+
+def _batch_bytes(out: Path) -> dict:
+    """Every file under a batch output, the batch report without ``out``."""
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path != out / "report.json"
+    }
+    report = read_json(out / "report.json")
+    assert report["config"].pop("out") == str(out)
+    return {"report.json": report, **files}
+
+
+@settings(max_examples=6)
+@given(
+    scenes=st.integers(1, 3),
+    speakers=st.integers(1, 2),
+    fcp_mode=st.sampled_from(FCP_MODES),
+    seed=seeds,
+    on_disk=st.booleans(),
+)
+def test_separation_bytes_do_not_depend_on_jobs(
+    scenes, speakers, fcp_mode, seed, on_disk
+):
+    config = ExperimentConfig(
+        seed=seed,
+        num_scenes=scenes,
+        scene=SceneRanges(num_speakers=speakers, duration_s=0.5),
+        degradation=DegradationSpec(snr_db=10.0),
+        fcp_mode=fcp_mode,
+        quantiles=(0.5, 1.0),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenes_dir = None
+        if on_disk:
+            scenes_dir = tmp / "scenes"
+            run_simulation(config, scenes_dir)
+        runs = []
+        for jobs in (1, 2):
+            out = tmp / f"jobs{jobs}"
+            run_separation(
+                replace(config, out=str(out)), out, scenes_dir=scenes_dir, jobs=jobs
+            )
+            runs.append(_batch_bytes(out))
+    assert len(runs[0]) == 1 + scenes * (2 + 2 * speakers)
+    assert runs[0] == runs[1]

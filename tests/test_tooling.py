@@ -1,11 +1,14 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run."""
+as a failure, and the tests after it still run.  And one source rule:
+files are written only through :mod:`cxfilter.io`'s atomic writers."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "cxfilter"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings
@@ -39,3 +42,51 @@ def test_failing_property_test_is_reported_not_internal_error(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert run.returncode == 1
+
+
+# Path methods that write a file in place.
+PATH_WRITERS = ("write_text", "write_bytes", "touch")
+# (module, enclosing function, call) writing outside io.py by design:
+# the output-directory probe, an empty file removed again at once.
+ALLOWED_WRITES = {("cli.py", "_make_out_dir", "touch")}
+
+
+def _write_call(call: ast.Call):
+    """The name of a file-writing call, or None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in PATH_WRITERS:
+        return func.attr
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return None
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    for mode in modes:
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return "open"  # a mode computed at run time may write
+        if set(mode.value) & set("wax+"):
+            return "open"
+    return None
+
+
+def _writes(node, function=None):
+    """(enclosing function, call) of every file-writing call under a node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _writes(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and _write_call(child):
+            yield function, _write_call(child)
+        yield from _writes(child, function)
+
+
+def test_files_are_written_only_through_io():
+    found = {
+        (path.name, function, call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "io.py"
+        for function, call in _writes(ast.parse(path.read_text()))
+    }
+    assert found == ALLOWED_WRITES
