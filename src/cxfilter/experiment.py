@@ -511,12 +511,12 @@ def apply_sweep_axis(
     return override(config, path, cast(value))
 
 
-def _sweep_worker(job) -> float:
+def _sweep_worker(job) -> dict:
     source, config = job
     scene = _scene(source)
     _, stack = predict(scene, config)
     images = [istft(s, output_length=scene.num_samples) for s in stack.fcp_images]
-    return float(evaluate_scene(images, scene).mean["si_sdr_db"])
+    return evaluate_scene(images, scene).mean
 
 
 def run_sweep(
@@ -552,11 +552,12 @@ def run_sweep(
     ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scores = iter(_map_jobs(_sweep_worker, payloads, jobs))
+    scene_means = iter(_map_jobs(_sweep_worker, payloads, jobs))
     rows = []
     for value, swept in zip(values, sweeps):
-        mean = float(np.mean([next(scores) for _ in range(swept.num_scenes)]))
-        row = (axis, float(value), swept.num_scenes, mean, swept.config_hash())
+        mean = mean_scores([next(scene_means) for _ in range(swept.num_scenes)])
+        sha = swept.config_hash()
+        row = (axis, float(value), swept.num_scenes, mean["si_sdr_db"], sha)
         rows.append(dict(zip(SWEEP_COLUMNS, row)))
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [r.values() for r in rows])
     return rows
