@@ -77,8 +77,8 @@ def _writes(node, function=None):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from _writes(child, child.name)
             continue
-        if isinstance(child, ast.Call) and _write_call(child):
-            yield function, _write_call(child)
+        if isinstance(child, ast.Call) and (call := _write_call(child)):
+            yield function, call
         yield from _writes(child, function)
 
 
