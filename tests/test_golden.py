@@ -371,3 +371,51 @@ SEPARATE_SHA256 = {
 
 def test_separate_output_bytes_are_pinned(tmp_path):
     assert _separate_outputs(tmp_path) == SEPARATE_SHA256
+
+
+def _feature_export_outputs(tmp_path) -> dict:
+    """``export_features`` of the stack ``predict`` builds for one fixed,
+    seeded 2-speaker scene."""
+    from cxfilter.pipeline import export_features, predict
+
+    scene = simulate_scene(
+        SceneSpec(num_speakers=2, duration_s=0.8, t60_s=0.3, seed=31)
+    )
+    config = ExperimentConfig(
+        degradation=DegradationSpec(snr_db=10.0, seed=3), fcp=FcpConfig(taps=4)
+    )
+    _, stack = predict(scene, config)
+    export_features(stack, tmp_path / "feat")
+    return _file_digests(tmp_path / "feat")
+
+
+FEATURES_SHA256 = {
+    "features.json": (
+        "6c98e394ef1e2cf3bf7418a73f5598dd2ccb9aaba6e99e16ce77734cfc9a8f3a"
+    ),
+    "mixture.wav": (
+        "86db94b32a53a113432bb88e0c68a78f66b1d7ddfdad20e08a8bcb2aa70896b9"
+    ),
+    "s1_fcp_image.wav": (
+        "7d24a538f7d15f4453e933e0088d9f7241b92991c0bc59f0f986a65e719e8377"
+    ),
+    "s1_stage1_direct.wav": (
+        "676f1e3130c86f18cd1fa37558c5f85aaf0a6a748e7175e9e06830fcbb9b525e"
+    ),
+    "s1_stage1_image.wav": (
+        "ea5037ff83c8641efda71e4a6c1bf5abfabf77a68770e2faed3e6fb6e2c204ef"
+    ),
+    "s2_fcp_image.wav": (
+        "a4bc8c03fea9979c255dbeaa36dc76836c9a1867a49c1bcf7d4f350ad962c48d"
+    ),
+    "s2_stage1_direct.wav": (
+        "23a946c270b538d56fc4b8ea6d5c67498564d0635435505825abb6667cf04004"
+    ),
+    "s2_stage1_image.wav": (
+        "0897485d2174ee69ae94d2933d92b6246401bc8cd05ce410f448d35c31761eb7"
+    ),
+}
+
+
+def test_feature_export_bytes_are_pinned(tmp_path):
+    assert _feature_export_outputs(tmp_path) == FEATURES_SHA256

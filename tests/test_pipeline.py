@@ -12,6 +12,7 @@ from cxfilter import (
     FcpConfig,
     FeatureStack,
     SEPARATOR_STFT,
+    SceneSpec,
     SeparatorOutput,
     convert_config,
     export_features,
@@ -259,15 +260,26 @@ class TestFeatureExchange:
         assert manifest["files"][0] == "mixture.wav"
         assert len(manifest["files"]) == 7
 
-    def test_estimates_round_trip(self, small_scene, tmp_path):
-        _, sep, n = self._float32_scene_stack(small_scene)
+    @pytest.mark.parametrize("speakers", [1, 2, 3])
+    def test_estimates_round_trip(self, tmp_path, speakers):
+        scene = simulate_scene(
+            SceneSpec(num_speakers=speakers, duration_s=0.8, t60_s=0.3, seed=903)
+        )
+        _, sep, n = self._float32_scene_stack(scene)
         export_estimates(sep, tmp_path / "est", n)
-        assert (tmp_path / "est" / "s1_direct.wav").is_file()
-        assert (tmp_path / "est" / "s2_image.wav").is_file()
+        for c in range(1, speakers + 1):
+            assert (tmp_path / "est" / f"s{c}_direct.wav").is_file()
+            assert (tmp_path / "est" / f"s{c}_image.wav").is_file()
         back, length = import_estimates(tmp_path / "est")
         assert length == n
-        for a, b in zip(sep.image_estimates, back.image_estimates):
-            assert np.allclose(a.data, b.data, atol=1e-6)
+        assert back.num_speakers == speakers
+        # Every speaker's direct estimate and image return in their own slot.
+        for want, got in (
+            (sep.direct_estimates, back.direct_estimates),
+            (sep.image_estimates, back.image_estimates),
+        ):
+            for a, b in zip(want, got, strict=True):
+                assert np.allclose(a.data, b.data, atol=1e-6)
 
     def test_missing_manifest_is_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="features.json"):
