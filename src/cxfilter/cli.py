@@ -28,7 +28,7 @@ from cxfilter.experiment import (
     FCP_MODES,
     SWEEP_AXES,
     ExperimentConfig,
-    discover_scene_dirs,
+    NoScenesError,
     evaluate_estimates,
     override,
     run_separation,
@@ -100,8 +100,8 @@ FLAGS = (
     ("--config", None, dict(help="JSON experiment config file"), _RUNS),
     ("--jobs", None, dict(type=int, default=1, help="scene-level parallel workers "
                           "(results merge in scene order)"), _BATCHES),
-    ("--scenes", None, dict(help="directory of scene directories; omitted: "
-                            "simulate from config"), _SEP),
+    ("--scenes", None, dict(type=Path, help="directory of scene directories; "
+                            "omitted: simulate from config"), _SEP),
     ("--scene", None, dict(required=True, help="scene directory"), _EVAL),
     ("--estimates", None, dict(required=True, help="estimates directory"), _EVAL),
     ("--axis", None, dict(required=True, choices=tuple(SWEEP_AXES)), _SWEEP),
@@ -228,17 +228,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_separate(args) -> int:
     config = _resolve_config(args)
-    scenes_dir = None
-    if args.scenes is not None:
-        scenes_dir = Path(args.scenes)
-        if not discover_scene_dirs(scenes_dir):
-            raise CliError(
-                EXIT_MISSING_SCENE,
-                f"no scene manifest found: expected {scenes_dir / SCENE_MANIFEST} "
-                f"or {scenes_dir}/*/{SCENE_MANIFEST}",
-            )
     with _run_into(args) as out:
-        aggregate = run_separation(config, out, scenes_dir=scenes_dir, jobs=args.jobs)
+        try:
+            aggregate = run_separation(
+                config, out, scenes_dir=args.scenes, jobs=args.jobs
+            )
+        except NoScenesError as err:
+            raise CliError(EXIT_MISSING_SCENE, str(err))
     mean = aggregate["mean"]["si_sdr_db"]
     print(
         f"separated {aggregate['num_scenes']} scene(s): "

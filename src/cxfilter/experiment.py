@@ -208,6 +208,10 @@ def discover_scene_dirs(scenes_dir) -> list:
     )
 
 
+class NoScenesError(FileNotFoundError):
+    """A scene root that holds no scene manifest."""
+
+
 def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
     """(name, source) of every scene of a batch, in scene order: the
     scene directories under ``scenes_dir``, or without one a
@@ -220,7 +224,7 @@ def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
         ]
     jobs = [(d.name, d) for d in discover_scene_dirs(scenes_dir)]
     if not jobs:
-        raise FileNotFoundError(
+        raise NoScenesError(
             f"no scene manifest found under {scenes_dir} "
             f"(expected {Path(scenes_dir) / SCENE_MANIFEST} or "
             f"{Path(scenes_dir)}/*/{SCENE_MANIFEST})"
@@ -370,11 +374,12 @@ def run_separation(
     produced by the scene writer), otherwise ``config.num_scenes``
     scenes are generated from the config's ranges and seed.  Returns
     the batch report, which is also written to ``out_dir/report.json``;
-    its ``mean`` is the :func:`mean_scores` of the scene means.
+    its ``mean`` is the :func:`mean_scores` of the scene means.  A
+    ``scenes_dir`` without a scene manifest raises :class:`NoScenesError`.
     """
+    scene_jobs = _scene_jobs(config, scenes_dir)
     check_external_dir(config)
     out_dir = Path(out_dir)
-    scene_jobs = _scene_jobs(config, scenes_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = _map_jobs(
         _separate_worker,

@@ -279,16 +279,12 @@ def fcp_essu_separate(
     for s_hat in s_hats:
         _check_same_grid(mixture_spec, s_hat, "fcp_essu_separate")
 
-    count = len(s_hats)
-    images = [
-        ComplexSpectrogram(np.zeros_like(mixture_spec.data), mixture_spec.config)
-        for _ in range(count)
-    ]
+    images = [None] * len(s_hats)
     for c in energy_sort(s_hats):
         residual = mixture_spec.data.copy()
-        for other in range(count):
-            if other != c:
-                residual -= images[other].data
+        for image in images:  # the images fitted so far, in speaker order
+            if image is not None:
+                residual -= image.data
         target = ComplexSpectrogram(residual, mixture_spec.config)
         g = estimate_fcp_filter(target, s_hats[c], config)
         images[c] = apply_filter(g, s_hats[c])

@@ -49,6 +49,9 @@ ESTIMATES_FORMAT_VERSION = 1
 
 # Keys that both exchange manifests must carry.
 _MANIFEST_KEYS = ("num_speakers", "num_samples", "stft")
+# Per-speaker WAV kinds of each exchange directory, in file order.
+FEATURE_KINDS = ("stage1_direct", "stage1_image", "fcp_image")
+ESTIMATE_KINDS = ("direct", "image")
 
 DEGRADATION_MODES = ("additive_noise", "cross_talk", "combined")
 REFINEMENTS = ("passthrough", "fcp_substitute", "external")
@@ -67,9 +70,10 @@ class SeparatorOutput:
         if len(self.direct_estimates) == 0:
             raise ValueError("SeparatorOutput needs at least one speaker")
         first = self.direct_estimates[0]
-        for spec in (*self.direct_estimates, *self.image_estimates):
-            if spec.data.shape != first.data.shape or spec.config != first.config:
-                raise ValueError("SeparatorOutput spectrograms must share the grid")
+        if not all(
+            first.same_grid(s) for s in (*self.direct_estimates, *self.image_estimates)
+        ):
+            raise ValueError("SeparatorOutput spectrograms must share the grid")
 
     @property
     def num_speakers(self) -> int:
@@ -127,17 +131,8 @@ class FeatureStack:
             raise ValueError("FeatureStack speaker lists must share length")
         if count == 0:
             raise ValueError("FeatureStack needs at least one speaker")
-        for spec in (
-            self.mixture,
-            *self.stage1_direct,
-            *self.stage1_image,
-            *self.fcp_images,
-        ):
-            if (
-                spec.data.shape != self.mixture.data.shape
-                or spec.config != self.mixture.config
-            ):
-                raise ValueError("FeatureStack spectrograms must share the grid")
+        if not all(self.mixture.same_grid(s) for s in self.spectrograms()):
+            raise ValueError("FeatureStack spectrograms must share the grid")
 
     @property
     def num_speakers(self) -> int:
@@ -235,55 +230,56 @@ def run_fcp_stage(
     return [convert_config(img, config.stft_dnn, n) for img in images]
 
 
-def _feature_files(count: int) -> list:
-    names = ["mixture.wav"]
-    for c in range(1, count + 1):
-        names += [
-            f"s{c}_stage1_direct.wav",
-            f"s{c}_stage1_image.wav",
-            f"s{c}_fcp_image.wav",
-        ]
-    return names
+def _exchange_files(kinds: tuple, speakers) -> list:
+    """WAV names of an exchange directory: ``s{c}_{kind}.wav`` for each
+    speaker label ``c`` in turn, after ``mixture.wav`` in a feature
+    directory."""
+    head = ["mixture.wav"] if kinds == FEATURE_KINDS else []
+    return head + [f"s{c}_{kind}.wav" for c in speakers for kind in kinds]
 
 
-def export_features(stack: FeatureStack, directory) -> Path:
-    """Write a feature directory: ``features.json`` plus one WAV each.
-
-    Signals are inverted to the time domain and stored as 32-bit float
-    WAV; reimporting reproduces the stack exactly when the underlying
-    signals are float32-representable, and to 32-bit precision
-    otherwise.  Returns the manifest path.
-    """
+def _write_exchange(
+    directory, name: str, kinds: tuple, manifest: dict, specs: list, num_samples: int
+) -> Path:
+    """Invert each spectrogram at ``num_samples`` into its WAV, in
+    :func:`_exchange_files` order, then write the manifest ``name`` with
+    ``num_samples``, ``stft`` and ``files`` added.  Returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    config = stack.mixture.config
-    names = _feature_files(stack.num_speakers)
-    for name, spec in zip(names, stack.spectrograms()):
+    config = specs[0].config
+    files = _exchange_files(kinds, range(1, manifest["num_speakers"] + 1))
+    for file, spec in zip(files, specs, strict=True):
         write_wav(
-            directory / name,
-            istft(spec, output_length=stack.num_samples),
+            directory / file,
+            istft(spec, output_length=num_samples),
             config.sample_rate_hz,
         )
-    manifest = {
-        "format": "feature-stack",
-        "version": FEATURES_FORMAT_VERSION,
-        "num_speakers": stack.num_speakers,
-        "num_samples": stack.num_samples,
-        "frames": stack.mixture.frames,
-        "bins": stack.mixture.bins,
-        "stft": config_to_dict(config),
-        "files": names,
-    }
-    path = directory / FEATURES_MANIFEST
-    write_json(path, manifest)
+    path = directory / name
+    write_json(
+        path,
+        {
+            **manifest,
+            "num_samples": num_samples,
+            "stft": config_to_dict(config),
+            "files": files,
+        },
+    )
     return path
 
 
-def _load_manifest(directory: Path, name: str, version: int, required: str) -> dict:
+def _read_exchange(directory, name: str, version: int, kinds: tuple) -> tuple:
+    """Read an exchange directory written by :func:`_write_exchange`.
+
+    Checks the manifest's version and required keys, then each WAV's
+    rate and length.  Returns the manifest and the spectrograms in file
+    order.
+    """
+    directory = Path(directory)
     path = directory / name
     if not path.is_file():
         raise FileNotFoundError(
-            f"{path} not found; the directory must contain {name} plus {required}"
+            f"{path} not found; the directory must contain {name} plus "
+            f"{', '.join(_exchange_files(kinds, ['{c}']))} for each speaker c"
         )
     manifest = read_json(path)
     if manifest.get("version") != version:
@@ -294,39 +290,52 @@ def _load_manifest(directory: Path, name: str, version: int, required: str) -> d
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
-    return manifest
-
-
-def _read_spectrograms(directory: Path, manifest: dict, names: list, kind: str) -> list:
-    """Analyze exchange-directory WAVs, checking each one's rate and length."""
     config = config_from_dict(StftConfig, manifest["stft"])
     length = int(manifest["num_samples"])
     specs = []
-    for name in names:
-        path = directory / name
-        if not path.is_file():
-            raise FileNotFoundError(f"{kind} file missing: {path}")
-        signal = read_wav(path, expected_rate=config.sample_rate_hz)
+    for file in _exchange_files(kinds, range(1, int(manifest["num_speakers"]) + 1)):
+        wav = directory / file
+        if not wav.is_file():
+            raise FileNotFoundError(f"{path} lists a missing file: {wav}")
+        signal = read_wav(wav, expected_rate=config.sample_rate_hz)
         if signal.shape[0] != length:
             raise ValueError(
-                f"{path}: {signal.shape[0]} samples, manifest says {length}"
+                f"{wav}: {signal.shape[0]} samples, manifest says {length}"
             )
         specs.append(stft(signal, config))
-    return specs
+    return manifest, specs
+
+
+def export_features(stack: FeatureStack, directory) -> Path:
+    """Write a feature directory: ``features.json`` plus one WAV each.
+
+    Signals are inverted to the time domain and stored as 32-bit float
+    WAV; reimporting reproduces the stack exactly when the underlying
+    signals are float32-representable, and to 32-bit precision
+    otherwise.  Returns the manifest path.
+    """
+    manifest = {
+        "format": "feature-stack",
+        "version": FEATURES_FORMAT_VERSION,
+        "num_speakers": stack.num_speakers,
+        "frames": stack.mixture.frames,
+        "bins": stack.mixture.bins,
+    }
+    return _write_exchange(
+        directory,
+        FEATURES_MANIFEST,
+        FEATURE_KINDS,
+        manifest,
+        stack.spectrograms(),
+        stack.num_samples,
+    )
 
 
 def import_features(directory) -> FeatureStack:
     """Read a feature directory written by :func:`export_features`."""
-    directory = Path(directory)
-    manifest = _load_manifest(
-        directory,
-        FEATURES_MANIFEST,
-        FEATURES_FORMAT_VERSION,
-        "mixture.wav and per-speaker s{c}_stage1_direct.wav, "
-        "s{c}_stage1_image.wav, s{c}_fcp_image.wav",
+    manifest, specs = _read_exchange(
+        directory, FEATURES_MANIFEST, FEATURES_FORMAT_VERSION, FEATURE_KINDS
     )
-    names = _feature_files(int(manifest["num_speakers"]))
-    specs = _read_spectrograms(directory, manifest, names, "feature")
     return FeatureStack(
         mixture=specs[0],
         stage1_direct=specs[1::3],
@@ -338,33 +347,19 @@ def import_features(directory) -> FeatureStack:
 
 def export_estimates(output: SeparatorOutput, directory, num_samples: int) -> Path:
     """Write refined estimates in the layout :func:`import_estimates` reads."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    config = output.stft_config
-    files = []
-    for c in range(1, output.num_speakers + 1):
-        for kind, spec in (
-            ("direct", output.direct_estimates[c - 1]),
-            ("image", output.image_estimates[c - 1]),
-        ):
-            name = f"s{c}_{kind}.wav"
-            write_wav(
-                directory / name,
-                istft(spec, output_length=num_samples),
-                config.sample_rate_hz,
-            )
-            files.append(name)
     manifest = {
         "format": "speaker-estimates",
         "version": ESTIMATES_FORMAT_VERSION,
         "num_speakers": output.num_speakers,
-        "num_samples": num_samples,
-        "stft": config_to_dict(config),
-        "files": files,
     }
-    path = directory / ESTIMATES_MANIFEST
-    write_json(path, manifest)
-    return path
+    specs = [
+        spec
+        for pair in zip(output.direct_estimates, output.image_estimates)
+        for spec in pair
+    ]
+    return _write_exchange(
+        directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS, manifest, specs, num_samples
+    )
 
 
 def import_estimates(directory) -> tuple[SeparatorOutput, int]:
@@ -372,21 +367,10 @@ def import_estimates(directory) -> tuple[SeparatorOutput, int]:
 
     Returns the estimates and the sample count their manifest records.
     """
-    directory = Path(directory)
-    manifest = _load_manifest(
-        directory,
-        ESTIMATES_MANIFEST,
-        ESTIMATES_FORMAT_VERSION,
-        "per-speaker s{c}_direct.wav and s{c}_image.wav",
+    manifest, specs = _read_exchange(
+        directory, ESTIMATES_MANIFEST, ESTIMATES_FORMAT_VERSION, ESTIMATE_KINDS
     )
-    count = int(manifest["num_speakers"])
-    names = [
-        f"s{c}_{kind}.wav" for kind in ("direct", "image") for c in range(1, count + 1)
-    ]
-    specs = _read_spectrograms(directory, manifest, names, "estimate")
-    output = SeparatorOutput(
-        direct_estimates=specs[:count], image_estimates=specs[count:]
-    )
+    output = SeparatorOutput(direct_estimates=specs[0::2], image_estimates=specs[1::2])
     return output, int(manifest["num_samples"])
 
 

@@ -9,12 +9,14 @@ from dataclasses import replace
 import pytest
 
 import cxfilter.cli
+import cxfilter.experiment
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
 from cxfilter.cli import build_parser, main
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.io import config_to_dict, read_json, write_json
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import save_scene
+from conftest import count_calls
 
 
 def _simulate(out, count=1, speakers=1, duration=0.8, seed=4, extra=()):
@@ -231,6 +233,28 @@ class TestSeparate:
         )
         assert code == 3
         assert "scene.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scene_tree_is_walked_once(self, tmp_path, monkeypatch):
+        assert _simulate(tmp_path / "scenes", count=2) == 0
+        calls = count_calls(monkeypatch, cxfilter.experiment, "discover_scene_dirs")
+        # A module that imported the name itself calls the same counter.
+        monkeypatch.setattr(
+            cxfilter.cli,
+            "discover_scene_dirs",
+            cxfilter.experiment.discover_scene_dirs,
+            raising=False,
+        )
+        code = main(
+            [
+                "separate",
+                "--scenes", str(tmp_path / "scenes"),
+                "--out", str(tmp_path / "out"),
+                "--fcp", "off",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_identical_runs_identical_reports(self, tmp_path):
         path = tmp_path / "config.json"
