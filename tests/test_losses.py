@@ -235,6 +235,35 @@ class TestCompositeLoss:
             composite_loss("stage3", ref_r, ref_a, ref_r, ref_a, mix)
 
 
+class TestPinnedTotals:
+    """Exact totals on one seeded 3-speaker input; any change to the
+    summation order of a loss moves a bit here."""
+
+    @pytest.fixture
+    def inputs(self):
+        rng = np.random.default_rng(2024)
+        streams = [[rand_spec(rng, 5, GRID) for _ in range(3)] for _ in range(4)]
+        return (*streams, rand_spec(rng, 5, GRID))
+
+    def test_pit_enh_mc(self, inputs):
+        est_r, _, ref_r, _, mix = inputs
+        out = pit_loss(est_r, ref_r)
+        assert out.total == 2.951737754977639
+        assert out.permutation == (0, 2, 1)
+        assert enh_loss(est_r, ref_r, (2, 0, 1)) == 3.0894870541314665
+        assert mc_loss(est_r, mix) == 1.5125178727082085
+
+    def test_composite_stages(self, inputs):
+        est_r, est_a, ref_r, ref_a, mix = inputs
+        stage1 = composite_loss("stage1", est_r, est_a, ref_r, ref_a, mix)
+        assert stage1.total == 9.479342455820586
+        assert stage1.permutation == (0, 2, 1)
+        stage2 = composite_loss(
+            "stage2", est_r, est_a, ref_r, ref_a, mix, permutation=(1, 2, 0)
+        )
+        assert stage2.total == 9.502074881423615
+
+
 class TestLossValue:
     def test_breakdown_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,23 @@ class TestQuantileSweep:
         assert out.values["a"] == out.values["b"]
         assert all(v == 0.0 for v in out.improvements[("a", "b")])
 
+    def test_three_systems_are_exact_scores_and_differences(self, rng):
+        ref = rng.standard_normal(4000)
+        systems = {
+            name: ref + scale * rng.standard_normal(4000)
+            for name, scale in (("a", 0.05), ("b", 0.2), ("c", 0.8))
+        }
+        out = quantile_sweep(systems, ref, self.QUANTILES)
+        want = {
+            name: [si_sdr_le(est, ref, q) for q in self.QUANTILES]
+            for name, est in systems.items()
+        }
+        for name in systems:
+            assert list(out.values[name]) == want[name]
+        assert len(out.improvements) == 6
+        for (a, b), deltas in out.improvements.items():
+            assert list(deltas) == [va - vb for va, vb in zip(want[a], want[b])]
+
     def test_improvements_are_ordered_pairs(self, rng):
         out = self._sweep(rng)
         assert set(out.improvements) == {("good", "bad"), ("bad", "good")}
