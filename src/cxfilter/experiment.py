@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -232,6 +231,14 @@ def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
     return jobs
 
 
+def _job_config(config: ExperimentConfig, *parts: str) -> ExperimentConfig:
+    """The config of one scene job: external refinement exchanges under
+    ``external_dir/<parts>/iteration_{i}``, so no two jobs share a directory."""
+    if config.external_dir is None:
+        return config
+    return replace(config, external_dir=str(Path(config.external_dir, *parts)))
+
+
 def _scene(source) -> Scene:
     """The scene of a job's source: a drawn spec simulated, a directory loaded."""
     if isinstance(source, SceneSpec):
@@ -341,7 +348,7 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
             initargs=(max(1, fit_threads // workers),),
         ) as pool:
             return list(pool.map(func, payloads))
-    except (OSError, PermissionError) as err:
+    except OSError as err:
         print(
             f"warning: parallel execution unavailable ({err}); running "
             "sequentially",
@@ -381,11 +388,10 @@ def run_separation(
     check_external_dir(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = _map_jobs(
-        _separate_worker,
-        [(source, config, out_dir / key) for key, source in scene_jobs],
-        jobs,
-    )
+    payloads = [
+        (source, _job_config(config, key), out_dir / key) for key, source in scene_jobs
+    ]
+    reports = _map_jobs(_separate_worker, payloads, jobs)
     aggregate = {
         "version": REPORT_FORMAT_VERSION,
         "config": config_to_dict(config),
@@ -468,28 +474,17 @@ def evaluate_estimates(
     if quantiles:
         # (speakers, quantiles) SI-SDR-LE tables: the estimates' from the
         # report, the unprocessed mixture's against the same references.
-        systems = {
-            "estimate": np.array(
-                [[s["si_sdr_le_db"][q] for q in quantiles] for s in report.per_speaker]
-            ),
-            "unprocessed": np.array(
-                [
-                    [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
-                    for ref in scene.reverberant_image
-                ]
-            ),
-        }
         combined = QuantileSweep(
             quantiles=quantiles,
-            values={
-                name: tuple(float(np.mean(col)) for col in table.T)
-                for name, table in systems.items()
-            },
-            improvements={
-                (a, b): tuple(
-                    float(np.mean(col)) for col in (systems[a] - systems[b]).T
-                )
-                for a, b in itertools.permutations(systems, 2)
+            tables={
+                "estimate": [
+                    [s["si_sdr_le_db"][q] for q in quantiles]
+                    for s in report.per_speaker
+                ],
+                "unprocessed": [
+                    [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
+                    for ref in scene.reverberant_image
+                ],
             },
         )
         combined.write_values_csv(out_dir / "si_sdr_le_values.csv")
@@ -553,7 +548,9 @@ def run_sweep(
     check_external_dir(config)
     sweeps = [apply_sweep_axis(config, axis, value) for value in values]
     payloads = [
-        (source, swept) for swept in sweeps for _, source in _scene_jobs(swept)
+        (source, _job_config(swept, f"value_{k}", key))
+        for k, swept in enumerate(sweeps, 1)
+        for key, source in _scene_jobs(swept)
     ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

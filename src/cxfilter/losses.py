@@ -21,8 +21,6 @@ from cxfilter.stft import ComplexSpectrogram, _check_same_grid
 # Factorial enumeration over speaker permutations; fine for C <= 8.
 MAX_SPEAKERS = 8
 
-_BASE_LOSS_KINDS = ("ri_mag_l1", "ri_l1")
-
 
 @dataclass(frozen=True)
 class LossValue:
@@ -36,7 +34,6 @@ class LossValue:
     total: float
     per_term: dict = field(default_factory=dict)
     permutation: tuple | None = None
-    kind: str = "ri_mag_l1"
 
     def __post_init__(self):
         if self.total < 0.0 or not math.isfinite(self.total):
@@ -45,24 +42,17 @@ class LossValue:
             raise ValueError("loss total does not match its breakdown terms")
 
 
-def base_loss(
-    est: ComplexSpectrogram, ref: ComplexSpectrogram, kind: str = "ri_mag_l1"
-) -> float:
+def base_loss(est: ComplexSpectrogram, ref: ComplexSpectrogram) -> float:
     """Mean L1 distance between two spectrograms.
 
-    ``ri_mag_l1`` (default) averages absolute errors of the real parts,
-    imaginary parts, and magnitudes: (S|dRe| + S|dIm| + S|d|.||)/(3TF).
-    ``ri_l1`` drops the magnitude term and divides by 2TF.  Zero iff
-    the spectrograms are identical.
+    Averages the absolute errors of the real parts, imaginary parts, and
+    magnitudes: (S|dRe| + S|dIm| + S|d|.||)/(3TF).  Zero iff the
+    spectrograms are identical.
     """
     _check_same_grid(est, ref, "base_loss")
-    if kind not in _BASE_LOSS_KINDS:
-        raise ValueError(f"unknown base loss kind {kind!r}")
     delta = est.data - ref.data
     units = delta.size
     re_im = np.sum(np.abs(delta.real)) + np.sum(np.abs(delta.imag))
-    if kind == "ri_l1":
-        return float(re_im / (2 * units))
     mag = np.sum(np.abs(np.abs(est.data) - np.abs(ref.data)))
     return float((re_im + mag) / (3 * units))
 
@@ -82,12 +72,12 @@ def best_permutation(cost) -> tuple:
     return best_perm
 
 
-def _pairwise(ests: list, refs: list, kind: str) -> np.ndarray:
-    """loss[c_ref, c_est] for every reference/estimate pairing."""
+def pairwise_table(score, ests: list, refs: list) -> np.ndarray:
+    """score(est, ref) at [c_ref, c_est] for every reference/estimate pairing."""
     table = np.empty((len(refs), len(ests)))
     for i, ref in enumerate(refs):
         for j, est in enumerate(ests):
-            table[i, j] = base_loss(est, ref, kind)
+            table[i, j] = score(est, ref)
     return table
 
 
@@ -105,7 +95,7 @@ def _check_counts(ests: list, refs: list, op: str):
         )
 
 
-def pit_loss(ests: list, refs: list, kind: str = "ri_mag_l1") -> LossValue:
+def pit_loss(ests: list, refs: list) -> LossValue:
     """Permutation-invariant loss: best speaker assignment wins.
 
     Minimizes sum_c base_loss(est[perm[c]], ref[c]) over all
@@ -114,24 +104,20 @@ def pit_loss(ests: list, refs: list, kind: str = "ri_mag_l1") -> LossValue:
     under the winning assignment.
     """
     _check_counts(ests, refs, "pit_loss")
-    table = _pairwise(ests, refs, kind)
+    table = pairwise_table(base_loss, ests, refs)
     perm = best_permutation(table)
     terms = {f"speaker_{c}": float(table[c, perm[c]]) for c in range(len(refs))}
-    return LossValue(
-        total=sum(terms.values()), per_term=terms, permutation=perm, kind=kind
-    )
+    return LossValue(total=sum(terms.values()), per_term=terms, permutation=perm)
 
 
-def mc_loss(
-    ests: list, mixture_spec: ComplexSpectrogram, kind: str = "ri_mag_l1"
-) -> float:
+def mc_loss(ests: list, mixture_spec: ComplexSpectrogram) -> float:
     """Mixture-consistency loss: base_loss of the summed estimates vs Y."""
     if len(ests) == 0:
         raise ValueError("mc_loss: empty speaker list")
     total = ComplexSpectrogram(
         sum(np.asarray(e.data) for e in ests), mixture_spec.config
     )
-    return base_loss(total, mixture_spec, kind)
+    return base_loss(total, mixture_spec)
 
 
 def _check_permutation(permutation, count: int, op: str) -> tuple:
@@ -141,9 +127,7 @@ def _check_permutation(permutation, count: int, op: str) -> tuple:
     return perm
 
 
-def enh_loss(
-    ests: list, refs: list, permutation, kind: str = "ri_mag_l1"
-) -> float:
+def enh_loss(ests: list, refs: list, permutation) -> float:
     """Fixed-assignment loss: sum_c base_loss(est[perm[c]], ref[c]).
 
     No permutation search; with the PIT-optimal permutation this equals
@@ -151,9 +135,7 @@ def enh_loss(
     """
     _check_counts(ests, refs, "enh_loss")
     perm = _check_permutation(permutation, len(refs), "enh_loss")
-    return float(
-        sum(base_loss(ests[perm[c]], refs[c], kind) for c in range(len(refs)))
-    )
+    return float(sum(base_loss(ests[perm[c]], refs[c]) for c in range(len(refs))))
 
 
 def composite_loss(
@@ -164,7 +146,6 @@ def composite_loss(
     ref_direct: list,
     mixture_spec: ComplexSpectrogram,
     permutation=None,
-    kind: str = "ri_mag_l1",
 ) -> LossValue:
     """Two-stream objective over reverberant and direct-path estimates.
 
@@ -188,8 +169,8 @@ def composite_loss(
         raise ValueError("composite_loss: stream speaker counts differ")
     count = len(ref_reverb)
 
-    table_r = _pairwise(est_reverb, ref_reverb, kind)
-    table_a = _pairwise(est_direct, ref_direct, kind)
+    table_r = pairwise_table(base_loss, est_reverb, ref_reverb)
+    table_a = pairwise_table(base_loss, est_direct, ref_direct)
     if permutation is None:
         perm = best_permutation(table_r + table_a)
     else:
@@ -197,11 +178,11 @@ def composite_loss(
 
     match_r = float(sum(table_r[c, perm[c]] for c in range(count)))
     match_a = float(sum(table_a[c, perm[c]] for c in range(count)))
-    mc_r = mc_loss(est_reverb, mixture_spec, kind)
+    mc_r = mc_loss(est_reverb, mixture_spec)
     direct_ref_sum = ComplexSpectrogram(
         sum(np.asarray(r.data) for r in ref_direct), mixture_spec.config
     )
-    mc_a = mc_loss(est_direct, direct_ref_sum, kind)
+    mc_a = mc_loss(est_direct, direct_ref_sum)
 
     label = "pit" if stage == "stage1" else "enh"
     terms = {
@@ -210,6 +191,4 @@ def composite_loss(
         f"{label}_anechoic": match_a,
         "mc_anechoic": mc_a,
     }
-    return LossValue(
-        total=float(sum(terms.values())), per_term=terms, permutation=perm, kind=kind
-    )
+    return LossValue(total=float(sum(terms.values())), per_term=terms, permutation=perm)

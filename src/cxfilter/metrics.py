@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cxfilter.io import config_to_dict, write_csv
-from cxfilter.losses import MAX_SPEAKERS, best_permutation
+from cxfilter.losses import MAX_SPEAKERS, best_permutation, pairwise_table
 from cxfilter.scenes import Scene
 from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, istft, stft
 
@@ -137,21 +137,36 @@ def si_sdr_le(est, ref, quantile: float) -> float:
     return si_sdr(est_time, ref_time)
 
 
+def _column_means(table) -> tuple:
+    return tuple(float(np.mean(col)) for col in np.asarray(table).T)
+
+
 @dataclass(frozen=True)
 class QuantileSweep:
-    """Per-system SI-SDR-LE values over a quantile grid.
+    """Per-system SI-SDR-LE scores over a quantile grid.
 
-    ``values[name]`` aligns with ``quantiles``; ``improvements[(a, b)]``
-    holds value(a) - value(b) per quantile for every ordered system
-    pair, in the order the systems were supplied.
+    ``tables[name]`` has one row per speaker and one column per
+    quantile; ``values[name]`` is its column means and
+    ``improvements[(a, b)]`` the column means of a - b, row by row, for
+    every ordered system pair in the order the systems were supplied.
     """
 
     quantiles: tuple
-    values: dict
-    improvements: dict = field(default_factory=dict)
+    tables: dict
 
     def __post_init__(self):
         check_quantiles(self.quantiles)
+
+    @property
+    def values(self) -> dict:
+        return {name: _column_means(table) for name, table in self.tables.items()}
+
+    @property
+    def improvements(self) -> dict:
+        return {
+            (a, b): _column_means(np.subtract(self.tables[a], self.tables[b]))
+            for a, b in itertools.permutations(self.tables, 2)
+        }
 
     def write_values_csv(self, path):
         rows = [
@@ -185,21 +200,17 @@ def quantile_sweep(est_systems: dict, ref, quantiles) -> QuantileSweep:
     energy quantile.
 
     ``est_systems`` maps system name to a time-domain estimate of the
-    same reference.  Improvement curves cover every ordered pair of
-    distinct systems.
+    same reference, scored as a one-row table.  Improvement curves cover
+    every ordered pair of distinct systems.
     """
     if len(est_systems) == 0:
         raise ValueError("quantile_sweep needs at least one system")
     quantiles = tuple(float(q) for q in quantiles)
-    values = {
-        name: tuple(si_sdr_le(est, ref, q) for q in quantiles)
+    tables = {
+        name: [[si_sdr_le(est, ref, q) for q in quantiles]]
         for name, est in est_systems.items()
     }
-    improvements = {
-        (a, b): tuple(va - vb for va, vb in zip(values[a], values[b]))
-        for a, b in itertools.permutations(values, 2)
-    }
-    return QuantileSweep(quantiles=quantiles, values=values, improvements=improvements)
+    return QuantileSweep(quantiles=quantiles, tables=tables)
 
 
 def mean_scores(entries) -> dict:
@@ -265,10 +276,7 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
         if est.shape != refs[0].shape:
             raise ValueError("evaluate_scene: estimate length mismatch")
 
-    table = np.empty((count, count))
-    for i, ref in enumerate(refs):
-        for j, est in enumerate(estimates):
-            table[i, j] = si_sdr(est, ref)
+    table = pairwise_table(si_sdr, estimates, refs)
     best_perm = best_permutation(-table)
 
     quantiles = tuple(float(q) for q in quantiles)

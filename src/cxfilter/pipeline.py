@@ -79,10 +79,6 @@ class SeparatorOutput:
     def num_speakers(self) -> int:
         return len(self.direct_estimates)
 
-    @property
-    def stft_config(self) -> StftConfig:
-        return self.direct_estimates[0].config
-
 
 @dataclass(frozen=True)
 class DegradationSpec:

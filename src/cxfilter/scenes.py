@@ -307,8 +307,9 @@ def save_scene(scene: Scene, directory) -> Path:
 def load_scene(directory) -> Scene:
     """Load a scene directory written by :func:`save_scene` (or externally).
 
-    The noise and every direct-path and image component must have as
-    many samples as the mixture.
+    The manifest's ``files`` object names each component's WAV.  The
+    noise and every direct-path and image component must have as many
+    samples as the mixture.
     """
     directory = Path(directory)
     manifest_path = directory / SCENE_MANIFEST
@@ -327,7 +328,17 @@ def load_scene(directory) -> Scene:
     if missing:
         raise ValueError(f"{manifest_path}: missing keys {', '.join(missing)}")
     spec = config_from_dict(SceneSpec, manifest)
-    files = manifest["files"]
+    files = manifest.get("files")
+    if not isinstance(files, dict) or not all(
+        isinstance(name, str) for name in files.values()
+    ):
+        raise ValueError(f"{manifest_path}: key files must be an object of WAV names")
+    count = spec.num_speakers
+    delays = manifest.get("rir_direct_delays_samples")
+    if delays is not None and not (isinstance(delays, list) and len(delays) == count):
+        raise ValueError(
+            f"{manifest_path}: rir_direct_delays_samples must list {count} delays"
+        )
 
     def component(name: str, length: int | None = None) -> np.ndarray:
         if name not in files:
@@ -345,17 +356,14 @@ def load_scene(directory) -> Scene:
     mixture = component("mixture")
     n = mixture.size
     noise = component("noise", n)
-    directs = [component(f"s{c + 1}_direct", n) for c in range(spec.num_speakers)]
-    images = [component(f"s{c + 1}_image", n) for c in range(spec.num_speakers)]
+    directs = [component(f"s{c + 1}_direct", n) for c in range(count)]
+    images = [component(f"s{c + 1}_image", n) for c in range(count)]
 
     rirs = None
-    delays = manifest.get("rir_direct_delays_samples")
-    if delays is not None and all(
-        f"s{c + 1}_rir" in files for c in range(spec.num_speakers)
-    ):
+    if delays is not None and all(f"s{c + 1}_rir" in files for c in range(count)):
         rirs = [
             Rir(component(f"s{c + 1}_rir"), int(delays[c]), spec.sample_rate_hz)
-            for c in range(spec.num_speakers)
+            for c in range(count)
         ]
 
     return Scene(mixture, directs, images, noise, spec, rirs)

@@ -221,6 +221,25 @@ class TestSeparate:
         assert code == 5
         assert "external refinement requires external_dir" in capsys.readouterr().err
 
+    def test_scene_manifest_without_files_is_exit_5(self, tmp_path, capsys):
+        _simulate(tmp_path / "scenes", count=2)
+        path = tmp_path / "scenes" / "scene_0002" / "scene.json"
+        manifest = read_json(path)
+        del manifest["files"]
+        write_json(path, manifest)
+        code = main(
+            [
+                "separate",
+                "--scenes", str(tmp_path / "scenes"),
+                "--out", str(tmp_path / "out"),
+                "--fcp", "off",
+            ]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"{path}: key files must be an object" in err
+        assert "Traceback" not in err
+
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         code = main(
@@ -450,6 +469,24 @@ class TestEval:
         )
         assert code == 5
         assert "strictly ascending" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scene_manifest_without_files_is_exit_2(self, tmp_path, capsys):
+        self._fixture(tmp_path)
+        path = tmp_path / "scene" / "scene.json"
+        manifest = read_json(path)
+        del manifest["files"]
+        write_json(path, manifest)
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "key files must be an object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["num_samples", "stft", "num_speakers"])

@@ -23,7 +23,12 @@ from cxfilter.experiment import (
 )
 from cxfilter.io import config_from_dict, config_to_dict, read_json
 from cxfilter.metrics import evaluate_scene
-from cxfilter.pipeline import import_estimates, oracle_separate, run_fcp_stage
+from cxfilter.pipeline import (
+    export_estimates,
+    import_estimates,
+    oracle_separate,
+    run_fcp_stage,
+)
 from cxfilter.stft import istft
 from cxfilter.scenes import save_scene
 from conftest import count_calls
@@ -290,6 +295,53 @@ class TestBatchRuns:
                 run_sweep(config, "taps", [2], tmp_path / "out")
         assert stage_calls == []
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _answer_external(config, ext, *parts):
+        """Write each scene's true images as the external estimates of its
+        first iteration under ``ext/<parts>/<scene>``."""
+        for key, source in experiment._scene_jobs(config):
+            scene = simulate_scene(source)
+            export_estimates(
+                oracle_separate(scene, DegradationSpec()),
+                ext.joinpath(*parts, key, "iteration_1", "estimates"),
+                scene.num_samples,
+            )
+
+    def test_external_refinement_exchanges_per_scene(self, tmp_path):
+        ext = tmp_path / "ext"
+        config = _tiny_config(
+            fcp_mode="fcp",
+            fcp=FcpConfig(taps=2),
+            refinement="external",
+            external_dir=str(ext),
+        )
+        self._answer_external(config, ext)
+        aggregate = run_separation(config, tmp_path / "out")
+        # Each scene is scored with its own true images, not the first's.
+        for key in ("scene_0001", "scene_0002"):
+            assert aggregate["scenes"][key]["mean"]["si_sdr_db"] >= 60.0
+            assert (ext / key / "iteration_1" / "features" / "features.json").is_file()
+        assert aggregate["config"]["external_dir"] == str(ext)
+
+    def test_sweep_exchanges_per_value_and_scene(self, tmp_path):
+        ext = tmp_path / "ext"
+        config = _tiny_config(
+            num_scenes=1,
+            fcp_mode="fcp",
+            fcp=FcpConfig(taps=2),
+            refinement="external",
+            external_dir=str(ext),
+        )
+        for k in (1, 2):
+            self._answer_external(config, ext, f"value_{k}")
+        run_sweep(config, "degradation_snr", [5.0, 15.0], tmp_path / "out")
+        features = [
+            ext / f"value_{k}" / "scene_0001" / "iteration_1" / "features"
+            for k in (1, 2)
+        ]
+        direct = [(d / "s1_stage1_direct.wav").read_bytes() for d in features]
+        assert direct[0] != direct[1]
 
     def test_map_jobs_preserves_order(self):
         values = list(range(7))

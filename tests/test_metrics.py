@@ -260,7 +260,7 @@ class TestQuantileSweep:
             quantile_sweep({}, rng.standard_normal(4000), self.QUANTILES)
         for quantiles in ((0.5, 0.25), (0.5, 0.5), (0.0,), (1.5,)):
             with pytest.raises(ValueError, match="strictly ascending"):
-                QuantileSweep(quantiles=quantiles, values={})
+                QuantileSweep(quantiles=quantiles, tables={})
 
 
 class TestEvaluateScene:

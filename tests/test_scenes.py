@@ -233,6 +233,35 @@ class TestSceneSerialization:
         with pytest.raises(ValueError, match="num_speakers"):
             load_scene(tmp_path / "sc")
 
+    @pytest.mark.parametrize(
+        "files",
+        [None, ["mixture.wav"], {"mixture": 3}],
+        ids=["absent", "list", "number"],
+    )
+    def test_manifest_files_must_be_an_object(self, tmp_path, small_scene, files):
+        path = save_scene(small_scene, tmp_path / "sc")
+        manifest = json.loads(path.read_text())
+        if files is None:
+            del manifest["files"]
+        else:
+            manifest["files"] = files
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="key files must be an object"):
+            load_scene(tmp_path / "sc")
+
+    @pytest.mark.parametrize(
+        "delays", [[3], [3, 4, 5], 3], ids=["short", "long", "int"]
+    )
+    def test_rir_delays_must_be_one_per_speaker(self, tmp_path, small_scene, delays):
+        path = save_scene(small_scene, tmp_path / "sc")
+        manifest = json.loads(path.read_text())
+        manifest["rir_direct_delays_samples"] = delays
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            ValueError, match="rir_direct_delays_samples must list 2 delays"
+        ):
+            load_scene(tmp_path / "sc")
+
     def test_manifest_without_gains_loads(self, tmp_path, small_scene):
         path = save_scene(small_scene, tmp_path / "sc")
         manifest = json.loads(path.read_text())
