@@ -13,7 +13,7 @@ import cxfilter.experiment
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
 from cxfilter.cli import build_parser, main
 from cxfilter.experiment import ExperimentConfig, SceneRanges
-from cxfilter.io import config_to_dict, read_json, write_json
+from cxfilter.io import config_to_dict, read_json, read_wav, write_json, write_wav
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import save_scene
 from conftest import count_calls
@@ -507,6 +507,70 @@ class TestEval:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert f"missing required key(s) {key}" in err
+        assert not (tmp_path / "out").exists()
+
+
+def _break_directory(directory, manifest_name, fault):
+    """Break a scene or exchange directory in one way: its manifest's
+    version or a required key, or its listed ``s1_image.wav``."""
+    manifest_path = directory / manifest_name
+    wav = directory / "s1_image.wav"
+    if fault in ("version", "missing_key"):
+        manifest = read_json(manifest_path)
+        if fault == "version":
+            manifest["version"] = 2
+        else:
+            del manifest["num_speakers"]
+        write_json(manifest_path, manifest)
+    elif fault == "missing_wav":
+        wav.unlink()
+    elif fault == "wrong_rate":
+        write_wav(wav, read_wav(wav), 16000)
+    else:
+        write_wav(wav, read_wav(wav)[:-1], 8000)
+
+
+_DIRECTORY_FAULTS = ("version", "missing_key", "missing_wav", "wrong_rate",
+                     "wrong_length")
+
+
+class TestDirectoryRejections:
+    """Every directory kind rejects each fault with its command's exit
+    code: ``separate`` maps a missing file to 2 and a bad value to 5,
+    ``eval`` maps both to 2."""
+
+    @pytest.mark.parametrize(
+        "fault, code", zip(_DIRECTORY_FAULTS, (5, 5, 2, 5, 5)), ids=_DIRECTORY_FAULTS
+    )
+    def test_separate_scenes(self, tmp_path, capsys, fault, code):
+        assert _simulate(tmp_path / "scenes", count=2) == 0
+        _break_directory(tmp_path / "scenes" / "scene_0002", "scene.json", fault)
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", _DIRECTORY_FAULTS)
+    @pytest.mark.parametrize(
+        "directory, manifest_name",
+        [("scene", "scene.json"), ("est", "estimates.json")],
+        ids=["scene", "estimates"],
+    )
+    def test_eval(self, tmp_path, capsys, directory, manifest_name, fault):
+        scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=0.8, seed=6))
+        save_scene(scene, tmp_path / "scene")
+        separated = oracle_separate(scene, DegradationSpec())
+        export_estimates(separated, tmp_path / "est", scene.num_samples)
+        _break_directory(tmp_path / directory, manifest_name, fault)
+        code = main(
+            [
+                "eval",
+                "--scene", str(tmp_path / "scene"),
+                "--estimates", str(tmp_path / "est"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
