@@ -1,5 +1,9 @@
 """WAV, JSON and CSV helpers shared by scene, pipeline and report writers.
 
+A WAV directory (scene, features, estimates) is written by
+:func:`write_wav_dir` and checked by :func:`read_manifest` and
+:func:`read_listed_wav`.
+
 Config dataclasses serialize through one pair, :func:`config_to_dict`
 and :func:`config_from_dict`; report hashes are taken over that form.
 
@@ -151,3 +155,43 @@ def write_csv(path, header, rows) -> None:
 
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_wav_dir(directory, manifest_name: str, manifest: dict, wavs, rate: int):
+    """Write a WAV directory: each ``(file name, samples)`` of ``wavs`` at
+    ``rate``, then the manifest ``manifest_name`` last, so a directory
+    with a manifest is complete.  Returns the manifest path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, samples in wavs:
+        write_wav(directory / name, samples, rate)
+    path = directory / manifest_name
+    write_json(path, manifest)
+    return path
+
+
+def read_manifest(path, version: int, keys) -> dict:
+    """Read a manifest object, checking its ``version`` and that it has
+    every one of ``keys``; either fault raises ValueError naming it."""
+    manifest = read_json(path)
+    if manifest.get("version") != version:
+        raise ValueError(
+            f"{path}: version {manifest.get('version')!r} unsupported "
+            f"(expected {version})"
+        )
+    missing = [key for key in keys if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
+    return manifest
+
+
+def read_listed_wav(manifest_path, name: str, rate: int, length: int | None = None):
+    """Read the WAV ``name`` listed by a manifest: FileNotFoundError if it
+    is missing, ValueError if its rate or (given) ``length`` differs."""
+    wav = Path(manifest_path).parent / name
+    if not wav.is_file():
+        raise FileNotFoundError(f"{manifest_path} lists a missing file: {wav}")
+    signal = read_wav(wav, expected_rate=rate)
+    if length is not None and signal.shape[0] != length:
+        raise ValueError(f"{wav}: {signal.shape[0]} samples, expected {length}")
+    return signal

@@ -23,10 +23,9 @@ from cxfilter.fcp import fcp_essu_separate, fcp_separate
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
-    read_json,
-    read_wav,
-    write_json,
-    write_wav,
+    read_listed_wav,
+    read_manifest,
+    write_wav_dir,
 )
 from cxfilter.metrics import MetricsReport, evaluate_scene
 from cxfilter.scenes import Scene
@@ -240,66 +239,36 @@ def _write_exchange(
     """Invert each spectrogram at ``num_samples`` into its WAV, in
     :func:`_exchange_files` order, then write the manifest ``name`` with
     ``num_samples``, ``stft`` and ``files`` added.  Returns its path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     config = specs[0].config
     files = _exchange_files(kinds, range(1, manifest["num_speakers"] + 1))
-    for file, spec in zip(files, specs, strict=True):
-        write_wav(
-            directory / file,
-            istft(spec, output_length=num_samples),
-            config.sample_rate_hz,
-        )
-    path = directory / name
-    write_json(
-        path,
-        {
-            **manifest,
-            "num_samples": num_samples,
-            "stft": config_to_dict(config),
-            "files": files,
-        },
-    )
-    return path
+    manifest = {**manifest, "num_samples": num_samples, "files": files}
+    manifest["stft"] = config_to_dict(config)
+    signals = (istft(spec, output_length=num_samples) for spec in specs)
+    wavs = zip(files, signals, strict=True)
+    return write_wav_dir(directory, name, manifest, wavs, config.sample_rate_hz)
 
 
 def _read_exchange(directory, name: str, version: int, kinds: tuple) -> tuple:
     """Read an exchange directory written by :func:`_write_exchange`.
 
     Checks the manifest's version and required keys, then each WAV's
-    rate and length.  Returns the manifest and the spectrograms in file
-    order.
+    rate and length.  Returns the sample count and the spectrograms in
+    file order.
     """
-    directory = Path(directory)
-    path = directory / name
+    path = Path(directory) / name
     if not path.is_file():
         raise FileNotFoundError(
             f"{path} not found; the directory must contain {name} plus "
             f"{', '.join(_exchange_files(kinds, ['{c}']))} for each speaker c"
         )
-    manifest = read_json(path)
-    if manifest.get("version") != version:
-        raise ValueError(
-            f"{path}: version {manifest.get('version')!r} unsupported "
-            f"(expected {version})"
-        )
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise ValueError(f"{path}: missing required key(s) {', '.join(missing)}")
+    manifest = read_manifest(path, version, _MANIFEST_KEYS)
     config = config_from_dict(StftConfig, manifest["stft"])
-    length = int(manifest["num_samples"])
-    specs = []
-    for file in _exchange_files(kinds, range(1, int(manifest["num_speakers"]) + 1)):
-        wav = directory / file
-        if not wav.is_file():
-            raise FileNotFoundError(f"{path} lists a missing file: {wav}")
-        signal = read_wav(wav, expected_rate=config.sample_rate_hz)
-        if signal.shape[0] != length:
-            raise ValueError(
-                f"{wav}: {signal.shape[0]} samples, manifest says {length}"
-            )
-        specs.append(stft(signal, config))
-    return manifest, specs
+    length, count = int(manifest["num_samples"]), int(manifest["num_speakers"])
+    specs = [
+        stft(read_listed_wav(path, file, config.sample_rate_hz, length), config)
+        for file in _exchange_files(kinds, range(1, count + 1))
+    ]
+    return length, specs
 
 
 def export_features(stack: FeatureStack, directory) -> Path:
@@ -329,7 +298,7 @@ def export_features(stack: FeatureStack, directory) -> Path:
 
 def import_features(directory) -> FeatureStack:
     """Read a feature directory written by :func:`export_features`."""
-    manifest, specs = _read_exchange(
+    num_samples, specs = _read_exchange(
         directory, FEATURES_MANIFEST, FEATURES_FORMAT_VERSION, FEATURE_KINDS
     )
     return FeatureStack(
@@ -337,7 +306,7 @@ def import_features(directory) -> FeatureStack:
         stage1_direct=specs[1::3],
         stage1_image=specs[2::3],
         fcp_images=specs[3::3],
-        num_samples=int(manifest["num_samples"]),
+        num_samples=num_samples,
     )
 
 
@@ -363,11 +332,11 @@ def import_estimates(directory) -> tuple[SeparatorOutput, int]:
 
     Returns the estimates and the sample count their manifest records.
     """
-    manifest, specs = _read_exchange(
+    num_samples, specs = _read_exchange(
         directory, ESTIMATES_MANIFEST, ESTIMATES_FORMAT_VERSION, ESTIMATE_KINDS
     )
     output = SeparatorOutput(direct_estimates=specs[0::2], image_estimates=specs[1::2])
-    return output, int(manifest["num_samples"])
+    return output, num_samples
 
 
 def check_external_dir(config: ExperimentConfig) -> None:

@@ -20,10 +20,9 @@ import numpy as np
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
-    read_json,
-    read_wav,
-    write_json,
-    write_wav,
+    read_listed_wav,
+    read_manifest,
+    write_wav_dir,
 )
 
 SCENE_MANIFEST = "scene.json"
@@ -275,33 +274,21 @@ def save_scene(scene: Scene, directory) -> Path:
     one save/load trip is exact at that precision and idempotent
     afterwards.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    sr = scene.spec.sample_rate_hz
-
-    files = {"mixture": "mixture.wav", "noise": "noise.wav"}
-    write_wav(directory / "mixture.wav", scene.mixture, sr)
-    write_wav(directory / "noise.wav", scene.noise, sr)
+    signals = {"mixture": scene.mixture, "noise": scene.noise}
     for c in range(scene.num_speakers):
-        files[f"s{c + 1}_direct"] = f"s{c + 1}_direct.wav"
-        files[f"s{c + 1}_image"] = f"s{c + 1}_image.wav"
-        write_wav(directory / f"s{c + 1}_direct.wav", scene.direct_path[c], sr)
-        write_wav(directory / f"s{c + 1}_image.wav", scene.reverberant_image[c], sr)
-
-    manifest = {"version": SCENE_FORMAT_VERSION, "files": files}
-    manifest.update(config_to_dict(scene.spec))
-
+        signals[f"s{c + 1}_direct"] = scene.direct_path[c]
+        signals[f"s{c + 1}_image"] = scene.reverberant_image[c]
+    manifest = {"version": SCENE_FORMAT_VERSION, **config_to_dict(scene.spec)}
     if scene.rirs is not None:
         for c, rir in enumerate(scene.rirs):
-            files[f"s{c + 1}_rir"] = f"s{c + 1}_rir.wav"
-            write_wav(directory / f"s{c + 1}_rir.wav", rir.taps, sr)
+            signals[f"s{c + 1}_rir"] = rir.taps
         manifest["rir_direct_delays_samples"] = [
             rir.direct_delay_samples for rir in scene.rirs
         ]
-
-    path = directory / SCENE_MANIFEST
-    write_json(path, manifest)
-    return path
+    manifest["files"] = {name: f"{name}.wav" for name in signals}
+    wavs = ((f"{name}.wav", samples) for name, samples in signals.items())
+    rate = scene.spec.sample_rate_hz
+    return write_wav_dir(directory, SCENE_MANIFEST, manifest, wavs, rate)
 
 
 def load_scene(directory) -> Scene:
@@ -311,47 +298,26 @@ def load_scene(directory) -> Scene:
     noise and every direct-path and image component must have as many
     samples as the mixture.
     """
-    directory = Path(directory)
-    manifest_path = directory / SCENE_MANIFEST
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no scene manifest at {manifest_path}")
-    manifest = read_json(manifest_path)
-    if manifest.get("version") != SCENE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported scene manifest version {manifest.get('version')!r}"
-        )
-    missing = [
-        f.name
-        for f in fields(SceneSpec)
-        if f.name not in manifest and f.name != "speaker_gains_db"
-    ]
-    if missing:
-        raise ValueError(f"{manifest_path}: missing keys {', '.join(missing)}")
+    path = Path(directory) / SCENE_MANIFEST
+    if not path.is_file():
+        raise FileNotFoundError(f"no scene manifest at {path}")
+    spec_keys = [f.name for f in fields(SceneSpec) if f.name != "speaker_gains_db"]
+    manifest = read_manifest(path, SCENE_FORMAT_VERSION, spec_keys)
     spec = config_from_dict(SceneSpec, manifest)
     files = manifest.get("files")
     if not isinstance(files, dict) or not all(
         isinstance(name, str) for name in files.values()
     ):
-        raise ValueError(f"{manifest_path}: key files must be an object of WAV names")
+        raise ValueError(f"{path}: key files must be an object of WAV names")
     count = spec.num_speakers
     delays = manifest.get("rir_direct_delays_samples")
     if delays is not None and not (isinstance(delays, list) and len(delays) == count):
-        raise ValueError(
-            f"{manifest_path}: rir_direct_delays_samples must list {count} delays"
-        )
+        raise ValueError(f"{path}: rir_direct_delays_samples must list {count} delays")
 
     def component(name: str, length: int | None = None) -> np.ndarray:
         if name not in files:
             raise FileNotFoundError(f"scene manifest lists no '{name}' component")
-        path = directory / files[name]
-        if not path.is_file():
-            raise FileNotFoundError(f"scene component '{name}' missing: {path}")
-        data = read_wav(path, expected_rate=spec.sample_rate_hz)
-        if length is not None and data.size != length:
-            raise ValueError(
-                f"{path}: {data.size} samples, but the mixture has {length}"
-            )
-        return data
+        return read_listed_wav(path, files[name], spec.sample_rate_hz, length)
 
     mixture = component("mixture")
     n = mixture.size
