@@ -163,7 +163,7 @@ def _resolve_config(args) -> ExperimentConfig:
             raise CliError(EXIT_IO, f"config file not found: {path}")
         try:
             config = config_from_dict(ExperimentConfig, read_json(path))
-        except (ValueError, KeyError, TypeError) as err:
+        except ValueError as err:
             raise CliError(EXIT_BAD_ARGS, f"bad config file {path}: {err}")
     else:
         config = ExperimentConfig()

@@ -105,7 +105,9 @@ def config_to_dict(obj) -> dict:
     return jsonify(dataclasses.asdict(obj))
 
 
-def _decode(hint, value):
+def decode_value(hint, value, name: str):
+    """``value`` decoded as a config field of type ``hint``; a value that
+    does not decode raises ValueError naming ``name``."""
     if isinstance(hint, types.UnionType):  # ``X | None``
         if value is None:
             return None
@@ -113,7 +115,10 @@ def _decode(hint, value):
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value)
     if hint in (tuple, int, float, bool):
-        return hint(value)  # float() also parses the encoded "inf"/"-inf"
+        try:
+            return hint(value)  # float() also parses the encoded "inf"/"-inf"
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{name}: {err}") from None
     return value
 
 
@@ -121,20 +126,23 @@ def config_from_dict(cls, d: dict):
     """Inverse of :func:`config_to_dict`.
 
     Unknown keys are ignored and missing keys take the dataclass
-    defaults.
+    defaults.  A value of the wrong type, or a missing key without a
+    default, raises ValueError naming the key or the class.
     """
     if not isinstance(d, dict):
         raise ValueError(
             f"{cls.__name__} must be a JSON object, not {type(d).__name__}"
         )
     hints = typing.get_type_hints(cls)
-    return cls(
-        **{
-            f.name: _decode(hints[f.name], d[f.name])
-            for f in dataclasses.fields(cls)
-            if f.name in d
-        }
-    )
+    values = {
+        f.name: decode_value(hints[f.name], d[f.name], f"{cls.__name__}.{f.name}")
+        for f in dataclasses.fields(cls)
+        if f.name in d
+    }
+    try:
+        return cls(**values)
+    except TypeError as err:  # a required field absent, or of the wrong type
+        raise ValueError(f"{cls.__name__}: {err}") from None
 
 
 def write_json(path, obj) -> None:
@@ -174,6 +182,8 @@ def read_manifest(path, version: int, keys) -> dict:
     """Read a manifest object, checking its ``version`` and that it has
     every one of ``keys``; either fault raises ValueError naming it."""
     manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if manifest.get("version") != version:
         raise ValueError(
             f"{path}: version {manifest.get('version')!r} unsupported "

@@ -23,6 +23,7 @@ from cxfilter.fcp import fcp_essu_separate, fcp_separate
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
+    decode_value,
     read_listed_wav,
     read_manifest,
     write_wav_dir,
@@ -43,8 +44,7 @@ if TYPE_CHECKING:
 
 FEATURES_MANIFEST = "features.json"
 ESTIMATES_MANIFEST = "estimates.json"
-FEATURES_FORMAT_VERSION = 1
-ESTIMATES_FORMAT_VERSION = 1
+EXCHANGE_FORMAT_VERSION = 1
 
 # Keys that both exchange manifests must carry.
 _MANIFEST_KEYS = ("num_speakers", "num_samples", "stft")
@@ -238,17 +238,18 @@ def _write_exchange(
 ) -> Path:
     """Invert each spectrogram at ``num_samples`` into its WAV, in
     :func:`_exchange_files` order, then write the manifest ``name`` with
-    ``num_samples``, ``stft`` and ``files`` added.  Returns its path."""
+    ``version``, ``num_samples``, ``stft`` and ``files`` added.  Returns
+    its path."""
     config = specs[0].config
     files = _exchange_files(kinds, range(1, manifest["num_speakers"] + 1))
-    manifest = {**manifest, "num_samples": num_samples, "files": files}
-    manifest["stft"] = config_to_dict(config)
+    manifest = {**manifest, "version": EXCHANGE_FORMAT_VERSION, "files": files}
+    manifest.update(num_samples=num_samples, stft=config_to_dict(config))
     signals = (istft(spec, output_length=num_samples) for spec in specs)
     wavs = zip(files, signals, strict=True)
     return write_wav_dir(directory, name, manifest, wavs, config.sample_rate_hz)
 
 
-def _read_exchange(directory, name: str, version: int, kinds: tuple) -> tuple:
+def _read_exchange(directory, name: str, kinds: tuple) -> tuple:
     """Read an exchange directory written by :func:`_write_exchange`.
 
     Checks the manifest's version and required keys, then each WAV's
@@ -261,9 +262,12 @@ def _read_exchange(directory, name: str, version: int, kinds: tuple) -> tuple:
             f"{path} not found; the directory must contain {name} plus "
             f"{', '.join(_exchange_files(kinds, ['{c}']))} for each speaker c"
         )
-    manifest = read_manifest(path, version, _MANIFEST_KEYS)
+    manifest = read_manifest(path, EXCHANGE_FORMAT_VERSION, _MANIFEST_KEYS)
     config = config_from_dict(StftConfig, manifest["stft"])
-    length, count = int(manifest["num_samples"]), int(manifest["num_speakers"])
+    length, count = (
+        decode_value(int, manifest[key], f"{path}: {key}")
+        for key in ("num_samples", "num_speakers")
+    )
     specs = [
         stft(read_listed_wav(path, file, config.sample_rate_hz, length), config)
         for file in _exchange_files(kinds, range(1, count + 1))
@@ -281,7 +285,6 @@ def export_features(stack: FeatureStack, directory) -> Path:
     """
     manifest = {
         "format": "feature-stack",
-        "version": FEATURES_FORMAT_VERSION,
         "num_speakers": stack.num_speakers,
         "frames": stack.mixture.frames,
         "bins": stack.mixture.bins,
@@ -298,9 +301,7 @@ def export_features(stack: FeatureStack, directory) -> Path:
 
 def import_features(directory) -> FeatureStack:
     """Read a feature directory written by :func:`export_features`."""
-    num_samples, specs = _read_exchange(
-        directory, FEATURES_MANIFEST, FEATURES_FORMAT_VERSION, FEATURE_KINDS
-    )
+    num_samples, specs = _read_exchange(directory, FEATURES_MANIFEST, FEATURE_KINDS)
     return FeatureStack(
         mixture=specs[0],
         stage1_direct=specs[1::3],
@@ -314,7 +315,6 @@ def export_estimates(output: SeparatorOutput, directory, num_samples: int) -> Pa
     """Write refined estimates in the layout :func:`import_estimates` reads."""
     manifest = {
         "format": "speaker-estimates",
-        "version": ESTIMATES_FORMAT_VERSION,
         "num_speakers": output.num_speakers,
     }
     specs = [
@@ -332,9 +332,7 @@ def import_estimates(directory) -> tuple[SeparatorOutput, int]:
 
     Returns the estimates and the sample count their manifest records.
     """
-    num_samples, specs = _read_exchange(
-        directory, ESTIMATES_MANIFEST, ESTIMATES_FORMAT_VERSION, ESTIMATE_KINDS
-    )
+    num_samples, specs = _read_exchange(directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS)
     output = SeparatorOutput(direct_estimates=specs[0::2], image_estimates=specs[1::2])
     return output, num_samples
 

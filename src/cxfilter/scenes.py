@@ -311,8 +311,12 @@ def load_scene(directory) -> Scene:
         raise ValueError(f"{path}: key files must be an object of WAV names")
     count = spec.num_speakers
     delays = manifest.get("rir_direct_delays_samples")
-    if delays is not None and not (isinstance(delays, list) and len(delays) == count):
-        raise ValueError(f"{path}: rir_direct_delays_samples must list {count} delays")
+    if delays is not None and not (
+        isinstance(delays, list) and [type(d) for d in delays] == [int] * count
+    ):
+        raise ValueError(
+            f"{path}: rir_direct_delays_samples must list {count} delays as integers"
+        )
 
     def component(name: str, length: int | None = None) -> np.ndarray:
         if name not in files:
@@ -328,7 +332,7 @@ def load_scene(directory) -> Scene:
     rirs = None
     if delays is not None and all(f"s{c + 1}_rir" in files for c in range(count)):
         rirs = [
-            Rir(component(f"s{c + 1}_rir"), int(delays[c]), spec.sample_rate_hz)
+            Rir(component(f"s{c + 1}_rir"), delays[c], spec.sample_rate_hz)
             for c in range(count)
         ]
 

@@ -510,6 +510,26 @@ class TestEval:
         assert not (tmp_path / "out").exists()
 
 
+def _eval_inputs(tmp_path, speakers=1):
+    """A scene directory and its exact estimates under ``tmp_path``."""
+    scene = simulate_scene(SceneSpec(num_speakers=speakers, duration_s=0.8, seed=6))
+    save_scene(scene, tmp_path / "scene")
+    separated = oracle_separate(scene, DegradationSpec())
+    export_estimates(separated, tmp_path / "est", scene.num_samples)
+
+
+def _eval(tmp_path):
+    """Exit code of ``eval`` over the inputs of :func:`_eval_inputs`."""
+    return main(
+        [
+            "eval",
+            "--scene", str(tmp_path / "scene"),
+            "--estimates", str(tmp_path / "est"),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+
+
 def _break_directory(directory, manifest_name, fault):
     """Break a scene or exchange directory in one way: its manifest's
     version or a required key, or its listed ``s1_image.wav``."""
@@ -556,21 +576,52 @@ class TestDirectoryRejections:
         ids=["scene", "estimates"],
     )
     def test_eval(self, tmp_path, capsys, directory, manifest_name, fault):
-        scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=0.8, seed=6))
-        save_scene(scene, tmp_path / "scene")
-        separated = oracle_separate(scene, DegradationSpec())
-        export_estimates(separated, tmp_path / "est", scene.num_samples)
+        _eval_inputs(tmp_path)
         _break_directory(tmp_path / directory, manifest_name, fault)
-        code = main(
-            [
-                "eval",
-                "--scene", str(tmp_path / "scene"),
-                "--estimates", str(tmp_path / "est"),
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 2
+        assert _eval(tmp_path) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# A manifest value of the wrong JSON type in a 2-speaker directory:
+# (manifest, key, value, what the message names).
+_WRONG_TYPES = [
+    ("scene.json", "num_speakers", None, "SceneSpec.num_speakers"),
+    ("scene.json", "rir_direct_delays_samples", [None, None],
+     "rir_direct_delays_samples"),
+    ("estimates.json", "stft", {"window_length_samples": 256}, "StftConfig"),
+    ("estimates.json", "num_samples", None, "num_samples"),
+    ("estimates.json", "num_speakers", None, "num_speakers"),
+]
+
+
+def _set_manifest_value(path, key, value):
+    manifest = read_json(path)
+    manifest[key] = value
+    write_json(path, manifest)
+
+
+class TestWrongJsonTypes:
+    """A manifest value of the wrong JSON type is a bad input, not a crash."""
+
+    @pytest.mark.parametrize("key, value, name", [t[1:] for t in _WRONG_TYPES[:2]])
+    def test_separate_scenes_is_exit_5(self, tmp_path, capsys, key, value, name):
+        assert _simulate(tmp_path / "scenes", speakers=2) == 0
+        path = tmp_path / "scenes" / "scene_0001" / "scene.json"
+        _set_manifest_value(path, key, value)
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("manifest, key, value, name", _WRONG_TYPES)
+    def test_eval_is_exit_2(self, tmp_path, capsys, manifest, key, value, name):
+        _eval_inputs(tmp_path, speakers=2)
+        directory = "scene" if manifest == "scene.json" else "est"
+        _set_manifest_value(tmp_path / directory / manifest, key, value)
+        assert _eval(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

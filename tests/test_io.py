@@ -1,5 +1,6 @@
 """WAV, JSON and CSV helpers: precision, rejection paths, manifest safety."""
 
+import re
 import types
 from pathlib import Path
 
@@ -13,11 +14,16 @@ from cxfilter.io import (
     config_to_dict,
     jsonify,
     read_json,
+    read_listed_wav,
+    read_manifest,
     read_wav,
     write_csv,
     write_json,
     write_wav,
+    write_wav_dir,
 )
+from cxfilter.scenes import SceneSpec
+from cxfilter.stft import SEPARATOR_STFT, StftConfig
 
 
 class TestWav:
@@ -156,3 +162,55 @@ class TestConfigDict:
             config_from_dict(ExperimentConfig, [1])
         with pytest.raises(ValueError, match="SceneRanges.*list"):
             config_from_dict(ExperimentConfig, {"scene": [1]})
+
+    @pytest.mark.parametrize(
+        "cls, d, name",
+        [
+            (StftConfig, {"window_length_samples": 256}, "StftConfig"),
+            (StftConfig, {**config_to_dict(SEPARATOR_STFT), "dft_size": "x"},
+             "StftConfig.dft_size"),
+            (SceneSpec, {"num_speakers": None}, "SceneSpec.num_speakers"),
+            (ExperimentConfig, {"quantiles": 5}, "ExperimentConfig.quantiles"),
+            (ExperimentConfig, {"scene": {"t60_range_s": None}},
+             "SceneRanges.t60_range_s"),
+        ],
+        ids=["missing_field", "string", "null", "number_for_list", "nested"],
+    )
+    def test_value_of_the_wrong_type_is_named(self, cls, d, name):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            config_from_dict(cls, d)
+
+
+class TestWavDir:
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        wavs = [("a.wav", np.zeros(10)), ("b.wav", np.ones(10))]
+        header = {"version": 1, "n": 10, "files": ["a.wav", "b.wav"]}
+        return write_wav_dir(tmp_path / "d", "m.json", header, wavs, 8000)
+
+    def test_round_trip(self, manifest):
+        assert manifest.name == "m.json"
+        assert read_manifest(manifest, 1, ["n"])["files"] == ["a.wav", "b.wav"]
+        assert np.array_equal(read_listed_wav(manifest, "b.wav", 8000, 10), np.ones(10))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"version": 2, "n": 10}, "version 2 unsupported (expected 1)"),
+            ({"version": 1}, "missing required key(s) n"),
+            ([1], "not a JSON object"),
+        ],
+        ids=["version", "key", "list"],
+    )
+    def test_manifest_rejected(self, manifest, header, message):
+        write_json(manifest, header)
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}: {message}")):
+            read_manifest(manifest, 1, ["n"])
+
+    def test_listed_wav_rejected(self, manifest):
+        with pytest.raises(FileNotFoundError, match="lists a missing file"):
+            read_listed_wav(manifest, "c.wav", 8000)
+        with pytest.raises(ValueError, match="sample rate 8000 != expected 16000"):
+            read_listed_wav(manifest, "a.wav", 16000)
+        with pytest.raises(ValueError, match=r"a\.wav: 10 samples, expected 11$"):
+            read_listed_wav(manifest, "a.wav", 8000, 11)

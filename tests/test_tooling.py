@@ -1,6 +1,8 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And one source rule:
-files are written only through :mod:`cxfilter.io`'s atomic writers."""
+as a failure, and the tests after it still run.  And two source rules:
+files are written only through :mod:`cxfilter.io`'s atomic writers, and
+WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
+directory codec every other module goes through."""
 
 import ast
 import subprocess
@@ -90,3 +92,18 @@ def test_files_are_written_only_through_io():
         for function, call in _writes(ast.parse(path.read_text()))
     }
     assert found == ALLOWED_WRITES
+
+
+WAV_CALLS = ("read_wav", "write_wav")
+
+
+def test_wavs_are_read_and_written_only_in_io():
+    found = sorted(
+        (path.name, call.lineno)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "io.py"
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) in WAV_CALLS
+    )
+    assert found == []
