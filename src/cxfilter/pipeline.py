@@ -387,19 +387,22 @@ def _refine(
 def predict(
     scene: Scene, config: ExperimentConfig
 ) -> tuple[SeparatorOutput, FeatureStack | None]:
-    """Run separator, prediction, and refinement over a scene.
+    """Run the separator and the prediction stage over a scene.
 
     The separator output is degraded per ``config.degradation``.  With
     ``fcp_mode='off'`` it is returned as it is, with no feature stack.
     Otherwise each iteration predicts images from the current direct
-    estimates and refines; refined estimates feed the next iteration.
-    Returns the final estimates and the last iteration's feature stack.
+    estimates, and every iteration but the last refines them for the
+    next.  Returns the estimates the last feature stack was built from,
+    and that stack; :func:`run_pipeline` applies the last refinement.
     """
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     if config.fcp_mode != "off":
         mixture_spec = stft(scene.mixture, config.stft_dnn)
         for iteration in range(1, config.iterations + 1):
+            if stack is not None:
+                current = _refine(stack, current, config, iteration - 1)
             stack = FeatureStack(
                 mixture=mixture_spec,
                 stage1_direct=list(current.direct_estimates),
@@ -407,14 +410,16 @@ def predict(
                 fcp_images=run_fcp_stage(scene.mixture, current, config),
                 num_samples=scene.num_samples,
             )
-            current = _refine(stack, current, config, iteration)
     return current, stack
 
 
 def run_pipeline(scene: Scene, config: ExperimentConfig) -> PipelineResult:
-    """Run :func:`predict`, then score the final image estimates once
-    against the scene's true reverberant images at ``config.quantiles``."""
+    """Run :func:`predict` and the last refinement, then score the final
+    image estimates once against the scene's true reverberant images at
+    ``config.quantiles``."""
     separator, features = predict(scene, config)
+    if features is not None:
+        separator = _refine(features, separator, config, config.iterations)
     image_estimates = [
         istft(s, output_length=scene.num_samples) for s in separator.image_estimates
     ]

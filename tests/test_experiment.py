@@ -325,6 +325,7 @@ class TestBatchRuns:
         assert aggregate["config"]["external_dir"] == str(ext)
 
     def test_sweep_exchanges_per_value_and_scene(self, tmp_path):
+        # Two iterations: the sweep refines after the first one only.
         ext = tmp_path / "ext"
         config = _tiny_config(
             num_scenes=1,
@@ -332,6 +333,7 @@ class TestBatchRuns:
             fcp=FcpConfig(taps=2),
             refinement="external",
             external_dir=str(ext),
+            iterations=2,
         )
         for k in (1, 2):
             self._answer_external(config, ext, f"value_{k}")
@@ -550,6 +552,28 @@ class TestSweep:
         for i, value in enumerate([2, 6]):
             alone = run_sweep(config, "taps", [value], tmp_path / f"v{value}")
             assert rows[i] == alone[0]
+
+    def test_external_sweep_skips_the_last_refinement(self, tmp_path):
+        # The swept score reads the prediction-stage images only, so the
+        # last iteration's external estimates are never asked for.
+        config = _tiny_config(num_scenes=1, fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        ext = tmp_path / "ext"
+        external = replace(config, refinement="external", external_dir=str(ext))
+        plain = run_sweep(config, "taps", [2, 3], tmp_path / "plain")
+        rows = run_sweep(external, "taps", [2, 3], tmp_path / "external")
+        assert [r["mean_fcp_image_si_sdr_db"] for r in rows] == [
+            r["mean_fcp_image_si_sdr_db"] for r in plain
+        ]
+        assert not any(ext.glob("**/estimates"))
+
+        # With two iterations only the first iteration's estimates are read.
+        twice = replace(external, iterations=2, external_dir=str(tmp_path / "ext2"))
+        for k in (1, 2):
+            TestBatchRuns._answer_external(twice, tmp_path / "ext2", f"value_{k}")
+        run_sweep(twice, "taps", [2, 3], tmp_path / "twice")
+        scene = tmp_path / "ext2" / "value_2" / "scene_0001"
+        assert (scene / "iteration_1" / "features" / "features.json").is_file()
+        assert not (scene / "iteration_2").exists()
 
     def test_run_sweep_rejects_off_mode_and_bad_axis(self, tmp_path):
         with pytest.raises(ValueError, match="fcp_mode"):

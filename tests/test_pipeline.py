@@ -342,8 +342,9 @@ class TestRunPipeline:
         )
         separator, stack = predict(mono_scene, config)
         result = run_pipeline(mono_scene, config)
-        # The substitute refinement hands the last predicted images on.
-        assert separator.image_estimates == stack.fcp_images
+        # predict returns the estimates its last stack was built from;
+        # run_pipeline's last refinement substitutes that stack's images.
+        assert separator.image_estimates == stack.stage1_image
         assert np.array_equal(
             result.image_estimates[0],
             istft(stack.fcp_images[0], output_length=mono_scene.num_samples),
