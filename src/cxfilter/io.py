@@ -165,15 +165,15 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def write_wav_dir(directory, manifest_name: str, manifest: dict, wavs, rate: int):
+def write_wav_dir(directory, name: str, manifest: dict, wavs, rate: int) -> Path:
     """Write a WAV directory: each ``(file name, samples)`` of ``wavs`` at
-    ``rate``, then the manifest ``manifest_name`` last, so a directory
-    with a manifest is complete.  Returns the manifest path."""
+    ``rate``, then the manifest file ``name`` last, so a directory with a
+    manifest is complete.  Returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, samples in wavs:
-        write_wav(directory / name, samples, rate)
-    path = directory / manifest_name
+    for file, samples in wavs:
+        write_wav(directory / file, samples, rate)
+    path = directory / name
     write_json(path, manifest)
     return path
 
@@ -195,12 +195,13 @@ def read_manifest(path, version: int, keys) -> dict:
     return manifest
 
 
-def read_listed_wav(manifest_path, name: str, rate: int, length: int | None = None):
-    """Read the WAV ``name`` listed by a manifest: FileNotFoundError if it
-    is missing, ValueError if its rate or (given) ``length`` differs."""
-    wav = Path(manifest_path).parent / name
+def read_listed_wav(path, name: str, rate: int, length=None) -> np.ndarray:
+    """Read the WAV ``name`` listed by the manifest at ``path``:
+    FileNotFoundError if it is missing, ValueError if its rate or (given)
+    ``length`` differs."""
+    wav = Path(path).parent / name
     if not wav.is_file():
-        raise FileNotFoundError(f"{manifest_path} lists a missing file: {wav}")
+        raise FileNotFoundError(f"{path} lists a missing file: {wav}")
     signal = read_wav(wav, expected_rate=rate)
     if length is not None and signal.shape[0] != length:
         raise ValueError(f"{wav}: {signal.shape[0]} samples, expected {length}")
