@@ -264,10 +264,8 @@ def _read_exchange(directory, name: str, kinds: tuple) -> tuple:
         )
     manifest = read_manifest(path, EXCHANGE_FORMAT_VERSION, _MANIFEST_KEYS)
     config = config_from_dict(StftConfig, manifest["stft"])
-    length, count = (
-        decode_value(int, manifest[key], f"{path}: {key}")
-        for key in ("num_samples", "num_speakers")
-    )
+    length = decode_value(int, manifest["num_samples"], f"{path}: num_samples")
+    count = decode_value(int, manifest["num_speakers"], f"{path}: num_speakers")
     specs = [
         stft(read_listed_wav(path, file, config.sample_rate_hz, length), config)
         for file in _exchange_files(kinds, range(1, count + 1))

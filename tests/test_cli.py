@@ -593,6 +593,7 @@ _WRONG_TYPES = [
     ("estimates.json", "num_samples", None, "num_samples"),
     ("estimates.json", "num_speakers", None, "num_speakers"),
 ]
+_WRONG_TYPE_IDS = ["scene_speakers", "scene_delays", "stft", "samples", "speakers"]
 
 
 def _set_manifest_value(path, key, value):
@@ -604,7 +605,9 @@ def _set_manifest_value(path, key, value):
 class TestWrongJsonTypes:
     """A manifest value of the wrong JSON type is a bad input, not a crash."""
 
-    @pytest.mark.parametrize("key, value, name", [t[1:] for t in _WRONG_TYPES[:2]])
+    @pytest.mark.parametrize(
+        "key, value, name", [t[1:] for t in _WRONG_TYPES[:2]], ids=_WRONG_TYPE_IDS[:2]
+    )
     def test_separate_scenes_is_exit_5(self, tmp_path, capsys, key, value, name):
         assert _simulate(tmp_path / "scenes", speakers=2) == 0
         path = tmp_path / "scenes" / "scene_0001" / "scene.json"
@@ -614,7 +617,9 @@ class TestWrongJsonTypes:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("manifest, key, value, name", _WRONG_TYPES)
+    @pytest.mark.parametrize(
+        "manifest, key, value, name", _WRONG_TYPES, ids=_WRONG_TYPE_IDS
+    )
     def test_eval_is_exit_2(self, tmp_path, capsys, manifest, key, value, name):
         _eval_inputs(tmp_path, speakers=2)
         directory = "scene" if manifest == "scene.json" else "est"
