@@ -114,7 +114,17 @@ def decode_value(hint, value, name: str):
         (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value)
-    if hint in (tuple, int, float, bool):
+    if hint is int:
+        # An integral number; JSON's true and false are not numbers here.
+        integral = isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not (isinstance(value, int) or integral):
+            raise ValueError(f"{name}: expected an integer, not {value!r}")
+        return int(value)
+    if hint is bool and not isinstance(value, bool):
+        raise ValueError(f"{name}: expected true or false, not {value!r}")
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, not {value!r}")
+    if hint in (tuple, float):
         try:
             return hint(value)  # float() also parses the encoded "inf"/"-inf"
         except (TypeError, ValueError) as err:

@@ -195,6 +195,27 @@ class TestSeparate:
         assert code == 5
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, name",
+        [
+            ({"external_dir": 5, "refinement": "external", "fcp_mode": "fcp"},
+             "ExperimentConfig.external_dir"),
+            ({"fcp": {"taps": 40.5}}, "FcpConfig.taps"),
+            ({"fcp": {"per_freq_floor": "false"}}, "FcpConfig.per_freq_floor"),
+        ],
+        ids=["number_for_str", "fraction_for_int", "string_for_bool"],
+    )
+    def test_config_value_of_the_wrong_type_is_exit_5(
+        self, tmp_path, capsys, config, name
+    ):
+        path = tmp_path / "config.json"
+        write_json(path, config)
+        out = tmp_path / "out"
+        assert main(["separate", "--config", str(path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-7"])
     def test_jobs_below_one_is_exit_5(self, tmp_path, capsys, jobs):
         code = main(
@@ -589,11 +610,16 @@ _WRONG_TYPES = [
     ("scene.json", "num_speakers", None, "SceneSpec.num_speakers"),
     ("scene.json", "rir_direct_delays_samples", [None, None],
      "rir_direct_delays_samples"),
+    ("scene.json", "num_speakers", 2.9, "SceneSpec.num_speakers"),
     ("estimates.json", "stft", {"window_length_samples": 256}, "StftConfig"),
     ("estimates.json", "num_samples", None, "num_samples"),
     ("estimates.json", "num_speakers", None, "num_speakers"),
+    ("estimates.json", "num_speakers", 2.9, "num_speakers"),
 ]
-_WRONG_TYPE_IDS = ["scene_speakers", "scene_delays", "stft", "samples", "speakers"]
+_WRONG_TYPE_IDS = [
+    "scene_speakers", "scene_delays", "scene_fractional_speakers", "stft",
+    "samples", "speakers", "fractional_speakers",
+]
 
 
 def _set_manifest_value(path, key, value):
@@ -606,7 +632,7 @@ class TestWrongJsonTypes:
     """A manifest value of the wrong JSON type is a bad input, not a crash."""
 
     @pytest.mark.parametrize(
-        "key, value, name", [t[1:] for t in _WRONG_TYPES[:2]], ids=_WRONG_TYPE_IDS[:2]
+        "key, value, name", [t[1:] for t in _WRONG_TYPES[:3]], ids=_WRONG_TYPE_IDS[:3]
     )
     def test_separate_scenes_is_exit_5(self, tmp_path, capsys, key, value, name):
         assert _simulate(tmp_path / "scenes", speakers=2) == 0

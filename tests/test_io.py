@@ -173,12 +173,32 @@ class TestConfigDict:
             (ExperimentConfig, {"quantiles": 5}, "ExperimentConfig.quantiles"),
             (ExperimentConfig, {"scene": {"t60_range_s": None}},
              "SceneRanges.t60_range_s"),
+            (SceneSpec, {"num_speakers": 2.9}, "SceneSpec.num_speakers"),
+            (ExperimentConfig, {"fcp": {"taps": 40.5}}, "FcpConfig.taps"),
+            (ExperimentConfig, {"num_scenes": True}, "ExperimentConfig.num_scenes"),
+            (ExperimentConfig, {"seed": "3"}, "ExperimentConfig.seed"),
+            (ExperimentConfig, {"fcp": {"per_freq_floor": "false"}},
+             "FcpConfig.per_freq_floor"),
+            (ExperimentConfig, {"fcp": {"per_freq_floor": 0}},
+             "FcpConfig.per_freq_floor"),
+            (ExperimentConfig, {"external_dir": 5}, "ExperimentConfig.external_dir"),
+            (ExperimentConfig, {"fcp_mode": ["essu"]}, "ExperimentConfig.fcp_mode"),
         ],
-        ids=["missing_field", "string", "null", "number_for_list", "nested"],
+        ids=[
+            "missing_field", "string", "null", "number_for_list", "nested",
+            "fraction_for_int", "fraction_for_int_nested", "bool_for_int",
+            "string_for_int", "string_for_bool", "number_for_bool",
+            "number_for_optional_str", "list_for_str",
+        ],
     )
     def test_value_of_the_wrong_type_is_named(self, cls, d, name):
         with pytest.raises(ValueError, match=re.escape(name)):
             config_from_dict(cls, d)
+
+    def test_integral_number_decodes_as_int(self):
+        config = config_from_dict(ExperimentConfig, {"fcp": {"taps": 7.0}, "seed": 3})
+        assert (config.fcp.taps, config.seed) == (7, 3)
+        assert type(config.fcp.taps) is int
 
 
 class TestWavDir:
