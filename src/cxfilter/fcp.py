@@ -88,14 +88,15 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
 # Tile of the Gram accumulation, in bins x frames.  One tile's regressor
 # (8 x 40 taps x 512 frames of complex128, 2.5 MiB) stays in cache, and
 # the fit's working memory beyond its (frames, bins) weights does not
-# grow with the signal length.
+# grow with the signal length.  The filter apply walks the same bin
+# blocks.
 _BIN_BLOCK = 8
 _FRAME_BLOCK = 512
 
-# Threads that build a fit's Gram over its bin blocks: this process's
-# share of the CPUs.  Only the batch runner sets it, next to the BLAS
-# thread count (``experiment._map_jobs``); at 1 the caller runs every
-# block.  The bits of a fit do not depend on it.
+# Threads that fit a filter's bin blocks: this process's share of the
+# CPUs.  Only the batch runner sets it, next to the BLAS thread count
+# (``experiment._map_jobs``); at 1 the caller runs every block.  The bits
+# of a fit do not depend on it.
 fit_threads = 1
 
 
@@ -146,14 +147,16 @@ def estimate_fcp_filter(
     tiles of ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, each with
     its own contiguous ``(bins, taps, frames)`` regressor, as
     ``R += X_w X^H`` and ``p += X_w target^H`` with ``X_w = X / w``.
-    The bin blocks are independent, and run on :data:`fit_threads`
-    threads; each bin's sums come from the same BLAS calls in the same
-    order on any thread, so the result has the same bits at any thread
-    count.  Beyond the ``(frames, bins)`` weights and the ``_BIN_BLOCK``
-    input rows in use, memory is two tiles (about 5 MiB at 40 taps) per
-    fit thread and the ``(bins, taps, taps)`` Gram stack, whatever the
-    number of frames.  Weights and the per-bin solves run on the calling
-    thread.
+    Each bin block is fitted whole on one thread: its ``(_BIN_BLOCK,
+    taps, taps)`` Gram is accumulated, made Hermitian, loaded and solved
+    bin by bin, and only its own rows of the filters are written.  The
+    blocks run on :data:`fit_threads` threads; each bin's sums and solve
+    come from the same calls in the same order on any thread, so the
+    result has the same bits at any thread count.  No ``(bins, taps,
+    taps)`` Gram stack is built: beyond the ``(frames, bins)`` weights
+    and the filters, memory is one block's input rows, two tiles (about
+    5 MiB at 40 taps) and its Gram per fit thread, whatever the number
+    of frames.  The weights are built on the calling thread first.
 
     Returns
     -------
@@ -167,12 +170,14 @@ def estimate_fcp_filter(
     recip = np.reciprocal(w, out=w)
     frames, bins = z.shape
 
-    gram = np.zeros((bins, taps, taps), dtype=np.complex128)
-    cross = np.zeros((bins, taps), dtype=np.complex128)
+    filters = np.zeros((bins, taps), dtype=np.complex128)
+    eye = np.eye(taps)
 
-    def accumulate(f0):
-        # Writes only its own rows of gram and cross, so blocks need no lock.
+    def fit_block(f0):
+        # Writes only its own rows of filters, so blocks need no lock.
         f1 = min(f0 + _BIN_BLOCK, bins)
+        gram = np.zeros((f1 - f0, taps, taps), dtype=np.complex128)
+        cross = np.zeros((f1 - f0, taps), dtype=np.complex128)
         regress = _tap_stack(s_hat.data[:, f0:f1], taps)
         # X_w = X / w as X times 1/w on the float64 view, frames
         # innermost.  Complex division by w + 0j rounds every nonzero
@@ -190,24 +195,21 @@ def estimate_fcp_filter(
                 scale[:, None, 2 * t0 : 2 * (t0 + x.shape[2])],
                 out=xw.view(np.float64),
             )
-            gram[f0:f1] += xw @ x.conj().transpose(0, 2, 1)
-            cross[f0:f1] += (xw @ z_blk[:, t, None])[:, :, 0]
+            gram += xw @ x.conj().transpose(0, 2, 1)
+            cross += (xw @ z_blk[:, t, None])[:, :, 0]
+        gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+        trace = np.einsum("fkk->f", gram).real
+        load = config.diag_load_delta * trace / taps
+        for b in range(f1 - f0):
+            if trace[b] <= 0.0:
+                continue  # silent frequency: zero filter
+            system = gram[b] + load[b] * eye
+            try:
+                filters[f0 + b] = cho_solve(cho_factor(system), cross[b])
+            except LinAlgError:
+                filters[f0 + b] = np.linalg.lstsq(system, cross[b], rcond=None)[0]
 
-    _run_blocks(accumulate, list(range(0, bins, _BIN_BLOCK)), fit_threads)
-    gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
-
-    filters = np.zeros((bins, taps), dtype=np.complex128)
-    trace = np.einsum("fkk->f", gram).real
-    load = config.diag_load_delta * trace / taps
-    eye = np.eye(taps)
-    for f in range(bins):
-        if trace[f] <= 0.0:
-            continue  # silent frequency: zero filter
-        system = gram[f] + load[f] * eye
-        try:
-            filters[f] = cho_solve(cho_factor(system), cross[f])
-        except LinAlgError:
-            filters[f] = np.linalg.lstsq(system, cross[f], rcond=None)[0]
+    _run_blocks(fit_block, list(range(0, bins, _BIN_BLOCK)), fit_threads)
     return filters
 
 
@@ -218,6 +220,8 @@ def apply_filter(
 
     ``out(t,f) = g(f)^H [s_hat(t,f), s_hat(t-1,f), ...]`` with causal
     zero-prefix taps, i.e. a per-frequency FIR along the frame axis.
+    The output is filled one ``_BIN_BLOCK`` of bins at a time, so memory
+    beyond it is one block's padded input, whatever the number of bins.
     """
     filters = np.asarray(filters)
     if filters.ndim != 2 or filters.shape[0] != s_hat.bins:
@@ -225,8 +229,12 @@ def apply_filter(
             f"filters shape {filters.shape} does not match "
             f"({s_hat.bins}, taps)"
         )
-    stack = _tap_stack(s_hat.data, filters.shape[1])
-    out = (filters.conj()[:, None, :] @ stack)[:, 0, :].T
+    taps = filters.shape[1]
+    g = filters.conj()[:, None, :]
+    out = np.empty(s_hat.data.shape, dtype=np.result_type(g, s_hat.data))
+    for f0 in range(0, s_hat.bins, _BIN_BLOCK):
+        f = slice(f0, f0 + _BIN_BLOCK)
+        out[:, f] = (g[f] @ _tap_stack(s_hat.data[:, f], taps))[:, 0, :].T
     return ComplexSpectrogram(out, s_hat.config)
 
 

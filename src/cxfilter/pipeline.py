@@ -218,10 +218,13 @@ def run_fcp_stage(
         raise ValueError("run_fcp_stage expects a 1-D time-domain mixture")
     n = mixture.shape[0]
     grid = config.fcp.stft
-    mix_spec = stft(mixture, grid)
     s_hats = [convert_config(s, grid, n) for s in separator_output.direct_estimates]
     separate = fcp_essu_separate if config.fcp_mode == "essu" else fcp_separate
-    images = separate(mix_spec, s_hats, config.fcp)
+    images = separate(stft(mixture, grid), s_hats, config.fcp)
+    # The filter-grid mixture (a temporary of the call) and direct
+    # estimates are not needed past the fit.  Freed before the images are
+    # converted back, they do not add to the conversions' peak memory.
+    del s_hats
     return [convert_config(img, config.stft_dnn, n) for img in images]
 
 
@@ -391,8 +394,10 @@ def predict(
     ``fcp_mode='off'`` it is returned as it is, with no feature stack.
     Otherwise each iteration predicts images from the current direct
     estimates, and every iteration but the last refines them for the
-    next.  Returns the estimates the last feature stack was built from,
-    and that stack; :func:`run_pipeline` applies the last refinement.
+    next.  The images are predicted again only after an ``external``
+    refinement, the one refinement that changes the direct estimates.
+    Returns the estimates the last feature stack was built from, and
+    that stack; :func:`run_pipeline` applies the last refinement.
     """
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
@@ -401,11 +406,15 @@ def predict(
         for iteration in range(1, config.iterations + 1):
             if stack is not None:
                 current = _refine(stack, current, config, iteration - 1)
+            # Only an external refinement changes the direct estimates
+            # that the images are predicted from.
+            if stack is None or config.refinement == "external":
+                images = run_fcp_stage(scene.mixture, current, config)
             stack = FeatureStack(
                 mixture=mixture_spec,
                 stage1_direct=list(current.direct_estimates),
                 stage1_image=list(current.image_estimates),
-                fcp_images=run_fcp_stage(scene.mixture, current, config),
+                fcp_images=list(images),
                 num_samples=scene.num_samples,
             )
     return current, stack

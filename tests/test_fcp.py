@@ -251,10 +251,13 @@ class TestNaiveOracleEdgeCases:
         silent = ~np.any(s_hat.data, axis=0)
         assert np.all(g[silent] == 0)
 
-    def test_singular_system_takes_lstsq_fallback(self, rng, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_singular_system_takes_lstsq_fallback(self, rng, monkeypatch, threads):
         # Without loading, fewer frames than taps leaves every bin's
         # normal matrix rank-deficient, so every Cholesky factorization
         # fails and the minimum-norm least-squares solution is returned.
+        # The solves run on the fit threads.
+        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         failures = []
         cho_factor = fcp_module.cho_factor
 
@@ -410,6 +413,44 @@ class TestBoundedMemory:
             assert g.shape == (FILTER_STFT.bins, 40)
             assert np.all(np.isfinite(g))
             assert peak < 256 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ten_second_fit_holds_no_gram_stack(self, monkeypatch, threads):
+        # 10 s on the filter grid: 1252 frames x 513 bins and 40 taps.
+        # Beyond its (frames, bins) float64 weights, a fit holds two tiles,
+        # one block's input rows and its (8, taps, taps) Gram per fit
+        # thread: under three tiles.  A (bins, taps, taps) Gram stack
+        # alone is 12.5 MiB, five tiles.
+        monkeypatch.setattr(fcp_module, "fit_threads", threads)
+        rng = np.random.default_rng(10)
+        target = rand_spec(rng, 1252, FILTER_STFT)
+        s_hat = rand_spec(rng, 1252, FILTER_STFT)
+        config = FcpConfig(taps=40)
+        weights = target.data.real.nbytes
+        tile = fcp_module._BIN_BLOCK * config.taps * fcp_module._FRAME_BLOCK * 16
+        tracemalloc.start()
+        try:
+            g = estimate_fcp_filter(target, s_hat, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(g))
+        assert peak <= weights + threads * 3 * tile
+
+    def test_apply_holds_one_output(self):
+        # The output, the one-byte-per-unit finiteness check of its
+        # spectrogram and one bin block's padded input and products; no
+        # padded copy of the whole input and no transposed output.
+        rng = np.random.default_rng(11)
+        s_hat = rand_spec(rng, 1252, FILTER_STFT)
+        g = rng.standard_normal((FILTER_STFT.bins, 40)) + 0j
+        tracemalloc.start()
+        try:
+            out = apply_filter(g, s_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.data.nbytes
 
 
 class TestOptimalityInvariants:

@@ -1,5 +1,6 @@
 """Separator surrogate, prediction stage, feature exchange, full pipeline."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from cxfilter import (
     simulate_scene,
     stft,
 )
+from cxfilter import pipeline as pipeline_module
 from cxfilter.pipeline import export_estimates, import_features
 from cxfilter.io import read_json, write_json
 
@@ -159,6 +161,29 @@ class TestRunFcpStage:
             run_fcp_stage(
                 small_scene.mixture, sep, ExperimentConfig(fcp_mode="off")
             )
+
+    def test_ten_second_essu_stage_peak_is_bounded(self):
+        # Two speakers for 10 s: the stage holds the filter-grid mixture,
+        # direct estimates, ESSU residual and images, one weight array
+        # and tiles at a time, then only the images while it converts
+        # them back.  Inputs are allocated before tracing.
+        config = ExperimentConfig(fcp_mode="essu")
+        n = 10 * config.stft_dnn.sample_rate_hz
+        rng = np.random.default_rng(10)
+        signals = [rng.standard_normal(n) for _ in range(2)]
+        specs = [stft(s, config.stft_dnn) for s in signals]
+        sep = SeparatorOutput(direct_estimates=specs, image_estimates=specs)
+        mixture = signals[0] + signals[1]
+        grid = config.fcp.stft
+        spectrogram = grid.num_frames(n) * grid.bins * 16
+        tracemalloc.start()
+        try:
+            images = run_fcp_stage(mixture, sep, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(images) == 2
+        assert peak <= 7 * spectrogram
 
     def test_fcp_grid_comes_from_fcp_config(self, mono_scene):
         n = mono_scene.num_samples
@@ -350,6 +375,39 @@ class TestRunPipeline:
             istft(stack.fcp_images[0], output_length=mono_scene.num_samples),
         )
         assert predict(mono_scene, replace(config, fcp_mode="off"))[1] is None
+
+    @pytest.mark.parametrize(
+        "refinement, stage_calls",
+        [("passthrough", 1), ("fcp_substitute", 1), ("external", 3)],
+    )
+    def test_prediction_stage_reruns_only_after_external(
+        self, mono_scene, tmp_path, monkeypatch, refinement, stage_calls
+    ):
+        calls = []
+        stage = pipeline_module.run_fcp_stage
+
+        def counting_stage(*args):
+            calls.append(1)
+            return stage(*args)
+
+        monkeypatch.setattr(pipeline_module, "run_fcp_stage", counting_stage)
+        estimates = oracle_separate(mono_scene, DegradationSpec(snr_db=20.0))
+        for iteration in (1, 2):
+            directory = tmp_path / f"iteration_{iteration}" / "estimates"
+            export_estimates(estimates, directory, mono_scene.num_samples)
+        config = ExperimentConfig(
+            refinement=refinement,
+            iterations=3,
+            external_dir=str(tmp_path),
+            fcp=FcpConfig(taps=4),
+        )
+        separator, stack = predict(mono_scene, config)
+        assert len(calls) == stage_calls
+        # The last stack's images are those of its direct estimates.
+        again = stage(mono_scene.mixture, separator, config)
+        assert all(
+            np.array_equal(a.data, b.data) for a, b in zip(stack.fcp_images, again)
+        )
 
     def test_external_mode_two_phase(self, mono_scene, tmp_path):
         config = ExperimentConfig(
