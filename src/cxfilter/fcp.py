@@ -142,21 +142,17 @@ def estimate_fcp_filter(
     loading.  Frequencies where ``s_hat`` is identically zero yield a
     zero filter row rather than an error.
 
-    The Gram matrices ``R[f] = sum_t stack stack^H / w`` and cross
-    terms ``p[f] = sum_t stack conj(target) / w`` are accumulated over
-    tiles of ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, each with
-    its own contiguous ``(bins, taps, frames)`` regressor, as
-    ``R += X_w X^H`` and ``p += X_w target^H`` with ``X_w = X / w``.
-    Each bin block is fitted whole on one thread: its ``(_BIN_BLOCK,
-    taps, taps)`` Gram is accumulated, made Hermitian, loaded and solved
-    bin by bin, and only its own rows of the filters are written.  The
-    blocks run on :data:`fit_threads` threads; each bin's sums and solve
-    come from the same calls in the same order on any thread, so the
-    result has the same bits at any thread count.  No ``(bins, taps,
-    taps)`` Gram stack is built: beyond the ``(frames, bins)`` weights
-    and the filters, memory is one block's input rows, two tiles (about
-    5 MiB at 40 taps) and its Gram per fit thread, whatever the number
-    of frames.  The weights are built on the calling thread first.
+    The Gram ``R[f] = sum_t stack stack^H / w`` and cross term ``p[f] =
+    sum_t stack conj(target) / w`` are accumulated over tiles of
+    ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, as ``R += X_w X^H``
+    and ``p += X_w target^H`` with ``X_w = X * (1/w)``.  Each bin block is
+    fitted whole on one thread (accumulated, made Hermitian, loaded on
+    its diagonal and solved bin by bin), writing only its own filter
+    rows; the blocks run on :data:`fit_threads` threads with the same
+    bits at any count.  Beyond the ``(frames, bins)`` weights and the
+    filters, memory per fit thread is one block's input rows, its Gram
+    and two tiles (about 5 MiB at 40 taps), whatever the number of
+    frames.
 
     Returns
     -------
@@ -171,7 +167,6 @@ def estimate_fcp_filter(
     frames, bins = z.shape
 
     filters = np.zeros((bins, taps), dtype=np.complex128)
-    eye = np.eye(taps)
 
     def fit_block(f0):
         # Writes only its own rows of filters, so blocks need no lock.
@@ -179,31 +174,23 @@ def estimate_fcp_filter(
         gram = np.zeros((f1 - f0, taps, taps), dtype=np.complex128)
         cross = np.zeros((f1 - f0, taps), dtype=np.complex128)
         regress = _tap_stack(s_hat.data[:, f0:f1], taps)
-        # X_w = X / w as X times 1/w on the float64 view, frames
-        # innermost.  Complex division by w + 0j rounds every nonzero
-        # part the same way at several times the cost; only a zero's sign
-        # can differ in the tile, and the sums below start at +0, so the
-        # Gram and cross terms keep the same bits.
-        scale = np.repeat(recip[:, f0:f1].T, 2, axis=1)
+        recip_blk = recip[:, f0:f1].T
         z_blk = z[:, f0:f1].T.conj()
         for t0 in range(0, frames, _FRAME_BLOCK):
             t = slice(t0, t0 + _FRAME_BLOCK)
             x = regress[:, :, t]
-            xw = np.empty(x.shape, dtype=np.complex128)
-            np.multiply(
-                x.view(np.float64),
-                scale[:, None, 2 * t0 : 2 * (t0 + x.shape[2])],
-                out=xw.view(np.float64),
-            )
+            # X times 1/w matches X / (w + 0j) but for a zero's sign, and
+            # the sums start at +0, so the Gram and cross keep their bits.
+            xw = x * recip_blk[:, None, t]
             gram += xw @ x.conj().transpose(0, 2, 1)
             cross += (xw @ z_blk[:, t, None])[:, :, 0]
         gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
         trace = np.einsum("fkk->f", gram).real
-        load = config.diag_load_delta * trace / taps
-        for b in range(f1 - f0):
+        diag = np.einsum("fkk->fk", gram)
+        diag += (config.diag_load_delta * trace / taps)[:, None]
+        for b, system in enumerate(gram):
             if trace[b] <= 0.0:
                 continue  # silent frequency: zero filter
-            system = gram[b] + load[b] * eye
             try:
                 filters[f0 + b] = cho_solve(cho_factor(system), cross[b])
             except LinAlgError:
