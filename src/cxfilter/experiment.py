@@ -29,7 +29,7 @@ import scipy
 
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
-from cxfilter.io import config_to_dict, write_csv, write_json
+from cxfilter.io import config_to_dict, decode_value, write_csv, write_json
 from cxfilter.metrics import (
     MetricsReport,
     QuantileSweep,
@@ -64,7 +64,7 @@ REPORT_FORMAT_VERSION = 1
 FCP_MODES = ("off", "fcp", "essu")
 # Sweep axis -> (dotted ExperimentConfig field path, cast of the swept value).
 SWEEP_AXES = {
-    "taps": ("fcp.taps", int),
+    "taps": ("fcp.taps", lambda v: decode_value(int, v, "taps")),
     "epsilon": ("fcp.epsilon", float),
     "degradation_snr": ("degradation.snr_db", float),
     "t60": ("scene.t60_range_s", lambda v: (v, v)),
@@ -87,11 +87,11 @@ class SceneRanges:
 
     num_speakers: int = 2
     duration_s: float = 3.0
-    t60_range_s: tuple = (0.2, 0.5)
-    drr_range_db: tuple = (-5.0, 0.0)
-    noise_snr_range_db: tuple = (20.0, 30.0)
+    t60_range_s: tuple[float, ...] = (0.2, 0.5)
+    drr_range_db: tuple[float, ...] = (-5.0, 0.0)
+    noise_snr_range_db: tuple[float, ...] = (20.0, 30.0)
     sample_rate_hz: int = 8000
-    speaker_gains_db: tuple | None = None
+    speaker_gains_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -165,7 +165,7 @@ class ExperimentConfig:
     iterations: int = 1
     refinement: str = "passthrough"
     stft_dnn: StftConfig = field(default_factory=lambda: SEPARATOR_STFT)
-    quantiles: tuple = ()
+    quantiles: tuple[float, ...] = ()
     external_dir: str | None = None
     out: str | None = None
 
@@ -324,7 +324,9 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     Where a bundled OpenBLAS is not found, one warning line goes to
     stderr, its threads are left as they are, and the fits run on one
     thread, since Python threads over a multi-threaded BLAS would
-    oversubscribe the cores.
+    oversubscribe the cores.  A pool that cannot be started (an OSError
+    while creating it or submitting to it) is reported by a warning and
+    the payloads run here; an error raised by a worker is re-raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -341,20 +343,25 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     fit_threads = 1 if missing else cpus
     if workers <= 1:
         return _run_pinned(func, payloads, fit_threads)
+    pool = None
     try:
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pin_blas_threads,
             initargs=(max(1, fit_threads // workers),),
-        ) as pool:
-            return list(pool.map(func, payloads))
+        )
+        results = pool.map(func, payloads)  # submits every payload now
     except OSError as err:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         print(
             f"warning: parallel execution unavailable ({err}); running "
             "sequentially",
             file=sys.stderr,
         )
         return _run_pinned(func, payloads, fit_threads)
+    with pool:  # a worker's own error, OSError or not, reaches the caller
+        return list(results)
 
 
 def _separate_worker(job) -> MetricsReport:
@@ -440,12 +447,12 @@ def evaluate_estimates(
 ) -> dict:
     """Score imported estimates against a scene; write report and CSVs.
 
-    Raises ValueError, before writing, when the speaker count or the
-    estimates' length ``num_samples`` differs from the scene's, or the
-    quantiles are not strictly ascending within (0, 1].  When
-    quantiles are given, a combined low-energy sweep compares the
-    estimates with the unprocessed mixture, averaged over speakers, and
-    both CSV exports are written next to the report.  The estimates'
+    Raises ValueError, before writing, when the speaker count, the
+    sample rate or the estimates' length ``num_samples`` differs from
+    the scene's, or the quantiles are not strictly ascending within
+    (0, 1].  When quantiles are given, a combined low-energy sweep
+    compares the estimates with the unprocessed mixture, averaged over
+    speakers, and both CSV exports are written next to the report.  The estimates'
     SI-SDR-LE values in the sweep are the report's; only the mixture is
     scored again, once per speaker and quantile.
     """
@@ -453,6 +460,13 @@ def evaluate_estimates(
         raise ValueError(
             f"estimate speaker count {estimates.num_speakers} does not match "
             f"scene speaker count {scene.num_speakers}"
+        )
+    rate = scene.spec.sample_rate_hz
+    estimates_rate = estimates.image_estimates[0].config.sample_rate_hz
+    if estimates_rate != rate:
+        raise ValueError(
+            f"estimates are sampled at {estimates_rate} Hz but the scene "
+            f"at {rate} Hz"
         )
     n = scene.num_samples
     if num_samples != n:

@@ -124,11 +124,20 @@ def decode_value(hint, value, name: str):
         raise ValueError(f"{name}: expected true or false, not {value!r}")
     if hint is str and not isinstance(value, str):
         raise ValueError(f"{name}: expected a string, not {value!r}")
-    if hint in (tuple, float):
-        try:
-            return hint(value)  # float() also parses the encoded "inf"/"-inf"
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{name}: {err}") from None
+    if hint is float:
+        # A number, or an infinity as config_to_dict encodes it.
+        if value in ("inf", "-inf"):
+            return float(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name}: expected a number, not {value!r}")
+        return float(value)
+    if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``
+        if not isinstance(value, list):
+            raise ValueError(f"{name}: expected a list, not {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(
+            decode_value(item, v, f"{name}[{i}]") for i, v in enumerate(value)
+        )
     return value
 
 

@@ -397,8 +397,20 @@ def predict(
     next.  The images are predicted again only after an ``external``
     refinement, the one refinement that changes the direct estimates.
     Returns the estimates the last feature stack was built from, and
-    that stack; :func:`run_pipeline` applies the last refinement.
+    that stack; :func:`run_pipeline` applies the last refinement.  A
+    scene whose sample rate is not that of ``config.stft_dnn`` (and, with
+    FCP on, of ``config.fcp.stft``) raises ValueError naming both rates.
     """
+    grids = {"stft_dnn": config.stft_dnn}
+    if config.fcp_mode != "off":
+        grids["fcp.stft"] = config.fcp.stft
+    rate = scene.spec.sample_rate_hz
+    for name, grid in grids.items():
+        if grid.sample_rate_hz != rate:
+            raise ValueError(
+                f"scene sample rate {rate} Hz does not match the "
+                f"{name} sample rate {grid.sample_rate_hz} Hz"
+            )
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     if config.fcp_mode != "off":

@@ -60,7 +60,7 @@ class SceneSpec:
     noise_snr_db: float = 25.0
     seed: int = 0
     sample_rate_hz: int = 8000
-    speaker_gains_db: tuple | None = None
+    speaker_gains_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.num_speakers < 1:

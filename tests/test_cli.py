@@ -6,7 +6,9 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import cxfilter.cli
 import cxfilter.experiment
@@ -16,6 +18,7 @@ from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.io import config_to_dict, read_json, read_wav, write_json, write_wav
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import save_scene
+from cxfilter.stft import SEPARATOR_STFT
 from conftest import count_calls
 
 
@@ -202,8 +205,13 @@ class TestSeparate:
              "ExperimentConfig.external_dir"),
             ({"fcp": {"taps": 40.5}}, "FcpConfig.taps"),
             ({"fcp": {"per_freq_floor": "false"}}, "FcpConfig.per_freq_floor"),
+            ({"fcp": {"epsilon": True}}, "FcpConfig.epsilon"),
+            ({"scene": {"t60_range_s": "12"}}, "SceneRanges.t60_range_s"),
         ],
-        ids=["number_for_str", "fraction_for_int", "string_for_bool"],
+        ids=[
+            "number_for_str", "fraction_for_int", "string_for_bool",
+            "bool_for_float", "string_for_tuple",
+        ],
     )
     def test_config_value_of_the_wrong_type_is_exit_5(
         self, tmp_path, capsys, config, name
@@ -260,6 +268,58 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert f"{path}: key files must be an object" in err
         assert "Traceback" not in err
+
+    def test_worker_error_is_not_a_pool_failure(self, tmp_path, capsys, monkeypatch):
+        # A scene that fails in a pool worker fails the run with its own
+        # error, once: the pool is not reported unavailable and rerun.
+        monkeypatch.setattr(cxfilter.experiment, "_cpu_count", lambda: 2)
+        assert _simulate(tmp_path / "scenes", count=2) == 0
+        (tmp_path / "scenes" / "scene_0002" / "s1_image.wav").unlink()
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off",
+                "--jobs", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "lists a missing file" in err
+        assert "parallel execution unavailable" not in err
+
+    @pytest.mark.parametrize(
+        "fcp, config, grid",
+        [
+            ("essu", {}, "stft_dnn"),
+            ("off", {}, "stft_dnn"),
+            ("essu", {"stft_dnn": {**config_to_dict(SEPARATOR_STFT),
+                                   "sample_rate_hz": 16000}}, "fcp.stft"),
+        ],
+        ids=["essu", "off", "filter_grid"],
+    )
+    def test_scene_rate_other_than_a_grid_is_exit_5(
+        self, tmp_path, capsys, fcp, config, grid
+    ):
+        write_json(tmp_path / "sim.json", {"scene": {"sample_rate_hz": 16000}})
+        sim = ("--config", str(tmp_path / "sim.json"))
+        assert _simulate(tmp_path / "scenes", extra=sim) == 0
+        write_json(tmp_path / "run.json", config)
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", fcp,
+                "--config", str(tmp_path / "run.json"), "--out", str(out)]
+        assert main(argv) == 5
+        assert (
+            f"scene sample rate 16000 Hz does not match the {grid} sample rate "
+            "8000 Hz"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_off_mode_checks_only_the_separator_grid(self, tmp_path):
+        write_json(tmp_path / "sim.json", {"scene": {"sample_rate_hz": 16000}})
+        sim = ("--config", str(tmp_path / "sim.json"))
+        assert _simulate(tmp_path / "scenes", extra=sim) == 0
+        grid = {**config_to_dict(SEPARATOR_STFT), "sample_rate_hz": 16000}
+        write_json(tmp_path / "run.json", {"stft_dnn": grid})
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off",
+                "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        rate, _ = wavfile.read(tmp_path / "out/scene_0001/estimates/s1_image.wav")
+        assert rate == 16000
 
     def test_missing_scene_directory_is_exit_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -476,6 +536,22 @@ class TestEval:
         ) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_rate_mismatch_is_exit_4(self, tmp_path, capsys):
+        # As many samples as the scene, at half its rate.
+        spec = SceneSpec(num_speakers=1, duration_s=0.5, sample_rate_hz=16000, seed=6)
+        save_scene(simulate_scene(spec), tmp_path / "scene")
+        other = simulate_scene(replace(spec, duration_s=1.0, sample_rate_hz=8000))
+        export_estimates(
+            oracle_separate(other, DegradationSpec()), tmp_path / "est",
+            other.num_samples,
+        )
+        assert _eval(tmp_path) == 4
+        assert (
+            "estimates are sampled at 8000 Hz but the scene at 16000 Hz"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("quantiles", BAD_QUANTILES)
     def test_bad_quantiles_are_exit_5(self, tmp_path, capsys, quantiles):
         self._fixture(tmp_path)
@@ -567,6 +643,14 @@ def _break_directory(directory, manifest_name, fault):
         wav.unlink()
     elif fault == "wrong_rate":
         write_wav(wav, read_wav(wav), 16000)
+    elif fault == "stereo":
+        wavfile.write(wav, 8000, np.stack([read_wav(wav)] * 2, axis=1))
+    elif fault == "pcm8":
+        wavfile.write(wav, 8000, np.full(read_wav(wav).size, 128, dtype=np.uint8))
+    elif fault == "non_finite":
+        samples = read_wav(wav)
+        samples[100] = np.nan
+        write_wav(wav, samples, 8000)
     else:
         write_wav(wav, read_wav(wav)[:-1], 8000)
 
@@ -601,6 +685,40 @@ class TestDirectoryRejections:
         _break_directory(tmp_path / directory, manifest_name, fault)
         assert _eval(tmp_path) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestWavFormatRejections:
+    """A stereo or 8-bit PCM WAV is rejected naming the file, and a
+    non-finite sample where it is analysed: exit 5 from ``separate``, 2
+    from ``eval``."""
+
+    @pytest.mark.parametrize("fault", ["stereo", "pcm8", "non_finite"])
+    def test_separate_scenes_is_exit_5(self, tmp_path, capsys, fault):
+        assert _simulate(tmp_path / "scenes", count=2) == 0
+        _break_directory(tmp_path / "scenes" / "scene_0002", "scene.json", fault)
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        named = "non-finite" if fault == "non_finite" else "scene_0002/s1_image.wav"
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["stereo", "pcm8"])
+    @pytest.mark.parametrize("directory", ["scene", "est"])
+    def test_eval_is_exit_2(self, tmp_path, capsys, directory, fault):
+        _eval_inputs(tmp_path)
+        manifest_name = "scene.json" if directory == "scene" else "estimates.json"
+        _break_directory(tmp_path / directory, manifest_name, fault)
+        assert _eval(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / directory / "s1_image.wav") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_estimate_is_exit_2(self, tmp_path, capsys):
+        _eval_inputs(tmp_path)
+        _break_directory(tmp_path / "est", "estimates.json", "non_finite")
+        assert _eval(tmp_path) == 2
+        assert "signal contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -689,6 +807,14 @@ class TestSweep:
         argv = ["sweep", "--out", str(out), "--axis", "taps", "--values", "0"]
         assert main(argv) == 5
         assert capsys.readouterr().err == "bad arguments: taps must be >= 1\n"
+        assert not out.exists()
+
+    def test_fractional_taps_are_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--out", str(out), "--axis", "taps", "--values", "4.5,4"]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err == "bad arguments: taps: expected an integer, not 4.5\n"
         assert not out.exists()
 
     def test_bad_axis_is_usage_error(self, tmp_path, capsys):

@@ -38,6 +38,10 @@ def _square(x):
     return x * x
 
 
+def _missing_file(x):
+    raise FileNotFoundError(f"payload {x}: no such file")
+
+
 @pytest.fixture
 def openblas():
     """OpenBLAS (get, set) pairs by package; thread counts restored after."""
@@ -349,6 +353,37 @@ class TestBatchRuns:
         values = list(range(7))
         assert _map_jobs(_square, values, jobs=1) == [v * v for v in values]
         assert _map_jobs(_square, values, jobs=2) == [v * v for v in values]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+        with pytest.raises(FileNotFoundError, match="payload 0: no such file"):
+            _map_jobs(_missing_file, [0, 1], jobs=2)
+        assert "parallel execution unavailable" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["create", "submit"])
+    def test_pool_that_cannot_start_runs_here(self, monkeypatch, capsys, stage):
+        shutdowns = []
+
+        class BrokenPool:
+            def __init__(self, **kwargs):
+                if stage == "create":
+                    raise OSError("no semaphores")
+
+            def map(self, func, payloads):
+                raise OSError("no semaphores")
+
+            def shutdown(self, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+        values = list(range(5))
+        assert _map_jobs(_square, values, jobs=2) == [v * v for v in values]
+        assert capsys.readouterr().err.endswith(
+            "warning: parallel execution unavailable (no semaphores); running "
+            "sequentially\n"
+        )
+        assert shutdowns == ([True] if stage == "submit" else [])
 
     def test_map_jobs_clamps_workers(self, monkeypatch, openblas):
         started, initializers = [], []

@@ -183,17 +183,40 @@ class TestConfigDict:
              "FcpConfig.per_freq_floor"),
             (ExperimentConfig, {"external_dir": 5}, "ExperimentConfig.external_dir"),
             (ExperimentConfig, {"fcp_mode": ["essu"]}, "ExperimentConfig.fcp_mode"),
+            (ExperimentConfig, {"fcp": {"epsilon": True}}, "FcpConfig.epsilon"),
+            (ExperimentConfig, {"fcp": {"diag_load_delta": "0.5"}},
+             "FcpConfig.diag_load_delta"),
+            (ExperimentConfig, {"degradation": {"snr_db": "Infinity"}},
+             "DegradationSpec.snr_db"),
+            (ExperimentConfig, {"scene": {"t60_range_s": "12"}},
+             "SceneRanges.t60_range_s"),
+            (ExperimentConfig, {"scene": {"drr_range_db": ["-5", "0"]}},
+             "SceneRanges.drr_range_db[0]"),
+            (ExperimentConfig, {"quantiles": {"0.5": 1}}, "ExperimentConfig.quantiles"),
+            (SceneSpec, {"num_speakers": 2, "speaker_gains_db": [0, False]},
+             "SceneSpec.speaker_gains_db[1]"),
         ],
         ids=[
             "missing_field", "string", "null", "number_for_list", "nested",
             "fraction_for_int", "fraction_for_int_nested", "bool_for_int",
             "string_for_int", "string_for_bool", "number_for_bool",
-            "number_for_optional_str", "list_for_str",
+            "number_for_optional_str", "list_for_str", "bool_for_float",
+            "string_for_float", "unencoded_infinity", "string_for_tuple",
+            "strings_in_tuple", "object_for_tuple", "bool_in_tuple",
         ],
     )
     def test_value_of_the_wrong_type_is_named(self, cls, d, name):
         with pytest.raises(ValueError, match=re.escape(name)):
             config_from_dict(cls, d)
+
+    def test_tuple_items_decode_as_floats(self):
+        config = config_from_dict(
+            ExperimentConfig,
+            {"scene": {"t60_range_s": [1, 2], "speaker_gains_db": [0, "-inf"]}},
+        )
+        assert config.scene.t60_range_s == (1.0, 2.0)
+        assert config.scene.speaker_gains_db == (0.0, -np.inf)
+        assert all(type(v) is float for v in config.scene.t60_range_s)
 
     def test_integral_number_decodes_as_int(self):
         config = config_from_dict(ExperimentConfig, {"fcp": {"taps": 7.0}, "seed": 3})

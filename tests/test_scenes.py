@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cxfilter import (
     Scene,
@@ -220,6 +221,29 @@ class TestSceneSerialization:
         )
         with pytest.raises(ValueError, match=rf"s1_image\.wav: {n // 2} .* {n}$"):
             load_scene(tmp_path / "sc")
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32], ids=["pcm16", "pcm32"])
+    def test_pcm_components_are_rescaled(self, tmp_path, small_scene, rng, dtype):
+        path = save_scene(small_scene, tmp_path / "sc")
+        info = np.iinfo(dtype)
+        scale = 2.0 ** (info.bits - 1)
+        pcm = {}
+        for name, file in json.loads(path.read_text())["files"].items():
+            size = wavfile.read(tmp_path / "sc" / file)[1].size
+            samples = rng.integers(info.min, info.max, size, dtype=dtype, endpoint=True)
+            samples[:2] = info.min, info.max
+            wavfile.write(tmp_path / "sc" / file, small_scene.spec.sample_rate_hz, samples)
+            pcm[name] = samples / scale
+        loaded = load_scene(tmp_path / "sc")
+        np.testing.assert_array_equal(loaded.mixture, pcm["mixture"])
+        np.testing.assert_array_equal(loaded.noise, pcm["noise"])
+        for c in range(small_scene.num_speakers):
+            np.testing.assert_array_equal(loaded.direct_path[c], pcm[f"s{c + 1}_direct"])
+            np.testing.assert_array_equal(
+                loaded.reverberant_image[c], pcm[f"s{c + 1}_image"]
+            )
+            np.testing.assert_array_equal(loaded.rirs[c].taps, pcm[f"s{c + 1}_rir"])
+        assert loaded.mixture[:2].tolist() == [-1.0, 1.0 - 1.0 / scale]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
