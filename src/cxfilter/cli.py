@@ -96,7 +96,7 @@ _PAIR = dict(type=_float_pair, metavar="LO,HI")
 # path overrides that field of the --config file or default config.
 FLAGS = (
     ("--seed", "seed", dict(type=int, help="global seed"), _RUNS),
-    ("--out", "out", dict(required=True, help="output directory"), _RUNS + _EVAL),
+    ("--out", None, dict(required=True, help="output directory"), _RUNS + _EVAL),
     ("--config", None, dict(help="JSON experiment config file"), _RUNS),
     ("--jobs", None, dict(type=int, default=1, help="scene-level parallel workers "
                           "(results merge in scene order)"), _BATCHES),

@@ -150,9 +150,9 @@ class ExperimentConfig:
     ``external`` refinement exchanges per-iteration feature and
     estimate directories under ``external_dir``; a batch or sweep
     without one is rejected before any scene runs.  The content hash
-    covers all result-determining fields; output locations (``out``,
-    ``external_dir``) are excluded so relocating an experiment does not
-    change its identity.
+    covers all result-determining fields; ``external_dir``, an output
+    location, is excluded so relocating an experiment does not change
+    its identity.
     """
 
     version: int = EXPERIMENT_FORMAT_VERSION
@@ -167,7 +167,6 @@ class ExperimentConfig:
     stft_dnn: StftConfig = field(default_factory=lambda: SEPARATOR_STFT)
     quantiles: tuple[float, ...] = ()
     external_dir: str | None = None
-    out: str | None = None
 
     def __post_init__(self):
         if self.version != EXPERIMENT_FORMAT_VERSION:
@@ -186,7 +185,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         hashed = config_to_dict(self)
-        hashed.pop("out", None)
         hashed.pop("external_dir", None)
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

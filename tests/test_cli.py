@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
-import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,6 +32,15 @@ def _simulate(out, count=1, speakers=1, duration=0.8, seed=4, extra=()):
         *extra,
     ]
     return main(argv)
+
+
+def _tree_bytes(root):
+    """The bytes of every file under ``root``, by relative path."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 # Quantile lists that are not strictly ascending within (0, 1].
@@ -410,15 +418,8 @@ class TestSeparate:
                     "--fcp", "fcp", "--refinement", "fcp_substitute",
                     "--jobs", str(jobs)]
             assert main(argv) == 0
-            report = read_json(out / "report.json")
-            assert report["config"].pop("out") == str(out)
-            files = {
-                path.relative_to(out): path.read_bytes()
-                for path in sorted(out.rglob("*"))
-                if path.is_file() and path != out / "report.json"
-            }
-            runs[jobs] = json.dumps(report), files
-        assert sum(name.suffix == ".wav" for name in runs[1][1]) == 4 * 4
+            runs[jobs] = _tree_bytes(out)
+        assert sum(name.suffix == ".wav" for name in runs[1]) == 4 * 4
         assert runs[1] == runs[2]
 
 
@@ -829,6 +830,47 @@ class TestSweep:
         assert code == 5
 
 
+class TestOutDirectory:
+    """What a run writes depends on its config and inputs, not on where
+    ``--out`` puts it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["separate", "--fcp", "off", "--quantiles", "0.5"],
+            ["separate", "--fcp", "essu", "--quantiles", "0.5"],
+            ["eval", "--scene", "scene", "--estimates", "est"],
+            ["sweep", "--axis", "taps", "--values", "2,4"],
+        ],
+        ids=["simulate", "separate_off", "separate_essu", "eval", "sweep"],
+    )
+    def test_output_bytes_do_not_depend_on_out(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        config = ExperimentConfig(scene=SceneRanges(num_speakers=2, duration_s=0.8))
+        write_json(tmp_path / "config.json", config_to_dict(config))
+        if argv[0] == "eval":
+            _eval_inputs(tmp_path, speakers=2)
+        else:
+            argv = [*argv, "--config", "config.json"]
+        trees = []
+        for out in ("a", "b"):
+            assert main([*argv, "--out", out]) == 0
+            trees.append(_tree_bytes(tmp_path / out))
+        assert trees[0] and trees[0] == trees[1]
+
+    def test_config_file_out_key_is_ignored(self, tmp_path):
+        config = ExperimentConfig(
+            scene=SceneRanges(num_speakers=1, duration_s=0.8), fcp_mode="off"
+        )
+        write_json(tmp_path / "config.json", {**config_to_dict(config), "out": "x"})
+        argv = ["separate", "--config", str(tmp_path / "config.json")]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        report = read_json(tmp_path / "out" / "report.json")
+        assert report["config"] == config_to_dict(config)
+        assert report["config_sha256"] == config.config_hash()
+
+
 # Flag -> (argument, dotted config path, value in ``config_to_dict`` form).
 _CONFIG_FLAGS = {
     "--seed": ("7", "seed", 7),
@@ -996,7 +1038,6 @@ class TestSurface:
             write_json(tmp_path / "config.json", config_to_dict(base))
             argv += ["--config", str(tmp_path / "config.json")]
         expected = config_to_dict(base)
-        expected["out"] = out
         if flag is not None:
             text, path, value = _CONFIG_FLAGS[flag]
             argv += [flag, text]

@@ -128,7 +128,6 @@ class TestExperimentConfig:
 
     def test_hash_ignores_output_locations(self):
         config = _tiny_config()
-        assert config.config_hash() == replace(config, out="elsewhere").config_hash()
         assert (
             config.config_hash()
             == replace(config, external_dir="/tmp/x").config_hash()

@@ -155,7 +155,6 @@ class TestConfigDict:
         assert config.degradation.snr_db == np.inf
         assert config.scene.speaker_gains_db == (0.0, -np.inf)
         assert config.quantiles == (0.5,)
-        assert config.out is None
 
     def test_non_object_is_rejected(self):
         with pytest.raises(ValueError, match="ExperimentConfig.*list"):
