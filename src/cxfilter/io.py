@@ -61,8 +61,9 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
     """Read a mono WAV file as float64 samples.
 
-    Float formats are passed through; 16/32-bit PCM is rescaled to
-    [-1, 1) so externally produced scenes are accepted.
+    Float formats are passed through, and a non-finite sample raises
+    ValueError naming the file; 16/32-bit PCM is rescaled to [-1, 1) so
+    externally produced scenes are accepted.
     """
     rate, data = wavfile.read(str(path))
     if expected_rate is not None and rate != expected_rate:
@@ -73,9 +74,11 @@ def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
         return data.astype(np.float64) / 32768.0
     if data.dtype == np.int32:
         return data.astype(np.float64) / 2147483648.0
-    if data.dtype in (np.float32, np.float64):
-        return data.astype(np.float64)
-    raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
+    if data.dtype not in (np.float32, np.float64):
+        raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: signal contains non-finite values")
+    return data.astype(np.float64)
 
 
 def _encode_value(v):

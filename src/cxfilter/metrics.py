@@ -205,7 +205,7 @@ def quantile_sweep(est_systems: dict, ref, quantiles) -> QuantileSweep:
     """
     if len(est_systems) == 0:
         raise ValueError("quantile_sweep needs at least one system")
-    quantiles = tuple(float(q) for q in quantiles)
+    quantiles = check_quantiles(quantiles)
     tables = {
         name: [[si_sdr_le(est, ref, q) for q in quantiles]]
         for name, est in est_systems.items()
@@ -275,11 +275,11 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
     for est in estimates:
         if est.shape != refs[0].shape:
             raise ValueError("evaluate_scene: estimate length mismatch")
+    quantiles = check_quantiles(quantiles)
 
     table = pairwise_table(si_sdr, estimates, refs)
     best_perm = best_permutation(-table)
 
-    quantiles = tuple(float(q) for q in quantiles)
     per_speaker = []
     for c in range(count):
         entry = {"si_sdr_db": float(table[c, best_perm[c]])}

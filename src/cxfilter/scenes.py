@@ -312,7 +312,9 @@ def load_scene(directory) -> Scene:
     count = spec.num_speakers
     delays = manifest.get("rir_direct_delays_samples")
     if delays is not None and not (
-        isinstance(delays, list) and [type(d) for d in delays] == [int] * count
+        isinstance(delays, list)
+        and len(delays) == count
+        and all(type(d) is int for d in delays)
     ):
         raise ValueError(
             f"{path}: rir_direct_delays_samples must list {count} delays as integers"

@@ -630,9 +630,11 @@ def _eval(tmp_path):
 
 def _break_directory(directory, manifest_name, fault):
     """Break a scene or exchange directory in one way: its manifest's
-    version or a required key, or its listed ``s1_image.wav``."""
+    version or a required key, its listed ``s1_image.wav``, or, for
+    ``non_finite_mixture``, a scene's ``mixture.wav``."""
     manifest_path = directory / manifest_name
-    wav = directory / "s1_image.wav"
+    name = "mixture.wav" if fault == "non_finite_mixture" else "s1_image.wav"
+    wav = directory / name
     if fault in ("version", "missing_key"):
         manifest = read_json(manifest_path)
         if fault == "version":
@@ -648,7 +650,7 @@ def _break_directory(directory, manifest_name, fault):
         wavfile.write(wav, 8000, np.stack([read_wav(wav)] * 2, axis=1))
     elif fault == "pcm8":
         wavfile.write(wav, 8000, np.full(read_wav(wav).size, 128, dtype=np.uint8))
-    elif fault == "non_finite":
+    elif fault in ("non_finite", "non_finite_mixture"):
         samples = read_wav(wav)
         samples[100] = np.nan
         write_wav(wav, samples, 8000)
@@ -690,19 +692,20 @@ class TestDirectoryRejections:
 
 
 class TestWavFormatRejections:
-    """A stereo or 8-bit PCM WAV is rejected naming the file, and a
-    non-finite sample where it is analysed: exit 5 from ``separate``, 2
-    from ``eval``."""
+    """A stereo or 8-bit PCM WAV, or one with a non-finite sample, is
+    rejected naming the file: exit 5 from ``separate``, 2 from ``eval``."""
 
-    @pytest.mark.parametrize("fault", ["stereo", "pcm8", "non_finite"])
+    @pytest.mark.parametrize(
+        "fault", ["stereo", "pcm8", "non_finite", "non_finite_mixture"]
+    )
     def test_separate_scenes_is_exit_5(self, tmp_path, capsys, fault):
         assert _simulate(tmp_path / "scenes", count=2) == 0
         _break_directory(tmp_path / "scenes" / "scene_0002", "scene.json", fault)
         argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 5
         err = capsys.readouterr().err
-        named = "non-finite" if fault == "non_finite" else "scene_0002/s1_image.wav"
-        assert named in err and "Traceback" not in err
+        wav = "mixture.wav" if fault == "non_finite_mixture" else "s1_image.wav"
+        assert f"scene_0002/{wav}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fault", ["stereo", "pcm8"])
     @pytest.mark.parametrize("directory", ["scene", "est"])
@@ -720,6 +723,14 @@ class TestWavFormatRejections:
         _break_directory(tmp_path / "est", "estimates.json", "non_finite")
         assert _eval(tmp_path) == 2
         assert "signal contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_mixture_is_exit_2(self, tmp_path, capsys):
+        _eval_inputs(tmp_path)
+        _break_directory(tmp_path / "scene", "scene.json", "non_finite_mixture")
+        assert _eval(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'scene' / 'mixture.wav'}: signal contains" in err
         assert not (tmp_path / "out").exists()
 
 

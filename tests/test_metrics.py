@@ -23,6 +23,10 @@ from cxfilter import metrics
 from cxfilter.metrics import SI_SDR_CAP_DB, SI_SDR_FLOOR_DB, _nearest_rank_threshold
 from conftest import count_calls
 
+# Quantile grids that are not strictly ascending within (0, 1].
+BAD_GRIDS = [(0.5, 0.5), (0.9, 0.2), (0.0,), (1.5,)]
+BAD_GRID_IDS = ["repeated", "descending", "zero", "above_one"]
+
 
 class TestSiSdr:
     def test_scaled_copy_hits_cap(self, rng):
@@ -262,6 +266,14 @@ class TestQuantileSweep:
             with pytest.raises(ValueError, match="strictly ascending"):
                 QuantileSweep(quantiles=quantiles, tables={})
 
+    @pytest.mark.parametrize("quantiles", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_bad_grid_is_rejected_before_scoring(self, monkeypatch, rng, quantiles):
+        le_calls = count_calls(monkeypatch, metrics, "si_sdr_le")
+        ref = rng.standard_normal(4000)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            quantile_sweep({"a": ref, "b": ref}, ref, quantiles)
+        assert le_calls == []
+
 
 class TestEvaluateScene:
     def test_true_images_score_at_cap(self, small_scene):
@@ -292,6 +304,17 @@ class TestEvaluateScene:
         assert report.permutation == (0, 1)  # lexicographic tie-break
         for entry in report.per_speaker:
             assert entry["si_sdr_db"] < SI_SDR_CAP_DB
+
+    @pytest.mark.parametrize("quantiles", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_bad_grid_is_rejected_before_scoring(
+        self, monkeypatch, small_scene, quantiles
+    ):
+        calls = [
+            count_calls(monkeypatch, metrics, name) for name in ("si_sdr", "si_sdr_le")
+        ]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            evaluate_scene(list(small_scene.reverberant_image), small_scene, quantiles)
+        assert calls == [[], []]
 
     def test_count_and_length_mismatches(self, small_scene):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,7 +275,9 @@ class TestSceneSerialization:
             load_scene(tmp_path / "sc")
 
     @pytest.mark.parametrize(
-        "delays", [[3], [3, 4, 5], 3], ids=["short", "long", "int"]
+        "delays",
+        [[3], [3, 4, 5], 3, [True, 4], [3, 4.0]],
+        ids=["short", "long", "int", "bool", "float"],
     )
     def test_rir_delays_must_be_one_per_speaker(self, tmp_path, small_scene, delays):
         path = save_scene(small_scene, tmp_path / "sc")
@@ -285,6 +288,22 @@ class TestSceneSerialization:
             ValueError, match="rir_direct_delays_samples must list 2 delays"
         ):
             load_scene(tmp_path / "sc")
+
+    def test_delays_are_rejected_before_a_list_per_speaker(
+        self, tmp_path, small_scene
+    ):
+        path = save_scene(small_scene, tmp_path / "sc")
+        manifest = json.loads(path.read_text())
+        manifest["num_speakers"] = 10_000_000
+        path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must list 10000000 delays"):
+                load_scene(tmp_path / "sc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_manifest_without_gains_loads(self, tmp_path, small_scene):
         path = save_scene(small_scene, tmp_path / "sc")

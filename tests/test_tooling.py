@@ -1,10 +1,12 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And two source rules:
-files are written only through :mod:`cxfilter.io`'s atomic writers, and
+as a failure, and the tests after it still run.  And three source rules:
+files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
-directory codec every other module goes through."""
+directory codec every other module goes through, and importing
+:mod:`cxfilter.cli` leaves the slow-to-import scipy submodules unloaded."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +109,25 @@ def test_wavs_are_read_and_written_only_in_io():
         and getattr(call.func, "id", getattr(call.func, "attr", None)) in WAV_CALLS
     )
     assert found == []
+
+
+# scipy submodules imported only inside the functions that use them:
+# scipy.signal alone adds more to a process start than cxfilter.cli
+# takes without it.
+LAZY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.stats")
+
+
+def test_cli_import_leaves_lazy_scipy_modules_unloaded():
+    code = (
+        "import sys, cxfilter.cli; "
+        f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
