@@ -66,6 +66,15 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def tree_bytes(root) -> dict:
+    """The bytes of every file under ``root``, by relative path."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 def rand_spec(rng, frames: int, config: StftConfig) -> ComplexSpectrogram:
     """Random complex spectrogram on the given grid."""
     shape = (frames, config.bins)

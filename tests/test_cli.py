@@ -18,7 +18,7 @@ from cxfilter.io import config_to_dict, read_json, read_wav, write_json, write_w
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import save_scene
 from cxfilter.stft import SEPARATOR_STFT
-from conftest import count_calls
+from conftest import count_calls, tree_bytes
 
 
 def _simulate(out, count=1, speakers=1, duration=0.8, seed=4, extra=()):
@@ -32,15 +32,6 @@ def _simulate(out, count=1, speakers=1, duration=0.8, seed=4, extra=()):
         *extra,
     ]
     return main(argv)
-
-
-def _tree_bytes(root):
-    """The bytes of every file under ``root``, by relative path."""
-    return {
-        path.relative_to(root): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
 
 
 # Quantile lists that are not strictly ascending within (0, 1].
@@ -418,7 +409,7 @@ class TestSeparate:
                     "--fcp", "fcp", "--refinement", "fcp_substitute",
                     "--jobs", str(jobs)]
             assert main(argv) == 0
-            runs[jobs] = _tree_bytes(out)
+            runs[jobs] = tree_bytes(out)
         assert sum(name.suffix == ".wav" for name in runs[1]) == 4 * 4
         assert runs[1] == runs[2]
 
@@ -867,7 +858,7 @@ class TestOutDirectory:
         trees = []
         for out in ("a", "b"):
             assert main([*argv, "--out", out]) == 0
-            trees.append(_tree_bytes(tmp_path / out))
+            trees.append(tree_bytes(tmp_path / out))
         assert trees[0] and trees[0] == trees[1]
 
     def test_config_file_out_key_is_ignored(self, tmp_path):

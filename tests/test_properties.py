@@ -38,7 +38,7 @@ from cxfilter.experiment import (
     run_simulation,
 )
 from cxfilter.pipeline import DegradationSpec
-from conftest import naive_istft
+from conftest import naive_istft, tree_bytes
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -183,15 +183,6 @@ def test_si_sdr_ignores_the_estimate_scale(seed, length, exponent, negative):
     assert abs(si_sdr(scale * est, ref) - si_sdr(est, ref)) <= 1e-9
 
 
-def _batch_bytes(out: Path) -> dict:
-    """The bytes of every file under a batch output."""
-    return {
-        str(path.relative_to(out)): path.read_bytes()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
-
-
 @settings(max_examples=6)
 @given(
     scenes=st.integers(1, 3),
@@ -221,6 +212,6 @@ def test_separation_bytes_do_not_depend_on_jobs(
         for jobs in (1, 2):
             out = tmp / f"jobs{jobs}"
             run_separation(config, out, scenes_dir=scenes_dir, jobs=jobs)
-            runs.append(_batch_bytes(out))
+            runs.append(tree_bytes(out))
     assert len(runs[0]) == 1 + scenes * (2 + 2 * speakers)
     assert runs[0] == runs[1]
