@@ -43,6 +43,7 @@ from cxfilter.pipeline import (
     DegradationSpec,
     PipelineResult,
     SeparatorOutput,
+    check_estimates,
     check_external_dir,
     export_estimates,
     predict,
@@ -294,17 +295,6 @@ def _pin_blas_threads(fit_threads: int) -> list:
     return pinned
 
 
-def _run_pinned(func, payloads: list, fit_threads: int) -> list:
-    """Apply a worker in this process on one BLAS thread and ``fit_threads``
-    FCP fit threads, then restore both counts."""
-    pinned = _pin_blas_threads(fit_threads)
-    try:
-        return [func(p) for p in payloads]
-    finally:
-        for set_, count in pinned:
-            set_(count)
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on (its affinity set)."""
     if hasattr(os, "sched_getaffinity"):
@@ -339,27 +329,32 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     cpus = _cpu_count()
     workers = min(jobs, cpus, len(payloads))
     fit_threads = 1 if missing else cpus
-    if workers <= 1:
-        return _run_pinned(func, payloads, fit_threads)
-    pool = None
+    if workers > 1:
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_pin_blas_threads,
+                initargs=(max(1, fit_threads // workers),),
+            )
+            results = pool.map(func, payloads)  # submits every payload now
+        except OSError as err:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            print(
+                f"warning: parallel execution unavailable ({err}); running "
+                "sequentially",
+                file=sys.stderr,
+            )
+        else:
+            with pool:  # a worker's own error, OSError or not, reaches the caller
+                return list(results)
+    pinned = _pin_blas_threads(fit_threads)
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pin_blas_threads,
-            initargs=(max(1, fit_threads // workers),),
-        )
-        results = pool.map(func, payloads)  # submits every payload now
-    except OSError as err:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        print(
-            f"warning: parallel execution unavailable ({err}); running "
-            "sequentially",
-            file=sys.stderr,
-        )
-        return _run_pinned(func, payloads, fit_threads)
-    with pool:  # a worker's own error, OSError or not, reaches the caller
-        return list(results)
+        return [func(p) for p in payloads]
+    finally:
+        for set_, count in pinned:
+            set_(count)
 
 
 def _separate_worker(job) -> MetricsReport:
@@ -445,32 +440,17 @@ def evaluate_estimates(
 ) -> dict:
     """Score imported estimates against a scene; write report and CSVs.
 
-    Raises ValueError, before writing, when the speaker count, the
-    sample rate or the estimates' length ``num_samples`` differs from
-    the scene's, or the quantiles are not strictly ascending within
-    (0, 1].  When quantiles are given, a combined low-energy sweep
-    compares the estimates with the unprocessed mixture, averaged over
-    speakers, and both CSV exports are written next to the report.  The estimates'
-    SI-SDR-LE values in the sweep are the report's; only the mixture is
-    scored again, once per speaker and quantile.
+    Raises ValueError, before writing, when the estimates do not fit
+    the scene (:func:`cxfilter.pipeline.check_estimates`) or the
+    quantiles are not strictly ascending within (0, 1].  When quantiles
+    are given, a combined low-energy sweep compares the estimates with
+    the unprocessed mixture, averaged over speakers, and both CSV
+    exports are written next to the report.  The estimates' SI-SDR-LE
+    values in the sweep are the report's; only the mixture is scored
+    again, once per speaker and quantile.
     """
-    if estimates.num_speakers != scene.num_speakers:
-        raise ValueError(
-            f"estimate speaker count {estimates.num_speakers} does not match "
-            f"scene speaker count {scene.num_speakers}"
-        )
-    rate = scene.spec.sample_rate_hz
-    estimates_rate = estimates.image_estimates[0].config.sample_rate_hz
-    if estimates_rate != rate:
-        raise ValueError(
-            f"estimates are sampled at {estimates_rate} Hz but the scene "
-            f"at {rate} Hz"
-        )
-    n = scene.num_samples
-    if num_samples != n:
-        raise ValueError(
-            f"estimates carry {num_samples} samples but the scene has {n}"
-        )
+    rate, n = scene.spec.sample_rate_hz, scene.num_samples
+    check_estimates(estimates, num_samples, scene.num_speakers, rate, n)
     quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -559,6 +539,8 @@ def run_sweep(
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
     check_external_dir(config)
     sweeps = [apply_sweep_axis(config, axis, value) for value in values]
+    if not sweeps:
+        raise ValueError("sweep needs at least one value")
     payloads = [
         (source, _job_config(swept, f"value_{k}", key))
         for k, swept in enumerate(sweeps, 1)

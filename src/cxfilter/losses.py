@@ -61,9 +61,15 @@ def best_permutation(cost) -> tuple:
     """Permutation minimizing ``sum_c cost[c, perm[c]]``.
 
     Searches all permutations of the square matrix's columns; ties
-    resolve to the lexicographically smallest permutation.
+    resolve to the lexicographically smallest permutation.  More than
+    :data:`MAX_SPEAKERS` rows raise ValueError.
     """
     count = len(cost)
+    if count > MAX_SPEAKERS:
+        raise ValueError(
+            f"best_permutation: {count} speakers exceeds the enumeration cap "
+            f"of {MAX_SPEAKERS}"
+        )
     best_perm, best_total = None, np.inf
     for perm in itertools.permutations(range(count)):
         total = sum(cost[c, perm[c]] for c in range(count))
@@ -88,11 +94,6 @@ def _check_counts(ests: list, refs: list, op: str):
         )
     if len(ests) == 0:
         raise ValueError(f"{op}: empty speaker lists")
-    if len(ests) > MAX_SPEAKERS:
-        raise ValueError(
-            f"{op}: {len(ests)} speakers exceeds the factorial "
-            f"enumeration cap of {MAX_SPEAKERS}"
-        )
 
 
 def pit_loss(ests: list, refs: list) -> LossValue:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cxfilter.io import config_to_dict, write_csv
-from cxfilter.losses import MAX_SPEAKERS, best_permutation, pairwise_table
+from cxfilter.losses import best_permutation, pairwise_table
 from cxfilter.scenes import Scene
 from cxfilter.stft import SEPARATOR_STFT, ComplexSpectrogram, istft, stft
 
@@ -266,10 +266,6 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
     if len(estimates) != count:
         raise ValueError(
             f"evaluate_scene: {len(estimates)} estimates for {count} speakers"
-        )
-    if count > MAX_SPEAKERS:
-        raise ValueError(
-            f"evaluate_scene: {count} speakers exceeds the enumeration cap"
         )
     estimates = [np.asarray(e, dtype=np.float64) for e in estimates]
     for est in estimates:

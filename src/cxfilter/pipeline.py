@@ -338,6 +338,29 @@ def import_estimates(directory) -> tuple[SeparatorOutput, int]:
     return output, num_samples
 
 
+def check_estimates(
+    estimates: SeparatorOutput, num_samples: int, speakers: int, rate: int, length: int
+) -> None:
+    """Raise ValueError if imported estimates do not fit their scene: a
+    speaker count, sample rate or recorded sample count ``num_samples``
+    other than the scene's ``speakers``, ``rate`` and ``length``."""
+    if estimates.num_speakers != speakers:
+        raise ValueError(
+            f"estimate speaker count {estimates.num_speakers} does not match "
+            f"scene speaker count {speakers}"
+        )
+    estimates_rate = estimates.image_estimates[0].config.sample_rate_hz
+    if estimates_rate != rate:
+        raise ValueError(
+            f"estimates are sampled at {estimates_rate} Hz but the scene "
+            f"at {rate} Hz"
+        )
+    if num_samples != length:
+        raise ValueError(
+            f"estimates carry {num_samples} samples but the scene has {length}"
+        )
+
+
 def check_external_dir(config: ExperimentConfig) -> None:
     """Reject a config whose external refinement has no exchange directory."""
     if (
@@ -364,24 +387,9 @@ def _refine(
     check_external_dir(config)
     base = Path(config.external_dir) / f"iteration_{iteration}"
     export_features(stack, base / "features")
-    estimates_dir = base / "estimates"
-    manifest = estimates_dir / ESTIMATES_MANIFEST
-    if not manifest.is_file():
-        raise FileNotFoundError(
-            f"external refinement estimates not found: expected {manifest}; "
-            f"features were exported to {base / 'features'}"
-        )
-    refined, num_samples = import_estimates(estimates_dir)
-    if refined.num_speakers != separator.num_speakers:
-        raise ValueError(
-            f"external estimates have {refined.num_speakers} speakers, "
-            f"expected {separator.num_speakers}"
-        )
-    if num_samples != stack.num_samples:
-        raise ValueError(
-            f"external estimates carry {num_samples} samples, "
-            f"expected {stack.num_samples}"
-        )
+    refined, num_samples = import_estimates(base / "estimates")
+    speakers, rate = separator.num_speakers, stack.mixture.config.sample_rate_hz
+    check_estimates(refined, num_samples, speakers, rate, stack.num_samples)
     return refined
 
 

@@ -16,7 +16,7 @@ from cxfilter.cli import build_parser, main
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.io import config_to_dict, read_json, read_wav, write_json, write_wav
 from cxfilter.pipeline import export_estimates, oracle_separate
-from cxfilter.scenes import save_scene
+from cxfilter.scenes import load_scene, save_scene
 from cxfilter.stft import SEPARATOR_STFT
 from conftest import count_calls, tree_bytes
 
@@ -107,6 +107,12 @@ class TestSimulate:
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
         assert _simulate(blocker / "sub") == 2
+
+    def test_range_of_three_values_is_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--t60-range", "0.2,0.3,0.4"]) == 5
+        assert "expected LO,HI, got '0.2,0.3,0.4'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeparate:
@@ -248,6 +254,56 @@ class TestSeparate:
         )
         assert code == 5
         assert "external refinement requires external_dir" in capsys.readouterr().err
+
+    def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
+        config, out = tmp_path / "missing.json", tmp_path / "out"
+        assert main(["separate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config file not found: {config}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scene_files_without_noise_is_exit_2(self, tmp_path, capsys):
+        _simulate(tmp_path / "scenes")
+        path = tmp_path / "scenes" / "scene_0001" / "scene.json"
+        manifest = read_json(path)
+        del manifest["files"]["noise"]
+        write_json(path, manifest)
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "lists no 'noise' component" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_speakers_past_the_enumeration_cap_are_exit_5(self, tmp_path, capsys):
+        assert _simulate(tmp_path / "scenes", speakers=9, duration=0.5) == 0
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off",
+                "--out", str(out)]
+        assert main(argv) == 5
+        assert "9 speakers exceeds the enumeration cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_external_estimates_at_another_rate_are_exit_5(self, tmp_path, capsys):
+        # A 1 s, 8 kHz, 2-speaker scene answered by estimates with as many
+        # samples, declared and written at 16 kHz.
+        assert _simulate(tmp_path / "scenes", speakers=2, duration=1.0) == 0
+        scene = load_scene(tmp_path / "scenes" / "scene_0001")
+        ext = tmp_path / "ext"
+        export_estimates(
+            oracle_separate(
+                scene, DegradationSpec(), replace(SEPARATOR_STFT, sample_rate_hz=16000)
+            ),
+            ext / "scene_0001" / "iteration_1" / "estimates",
+            scene.num_samples,
+        )
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "fcp",
+                "--refinement", "external", "--external-dir", str(ext),
+                "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert "estimates are sampled at 16000 Hz but the scene at 8000 Hz" in err
+        assert not out.exists()
 
     def test_scene_manifest_without_files_is_exit_5(self, tmp_path, capsys):
         _simulate(tmp_path / "scenes", count=2)
@@ -818,6 +874,22 @@ class TestSweep:
         assert main(argv) == 5
         err = capsys.readouterr().err
         assert err == "bad arguments: taps: expected an integer, not 4.5\n"
+        assert not out.exists()
+
+    def test_value_that_is_not_a_number_is_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--out", str(out), "--axis", "taps", "--values", "4,x"]
+        assert main(argv) == 5
+        assert "could not convert string to float: 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_value_list_is_exit_5(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--out", str(out), "--axis", "taps", "--values", ""]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == (
+            "bad arguments: sweep needs at least one value\n"
+        )
         assert not out.exists()
 
     def test_bad_axis_is_usage_error(self, tmp_path, capsys):

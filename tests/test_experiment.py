@@ -520,6 +520,12 @@ class TestSweep:
         assert stage_calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_empty_value_list_is_rejected_before_any_write(self, tmp_path):
+        config = _tiny_config(fcp_mode="fcp", fcp=FcpConfig(taps=2))
+        with pytest.raises(ValueError, match="sweep needs at least one value"):
+            run_sweep(config, "taps", [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_axis_application(self):
         config = _tiny_config(fcp_mode="fcp")
         assert apply_sweep_axis(config, "taps", 9).fcp.taps == 9

@@ -113,6 +113,11 @@ class TestBestPermutation:
         # (1, 2, 0) and (2, 0, 1) both cost 0.
         assert best_permutation(np.eye(3)) == (1, 2, 0)
 
+    def test_search_over_nine_speakers_is_capped(self):
+        with pytest.raises(ValueError, match="9 speakers exceeds the enumeration cap"):
+            best_permutation(np.zeros((9, 9)))
+        assert best_permutation(np.zeros((8, 8))) == tuple(range(8))
+
 
 class TestMcLoss:
     def test_consistent_estimates(self, rng):
@@ -168,6 +173,10 @@ class TestEnhLoss:
         with pytest.raises(ValueError):
             enh_loss(refs, refs, (0, 2))
 
+    def test_nine_speakers_need_no_search(self, rng):
+        refs = [rand_spec(rng, 2, GRID) for _ in range(9)]
+        assert enh_loss(refs, refs, range(9)) == 0.0
+
 
 class TestCompositeLoss:
     def _fixture(self, rng, count=2):
@@ -222,6 +231,17 @@ class TestCompositeLoss:
         ref_r, ref_a, mix = self._fixture(rng)
         with pytest.raises(ValueError):
             composite_loss("stage3", ref_r, ref_a, ref_r, ref_a, mix)
+
+    def test_given_permutation_takes_nine_speakers(self, rng):
+        ref_r, ref_a, mix = self._fixture(rng, count=9)
+        out = composite_loss(
+            "stage2", ref_r, ref_a, ref_r, ref_a, mix, permutation=range(9)
+        )
+        assert out.total == pytest.approx(0.0, abs=1e-12)
+        assert out.permutation == tuple(range(9))
+        # Without a permutation, one is searched for, and nine is too many.
+        with pytest.raises(ValueError, match="exceeds the enumeration cap of 8"):
+            composite_loss("stage2", ref_r, ref_a, ref_r, ref_a, mix)
 
 
 class TestPinnedTotals:

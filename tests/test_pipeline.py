@@ -439,7 +439,42 @@ class TestRunPipeline:
             tmp_path / "iteration_1" / "estimates",
             longer.num_samples,
         )
-        with pytest.raises(ValueError, match="carry 24000 samples, expected 12000"):
+        with pytest.raises(
+            ValueError, match="carry 24000 samples but the scene has 12000"
+        ):
+            run_pipeline(mono_scene, config)
+
+    def test_external_estimates_at_another_rate_rejected(self, mono_scene, tmp_path):
+        # As many samples as the scene, declared and written at 16 kHz.
+        config = ExperimentConfig(
+            refinement="external", external_dir=str(tmp_path), fcp=FcpConfig(taps=4)
+        )
+        grid = replace(SEPARATOR_STFT, sample_rate_hz=16000)
+        export_estimates(
+            oracle_separate(mono_scene, IDENTITY, grid),
+            tmp_path / "iteration_1" / "estimates",
+            mono_scene.num_samples,
+        )
+        with pytest.raises(
+            ValueError, match="sampled at 16000 Hz but the scene at 8000 Hz"
+        ):
+            run_pipeline(mono_scene, config)
+
+    def test_external_estimates_of_another_speaker_count_rejected(
+        self, mono_scene, small_scene, tmp_path
+    ):
+        config = ExperimentConfig(
+            refinement="external", external_dir=str(tmp_path), fcp=FcpConfig(taps=4)
+        )
+        export_estimates(
+            oracle_separate(small_scene, IDENTITY),
+            tmp_path / "iteration_1" / "estimates",
+            small_scene.num_samples,
+        )
+        with pytest.raises(
+            ValueError,
+            match="estimate speaker count 2 does not match scene speaker count 1",
+        ):
             run_pipeline(mono_scene, config)
 
     def test_external_refinement_requires_external_dir(self, mono_scene):

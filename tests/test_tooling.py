@@ -1,9 +1,11 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And three source rules:
+as a failure, and the tests after it still run.  And four source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
-directory codec every other module goes through, and importing
-:mod:`cxfilter.cli` leaves the slow-to-import scipy submodules unloaded."""
+directory codec every other module goes through, the speaker cap
+``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
+permutation search it bounds, and importing :mod:`cxfilter.cli` leaves
+the slow-to-import scipy submodules unloaded."""
 
 import ast
 import os
@@ -107,6 +109,18 @@ def test_wavs_are_read_and_written_only_in_io():
         for call in ast.walk(ast.parse(path.read_text()))
         if isinstance(call, ast.Call)
         and getattr(call.func, "id", getattr(call.func, "attr", None)) in WAV_CALLS
+    )
+    assert found == []
+
+
+def test_speaker_cap_is_read_only_in_losses():
+    found = sorted(
+        (path.name, node.lineno)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "losses.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        # A name, an attribute or an imported name.
+        if "MAX_SPEAKERS" in (getattr(node, k, None) for k in ("id", "attr", "name"))
     )
     assert found == []
 
