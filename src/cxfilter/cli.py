@@ -13,7 +13,11 @@ end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.  A run
 that fails before writing into ``--out`` removes the directory if it
 made it.
 Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
-mismatch, 5 bad arguments.
+mismatch, 5 bad arguments.  :func:`main` alone maps exception types to
+them: a :class:`CliError` carries its own code, ``NoScenesError`` gives
+3, any other ``OSError`` 2 (``I/O error: ...``) and ``ValueError`` 5
+(``bad arguments: ...``).  ``eval`` overrides that only by phase: a
+``ValueError`` reading its inputs gives 2, one scoring them 4.
 """
 
 from __future__ import annotations
@@ -168,13 +172,10 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     supplied = vars(args)
-    try:
-        for flag, field_path, _, commands in FLAGS:
-            value = supplied.get(flag[2:].replace("-", "_"))
-            if field_path and args.command in commands and value is not None:
-                config = override(config, field_path, value)
-    except ValueError as err:
-        raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
+    for flag, field_path, _, commands in FLAGS:
+        value = supplied.get(flag[2:].replace("-", "_"))
+        if field_path and args.command in commands and value is not None:
+            config = override(config, field_path, value)
     return config
 
 
@@ -210,10 +211,7 @@ def _run_into(args):
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     with _run_into(args) as out:
-        try:
-            rows = run_simulation(config, out)
-        except ValueError as err:
-            raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
+        rows = run_simulation(config, out)
     header = f"{'scene':<12}{'spk':>4}{'dur_s':>7}{'t60_s':>7}{'drr_db':>8}{'snr_db':>8}  seed"
     print(header)
     for row in rows:
@@ -229,12 +227,7 @@ def cmd_simulate(args) -> int:
 def cmd_separate(args) -> int:
     config = _resolve_config(args)
     with _run_into(args) as out:
-        try:
-            aggregate = run_separation(
-                config, out, scenes_dir=args.scenes, jobs=args.jobs
-            )
-        except NoScenesError as err:
-            raise CliError(EXIT_MISSING_SCENE, str(err))
+        aggregate = run_separation(config, out, scenes_dir=args.scenes, jobs=args.jobs)
     mean = aggregate["mean"]["si_sdr_db"]
     print(
         f"separated {aggregate['num_scenes']} scene(s): "
@@ -248,16 +241,11 @@ def cmd_eval(args) -> int:
     manifest = scene_dir / SCENE_MANIFEST
     if not manifest.is_file():
         raise CliError(EXIT_MISSING_SCENE, f"scene manifest not found: {manifest}")
-    try:
-        quantiles = check_quantiles(args.quantiles)
-    except ValueError as err:
-        raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
+    quantiles = check_quantiles(args.quantiles)
     with _run_into(args) as out:
         try:
             scene = load_scene(scene_dir)
             estimates, num_samples = import_estimates(args.estimates)
-        except FileNotFoundError as err:
-            raise CliError(EXIT_IO, str(err))
         except ValueError as err:
             raise CliError(EXIT_IO, f"unreadable inputs: {err}")
         try:
@@ -279,10 +267,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     with _run_into(args) as out:
-        try:
-            rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
-        except ValueError as err:
-            raise CliError(EXIT_BAD_ARGS, f"bad arguments: {err}")
+        rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
     print(f"{'axis':<16}{'value':>12}{'mean_fcp_si_sdr_db':>20}")
     for row in rows:
         print(
@@ -301,14 +286,14 @@ def main(argv=None) -> int:
     except CliError as err:
         print(str(err), file=sys.stderr)
         return err.code
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    except NoScenesError as err:  # a FileNotFoundError, so before OSError
+        print(str(err), file=sys.stderr)
+        return EXIT_MISSING_SCENE
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"bad arguments: {err}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

@@ -104,8 +104,12 @@ def jsonify(obj):
 
 
 def config_to_dict(obj) -> dict:
-    """JSON-safe dict of a (nested) config dataclass."""
-    return jsonify(dataclasses.asdict(obj))
+    """JSON-safe dict of a (nested) config dataclass, read back through
+    :func:`config_from_dict` first so that each field takes its declared
+    type (a ``3`` in a float field is written ``3.0``) and equal configs
+    encode, and hash, equal."""
+    decoded = config_from_dict(type(obj), jsonify(dataclasses.asdict(obj)))
+    return jsonify(dataclasses.asdict(decoded))
 
 
 def decode_value(hint, value, name: str):

@@ -390,6 +390,12 @@ def _refine(
     refined, num_samples = import_estimates(base / "estimates")
     speakers, rate = separator.num_speakers, stack.mixture.config.sample_rate_hz
     check_estimates(refined, num_samples, speakers, rate, stack.num_samples)
+    grid = refined.image_estimates[0].config
+    if grid != stack.mixture.config:
+        raise ValueError(
+            f"{base / 'estimates'}: estimates on the STFT grid {grid}, "
+            f"but the features on {stack.mixture.config}"
+        )
     return refined
 
 

@@ -13,11 +13,11 @@ import cxfilter.cli
 import cxfilter.experiment
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
 from cxfilter.cli import build_parser, main
-from cxfilter.experiment import ExperimentConfig, SceneRanges
+from cxfilter.experiment import ExperimentConfig, NoScenesError, SceneRanges
 from cxfilter.io import config_to_dict, read_json, read_wav, write_json, write_wav
 from cxfilter.pipeline import export_estimates, oracle_separate
 from cxfilter.scenes import load_scene, save_scene
-from cxfilter.stft import SEPARATOR_STFT
+from cxfilter.stft import SEPARATOR_STFT, StftConfig
 from conftest import count_calls, tree_bytes
 
 
@@ -303,6 +303,30 @@ class TestSeparate:
         assert main(argv) == 5
         err = capsys.readouterr().err
         assert "estimates are sampled at 16000 Hz but the scene at 8000 Hz" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iterations", ["1", "2"])
+    def test_external_estimates_on_another_grid_are_exit_5(
+        self, tmp_path, capsys, iterations
+    ):
+        # The scene's rate and length on a 512/128/512 grid.
+        assert _simulate(tmp_path / "scenes", duration=0.5) == 0
+        scene = load_scene(tmp_path / "scenes" / "scene_0001")
+        estimates = tmp_path / "ext" / "scene_0001" / "iteration_1" / "estimates"
+        grid = StftConfig(512, 128, 512, 8000)
+        export_estimates(
+            oracle_separate(scene, DegradationSpec(), grid),
+            estimates,
+            scene.num_samples,
+        )
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "fcp",
+                "--refinement", "external", "--external-dir", str(tmp_path / "ext"),
+                "--iterations", iterations, "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert f"{estimates}: estimates on the STFT grid {grid}" in err
+        assert f"but the features on {SEPARATOR_STFT}" in err
         assert not out.exists()
 
     def test_scene_manifest_without_files_is_exit_5(self, tmp_path, capsys):
@@ -1096,6 +1120,44 @@ def recorded(monkeypatch):
     )
     monkeypatch.setattr(cxfilter.cli, "run_sweep", recorder([]))
     return calls
+
+
+_RUNNERS = {
+    "simulate": "run_simulation",
+    "separate": "run_separation",
+    "sweep": "run_sweep",
+}
+# (subcommand, error its batch runner raises, exit code, message prefix).
+_RUNNER_FAILURES = [
+    (command, error, code, prefix)
+    for command in _RUNNERS
+    for error, code, prefix in (
+        (ValueError, 5, "bad arguments: "),
+        (FileNotFoundError, 2, "I/O error: "),
+        (OSError, 2, "I/O error: "),
+    )
+] + [("separate", NoScenesError, 3, "")]
+
+
+class TestExitCodes:
+    """``main`` turns what a batch runner raises into the documented code."""
+
+    @pytest.mark.parametrize(
+        "command, error, code, prefix",
+        _RUNNER_FAILURES,
+        ids=[f"{c}-{e.__name__}" for c, e, _, _ in _RUNNER_FAILURES],
+    )
+    def test_runner_error_gives_its_exit_code(
+        self, tmp_path, capsys, monkeypatch, command, error, code, prefix
+    ):
+        def fail(*args, **kwargs):
+            raise error("runner failed")
+
+        monkeypatch.setattr(cxfilter.cli, _RUNNERS[command], fail)
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *_REQUIRED_ARGS[command]]) == code
+        assert capsys.readouterr().err == f"{prefix}runner failed\n"
+        assert not out.exists()
 
 
 class TestSurface:

@@ -143,6 +143,22 @@ class TestExperimentConfig:
         back = config_from_dict(ExperimentConfig, config_to_dict(config))
         assert back.config_hash() == config.config_hash()
 
+    @pytest.mark.parametrize(
+        "field, whole, float_value",
+        [
+            ("degradation", DegradationSpec(snr_db=10), DegradationSpec(snr_db=10.0)),
+            ("scene", SceneRanges(duration_s=3), SceneRanges(duration_s=3.0)),
+        ],
+        ids=["snr_db", "duration_s"],
+    )
+    def test_equal_configs_hash_equal(self, field, whole, float_value):
+        # An int in a float field is written as a float.
+        a = ExperimentConfig(**{field: whole})
+        b = ExperimentConfig(**{field: float_value})
+        assert a == b
+        assert json.dumps(config_to_dict(a)) == json.dumps(config_to_dict(b))
+        assert a.config_hash() == b.config_hash()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(version=2)

@@ -1,11 +1,13 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And four source rules:
+as a failure, and the tests after it still run.  And five source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
 directory codec every other module goes through, the speaker cap
 ``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
-permutation search it bounds, and importing :mod:`cxfilter.cli` leaves
-the slow-to-import scipy submodules unloaded."""
+permutation search it bounds, importing :mod:`cxfilter.cli` leaves
+the slow-to-import scipy submodules unloaded, and a ``CliError`` is
+built only where an exit code differs from what ``cli.main`` maps an
+exception type to."""
 
 import ast
 import os
@@ -123,6 +125,36 @@ def test_speaker_cap_is_read_only_in_losses():
         if "MAX_SPEAKERS" in (getattr(node, k, None) for k in ("id", "attr", "name"))
     )
     assert found == []
+
+
+# (function, exit code) of each CliError that cli.py builds: the codes
+# that main's mapping of exception types to exit codes does not give.
+ALLOWED_CLI_ERRORS = {
+    ("_Parser.error", "EXIT_BAD_ARGS"),
+    ("_resolve_config", "EXIT_IO"),
+    ("_resolve_config", "EXIT_BAD_ARGS"),
+    ("_make_out_dir", "EXIT_IO"),
+    ("cmd_eval", "EXIT_MISSING_SCENE"),
+    ("cmd_eval", "EXIT_IO"),
+    ("cmd_eval", "EXIT_SHAPE_MISMATCH"),
+}
+
+
+def _cli_errors(node, scope=None):
+    """(enclosing function, code) of every ``CliError(...)`` under a node;
+    a method reads ``Class.method``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name if scope is None else f"{scope}.{child.name}"
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "CliError":
+            yield scope, ast.unparse(child.args[0]) if child.args else None
+        yield from _cli_errors(child, inner)
+
+
+def test_cli_errors_are_built_only_where_main_maps_otherwise():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert set(_cli_errors(tree)) == ALLOWED_CLI_ERRORS
 
 
 # scipy submodules imported only inside the functions that use them:
