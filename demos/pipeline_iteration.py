@@ -27,7 +27,7 @@ def main():
     fcp = FcpConfig(taps=20)
 
     for refinement in ("passthrough", "fcp_substitute"):
-        result = run_pipeline(
+        _, report = run_pipeline(
             scene,
             ExperimentConfig(
                 degradation=degradation,
@@ -38,8 +38,8 @@ def main():
         )
         print(
             f"{refinement:>15}: mean image SI-SDR "
-            f"{result.report.mean['si_sdr_db']:7.2f} dB "
-            f"(permutation {result.report.permutation})"
+            f"{report.mean['si_sdr_db']:7.2f} dB "
+            f"(permutation {report.permutation})"
         )
 
     # External refinement is a two-phase file exchange per iteration.
@@ -62,10 +62,10 @@ def main():
             Path(tmp) / "iteration_1" / "estimates",
             scene.num_samples,
         )
-        result = run_pipeline(scene, config)
+        _, report = run_pipeline(scene, config)
         print(
             f"external phase 2: mean image SI-SDR "
-            f"{result.report.mean['si_sdr_db']:7.2f} dB after import"
+            f"{report.mean['si_sdr_db']:7.2f} dB after import"
         )
 
 

@@ -56,7 +56,6 @@ from cxfilter.pipeline import (
     SeparatorOutput,
     DegradationSpec,
     FeatureStack,
-    PipelineResult,
     oracle_separate,
     run_fcp_stage,
     predict,
@@ -108,7 +107,6 @@ __all__ = [
     "DegradationSpec",
     "FeatureStack",
     "ExperimentConfig",
-    "PipelineResult",
     "oracle_separate",
     "run_fcp_stage",
     "predict",

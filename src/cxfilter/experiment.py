@@ -41,7 +41,6 @@ from cxfilter.metrics import (
 from cxfilter.pipeline import (
     REFINEMENTS,
     DegradationSpec,
-    PipelineResult,
     SeparatorOutput,
     check_estimates,
     check_external_dir,
@@ -191,8 +190,8 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_scene(scene: Scene, config: ExperimentConfig) -> PipelineResult:
-    """Run the configured system over one scene."""
+def run_scene(scene: Scene, config: ExperimentConfig) -> tuple:
+    """Run the configured system over one scene; see :func:`run_pipeline`."""
     return run_pipeline(scene, config)
 
 
@@ -360,13 +359,13 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
 def _separate_worker(job) -> MetricsReport:
     source, config, out_dir = job
     scene = _scene(source)
-    result = run_scene(scene, config)
-    export_estimates(result.separator, out_dir / "estimates", scene.num_samples)
+    separator, report = run_scene(scene, config)
+    export_estimates(separator, out_dir / "estimates", scene.num_samples)
     write_json(
         out_dir / "report.json",
-        {"version": REPORT_FORMAT_VERSION, "report": result.report.to_dict()},
+        {"version": REPORT_FORMAT_VERSION, "report": report.to_dict()},
     )
-    return result.report
+    return report
 
 
 def run_separation(

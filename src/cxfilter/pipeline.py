@@ -28,7 +28,7 @@ from cxfilter.io import (
     read_manifest,
     write_wav_dir,
 )
-from cxfilter.metrics import MetricsReport, evaluate_scene
+from cxfilter.metrics import evaluate_scene
 from cxfilter.scenes import Scene
 from cxfilter.stft import (
     SEPARATOR_STFT,
@@ -139,23 +139,6 @@ class FeatureStack:
         for c in range(self.num_speakers):
             out += [self.stage1_direct[c], self.stage1_image[c], self.fcp_images[c]]
         return out
-
-
-@dataclass(eq=False)
-class PipelineResult:
-    """Everything a pipeline run produced.
-
-    ``separator`` holds the final estimates as spectrograms, ``features``
-    the last iteration's stack (``None`` with ``fcp_mode='off'``).
-    ``image_estimates`` are the final images at the scene length, in the
-    separator's speaker order; ``report`` scores them and records the
-    permutation that aligns them to the true speakers.
-    """
-
-    separator: SeparatorOutput
-    features: FeatureStack | None
-    image_estimates: list
-    report: MetricsReport
 
 
 def _degrade(signals: list, degradation: DegradationSpec, rng) -> list:
@@ -446,20 +429,15 @@ def predict(
     return current, stack
 
 
-def run_pipeline(scene: Scene, config: ExperimentConfig) -> PipelineResult:
+def run_pipeline(scene: Scene, config: ExperimentConfig) -> tuple:
     """Run :func:`predict` and the last refinement, then score the final
-    image estimates once against the scene's true reverberant images at
-    ``config.quantiles``."""
+    image signals, ``istft(s, output_length=scene.num_samples)`` of each
+    ``s`` in ``separator.image_estimates``, once against the scene's true
+    reverberant images at ``config.quantiles``; returns ``(separator, report)``."""
     separator, features = predict(scene, config)
     if features is not None:
         separator = _refine(features, separator, config, config.iterations)
     image_estimates = [
         istft(s, output_length=scene.num_samples) for s in separator.image_estimates
     ]
-    report = evaluate_scene(image_estimates, scene, quantiles=config.quantiles)
-    return PipelineResult(
-        separator=separator,
-        features=features,
-        image_estimates=image_estimates,
-        report=report,
-    )
+    return separator, evaluate_scene(image_estimates, scene, quantiles=config.quantiles)

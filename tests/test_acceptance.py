@@ -317,17 +317,18 @@ def test_criterion_09_quantile_improvement_curve():
         # Without the prediction stage the pipeline has no image model;
         # its image estimates fall back to the direct-path estimates.
         baseline = [istft(s, output_length=n) for s in sep.direct_estimates]
-        result = run_pipeline(
+        separator, _ = run_pipeline(
             scene,
             ExperimentConfig(
                 degradation=degradation, fcp_mode="essu", refinement="fcp_substitute"
             ),
         )
+        images = [istft(s, output_length=n) for s in separator.image_estimates]
         for c in range(2):
             ref = scene.reverberant_image[c]
             for q in QUANTILES:
                 improvements[q].append(
-                    si_sdr_le(result.image_estimates[c], ref, q)
+                    si_sdr_le(images[c], ref, q)
                     - si_sdr_le(baseline[c], ref, q)
                 )
     means = {q: float(np.mean(improvements[q])) for q in QUANTILES}

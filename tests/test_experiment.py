@@ -27,6 +27,7 @@ from cxfilter.pipeline import (
     export_estimates,
     import_estimates,
     oracle_separate,
+    predict,
     run_fcp_stage,
 )
 from cxfilter.stft import istft
@@ -174,9 +175,10 @@ class TestExperimentConfig:
 class TestRunScene:
     def test_off_mode_skips_prediction(self):
         scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=1.0, seed=5))
-        result = run_scene(scene, _tiny_config(degradation=DegradationSpec()))
-        assert result.features is None
-        assert result.report.mean["si_sdr_db"] >= 60.0
+        config = _tiny_config(degradation=DegradationSpec())
+        _, report = run_scene(scene, config)
+        assert predict(scene, config)[1] is None
+        assert report.mean["si_sdr_db"] >= 60.0
 
     def test_fcp_mode_runs_pipeline(self):
         scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=1.0, seed=5))
@@ -185,22 +187,24 @@ class TestRunScene:
             degradation=DegradationSpec(),
             fcp=FcpConfig(taps=5),
         )
-        result = run_scene(scene, config)
-        assert result.features is not None
-        assert len(result.features.fcp_images) == 1
+        separator, _ = run_scene(scene, config)
+        features = predict(scene, config)[1]
+        assert features is not None
+        assert len(features.fcp_images) == separator.num_speakers == 1
 
 
 class TestSingleScoringPath:
     """``run_scene`` equals an explicit composition of the pipeline stages."""
 
     def _assert_same(self, result, scene, images, quantiles):
+        separator, report = result
         n = scene.num_samples
         want_images = [istft(s, output_length=n) for s in images]
-        report = evaluate_scene(want_images, scene, quantiles=quantiles)
-        assert result.report.to_dict() == report.to_dict()
-        assert len(result.image_estimates) == len(want_images)
-        for got, want in zip(result.image_estimates, want_images):
-            assert np.array_equal(got, want)
+        want = evaluate_scene(want_images, scene, quantiles=quantiles)
+        assert report.to_dict() == want.to_dict()
+        assert len(separator.image_estimates) == len(images)
+        for got, spec in zip(separator.image_estimates, images):
+            assert np.array_equal(got.data, spec.data)
 
     def test_off_mode_scores_degraded_separator_output(self):
         scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=5))

@@ -346,33 +346,35 @@ class TestFeatureExchange:
 
 class TestRunPipeline:
     def test_oracle_passthrough_scores_at_top(self, small_scene):
-        result = run_pipeline(small_scene, ExperimentConfig(fcp=FcpConfig(taps=10)))
-        assert result.report.mean["si_sdr_db"] >= 60.0
-        assert len(result.image_estimates) == 2
-        assert result.features.num_speakers == 2
+        config = ExperimentConfig(fcp=FcpConfig(taps=10))
+        separator, report = run_pipeline(small_scene, config)
+        assert report.mean["si_sdr_db"] >= 60.0
+        assert len(separator.image_estimates) == 2
+        assert predict(small_scene, config)[1].num_speakers == 2
 
     def test_fcp_substitute_fixed_point(self, mono_scene):
         cfg = dict(
             refinement="fcp_substitute", fcp=FcpConfig(taps=10)
         )
-        one = run_pipeline(mono_scene, ExperimentConfig(iterations=1, **cfg))
-        two = run_pipeline(mono_scene, ExperimentConfig(iterations=2, **cfg))
+        one, _ = run_pipeline(mono_scene, ExperimentConfig(iterations=1, **cfg))
+        two, _ = run_pipeline(mono_scene, ExperimentConfig(iterations=2, **cfg))
         # Oracle direct estimates never change, so a second FCP pass
         # reproduces the first bit for bit.
-        assert np.array_equal(one.image_estimates[0], two.image_estimates[0])
+        assert np.array_equal(
+            one.image_estimates[0].data, two.image_estimates[0].data
+        )
 
     def test_predict_is_the_pipeline_before_scoring(self, mono_scene):
         config = ExperimentConfig(
             refinement="fcp_substitute", iterations=2, fcp=FcpConfig(taps=10)
         )
         separator, stack = predict(mono_scene, config)
-        result = run_pipeline(mono_scene, config)
+        refined, _ = run_pipeline(mono_scene, config)
         # predict returns the estimates its last stack was built from;
         # run_pipeline's last refinement substitutes that stack's images.
         assert separator.image_estimates == stack.stage1_image
         assert np.array_equal(
-            result.image_estimates[0],
-            istft(stack.fcp_images[0], output_length=mono_scene.num_samples),
+            refined.image_estimates[0].data, stack.fcp_images[0].data
         )
         assert predict(mono_scene, replace(config, fcp_mode="off"))[1] is None
 
@@ -426,8 +428,8 @@ class TestRunPipeline:
         export_estimates(
             sep, tmp_path / "iteration_1" / "estimates", mono_scene.num_samples
         )
-        result = run_pipeline(mono_scene, config)
-        assert result.report.mean["si_sdr_db"] >= 60.0
+        _, report = run_pipeline(mono_scene, config)
+        assert report.mean["si_sdr_db"] >= 60.0
 
     def test_external_estimates_of_another_length_rejected(self, mono_scene, tmp_path):
         config = ExperimentConfig(
@@ -482,8 +484,9 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="external_dir"):
             run_pipeline(mono_scene, config)
         # Without a prediction stage the refinement never runs.
-        result = run_pipeline(mono_scene, replace(config, fcp_mode="off"))
-        assert result.features is None
+        off = replace(config, fcp_mode="off")
+        run_pipeline(mono_scene, off)
+        assert predict(mono_scene, off)[1] is None
 
     def test_mean_score_monotone_in_degradation(self):
         from cxfilter import SceneSpec, simulate_scene
@@ -504,10 +507,10 @@ class TestRunPipeline:
 
     def test_degraded_then_substituted_beats_degraded(self, mono_scene):
         noisy = DegradationSpec(snr_db=5.0, seed=3)
-        baseline = run_pipeline(
+        _, baseline = run_pipeline(
             mono_scene, ExperimentConfig(degradation=noisy, fcp=FcpConfig(taps=40))
         )
-        substituted = run_pipeline(
+        _, substituted = run_pipeline(
             mono_scene,
             ExperimentConfig(
                 degradation=noisy,
@@ -515,7 +518,4 @@ class TestRunPipeline:
                 fcp=FcpConfig(taps=40),
             ),
         )
-        assert (
-            substituted.report.mean["si_sdr_db"]
-            > baseline.report.mean["si_sdr_db"]
-        )
+        assert substituted.mean["si_sdr_db"] > baseline.mean["si_sdr_db"]
