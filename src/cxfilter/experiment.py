@@ -75,6 +75,9 @@ SWEEP_COLUMNS = (
 
 
 def _range_pair(value, name: str) -> tuple:
+    value = tuple(value)
+    if len(value) != 2:
+        raise ValueError(f"{name} must be a (lo, hi) pair, got {len(value)} values")
     lo, hi = (float(v) for v in value)
     if not lo <= hi:
         raise ValueError(f"{name} must be (lo, hi) with lo <= hi")

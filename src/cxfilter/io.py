@@ -120,6 +120,11 @@ def decode_value(hint, value, name: str):
             return None
         (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
     if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(
+                f"{name}: {hint.__name__} must be a JSON object, "
+                f"not {type(value).__name__}"
+            )
         return config_from_dict(hint, value)
     if hint is int:
         # An integral number; JSON's true and false are not numbers here.

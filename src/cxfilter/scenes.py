@@ -65,8 +65,15 @@ class SceneSpec:
     def __post_init__(self):
         if self.num_speakers < 1:
             raise ValueError("num_speakers must be >= 1")
-        if not self.duration_s > 0:
-            raise ValueError("duration_s must be positive")
+        if self.sample_rate_hz < 1:
+            raise ValueError("sample_rate_hz must be >= 1")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        if self.num_samples < 1:
+            raise ValueError(
+                f"duration_s {self.duration_s} is under one sample at "
+                f"{self.sample_rate_hz} Hz"
+            )
         if not 0 < self.t60_s < math.inf:
             raise ValueError("t60_s must be positive and finite")
         # +inf disables the reverberant tail or the noise; -inf has no
@@ -327,15 +334,22 @@ def load_scene(directory) -> Scene:
 
     mixture = component("mixture")
     n = mixture.size
+    if n == 0:
+        raise ValueError(f"{path.parent / files['mixture']}: no samples")
     noise = component("noise", n)
     directs = [component(f"s{c + 1}_direct", n) for c in range(count)]
     images = [component(f"s{c + 1}_image", n) for c in range(count)]
 
     rirs = None
     if delays is not None and all(f"s{c + 1}_rir" in files for c in range(count)):
-        rirs = [
-            Rir(component(f"s{c + 1}_rir"), delays[c], spec.sample_rate_hz)
-            for c in range(count)
-        ]
+        rirs = []
+        for c, delay in enumerate(delays):
+            taps = component(f"s{c + 1}_rir")
+            if not 0 <= delay < taps.size:
+                raise ValueError(
+                    f"{path.parent / files[f's{c + 1}_rir']}: direct delay "
+                    f"{delay} outside its {taps.size} taps"
+                )
+            rirs.append(Rir(taps, delay, spec.sample_rate_hz))
 
     return Scene(mixture, directs, images, noise, spec, rirs)

@@ -114,6 +114,21 @@ class TestSimulate:
         assert "expected LO,HI, got '0.2,0.3,0.4'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name", ["t60_range_s", "drr_range_db", "noise_snr_range_db"]
+    )
+    @pytest.mark.parametrize("values", [[0.2, 0.3, 0.4], [1]], ids=["three", "one"])
+    def test_config_range_of_another_length_is_exit_5(
+        self, tmp_path, capsys, name, values
+    ):
+        path = tmp_path / "config.json"
+        write_json(path, {"scene": {name: values}})
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--config", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert f"{name} must be a (lo, hi) pair, got {len(values)} values" in err
+        assert not out.exists()
+
 
 class TestSeparate:
     def test_off_mode_over_simulated_scenes(self, tmp_path, capsys):
@@ -851,6 +866,78 @@ class TestWrongJsonTypes:
         _eval_inputs(tmp_path, speakers=2)
         directory = "scene" if manifest == "scene.json" else "est"
         _set_manifest_value(tmp_path / directory / manifest, key, value)
+        assert _eval(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+# Ways for a 1-speaker scene directory to hold no samples.
+_EMPTY_FAULTS = ("rate", "duration", "mixture", "rir")
+
+
+def _empty_scene(directory, fault) -> str:
+    """Make the scene at ``directory`` hold no samples: a ``scene.json``
+    rate below 1 Hz or duration under one sample, every signal WAV
+    emptied, or an emptied impulse response that cannot hold its listed
+    direct delay.  Returns what the rejection must name."""
+    if fault == "rate":
+        _set_manifest_value(directory / "scene.json", "sample_rate_hz", 0)
+        return "sample_rate_hz must be >= 1"
+    if fault == "duration":
+        _set_manifest_value(directory / "scene.json", "duration_s", 1e-5)
+        return "duration_s 1e-05 is under one sample at 8000 Hz"
+    names = ["s1_rir.wav"] if fault == "rir" else [
+        "mixture.wav", "noise.wav", "s1_direct.wav", "s1_image.wav"
+    ]
+    for name in names:
+        write_wav(directory / name, np.zeros(0), 8000)
+    return str(directory / names[0])
+
+
+class TestEmptyScenes:
+    """A scene that holds no samples is rejected where it enters, naming
+    the field or the WAV: exit 5 from ``simulate`` and ``separate``, 2
+    from ``eval``, and no ``--out`` is left."""
+
+    @pytest.mark.parametrize(
+        "duration, name",
+        [
+            ("0.00001", "duration_s 1e-05 is under one sample at 8000 Hz"),
+            ("inf", "duration_s must be positive and finite"),
+        ],
+        ids=["under_one_sample", "inf"],
+    )
+    def test_simulate_duration_is_exit_5(self, tmp_path, capsys, duration, name):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--duration", duration]) == 5
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [0, -8000])
+    def test_config_rate_below_one_is_exit_5(self, tmp_path, capsys, rate):
+        path = tmp_path / "config.json"
+        write_json(path, {"scene": {"sample_rate_hz": rate}})
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--config", str(path)]) == 5
+        assert "sample_rate_hz must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", _EMPTY_FAULTS)
+    def test_separate_scenes_is_exit_5(self, tmp_path, capsys, fault):
+        assert _simulate(tmp_path / "scenes") == 0
+        name = _empty_scene(tmp_path / "scenes" / "scene_0001", fault)
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", _EMPTY_FAULTS)
+    def test_eval_is_exit_2(self, tmp_path, capsys, fault):
+        _eval_inputs(tmp_path)
+        name = _empty_scene(tmp_path / "scene", fault)
         assert _eval(tmp_path) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err

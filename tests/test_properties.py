@@ -1,6 +1,7 @@
 """Property tests over drawn shapes: the FCP fit and its drivers, exact
 recovery of a known filter, the STFT round trip, the scale invariance
-of SI-SDR, and batch output bytes that do not depend on ``jobs``.
+of SI-SDR, batch output bytes that do not depend on ``jobs``, and the
+config codec's round trip and its rejection of a wrongly typed field.
 
 Spectrograms come from a drawn seed, with silent bins, silent frames and
 negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
@@ -8,10 +9,16 @@ tile edges.  A grid has at least two bins (even DFT sizes only).
 """
 
 import contextlib
+import dataclasses
+import math
+import re
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +28,7 @@ from cxfilter import (
     SEPARATOR_STFT,
     ComplexSpectrogram,
     FcpConfig,
+    SceneSpec,
     StftConfig,
     apply_filter,
     estimate_fcp_filter,
@@ -37,7 +45,8 @@ from cxfilter.experiment import (
     run_separation,
     run_simulation,
 )
-from cxfilter.pipeline import DegradationSpec
+from cxfilter.io import config_from_dict, config_to_dict
+from cxfilter.pipeline import DEGRADATION_MODES, REFINEMENTS, DegradationSpec
 from conftest import naive_istft, tree_bytes
 
 seeds = st.integers(0, 2**32 - 1)
@@ -215,3 +224,131 @@ def test_separation_bytes_do_not_depend_on_jobs(
             runs.append(tree_bytes(out))
     assert len(runs[0]) == 1 + scenes * (2 + 2 * speakers)
     assert runs[0] == runs[1]
+
+
+# Valid configs of every config class.  A range is drawn as two values
+# put in order; an infinity appears wherever a class accepts one.
+finite = st.floats(-1e6, 1e6)
+up_to_inf = finite | st.just(math.inf)
+ranges = st.tuples(up_to_inf, up_to_inf).map(sorted).map(tuple)
+gains = finite | st.just(-math.inf)
+
+
+@st.composite
+def stft_configs(draw):
+    hop = draw(st.integers(1, 64))
+    window = hop * draw(st.integers(2, 8))
+    dft = window + draw(st.integers(0, 64))
+    return StftConfig(window, hop, dft + dft % 2, draw(st.integers(1, 48000)))
+
+
+@st.composite
+def scene_specs(draw):
+    speakers = draw(st.integers(1, 4))
+    rate = draw(st.integers(1, 48000))
+    return SceneSpec(
+        num_speakers=speakers,
+        duration_s=draw(st.floats(1.0 / rate, 60.0)),
+        t60_s=draw(st.floats(0.0, 10.0, exclude_min=True)),
+        drr_db=draw(up_to_inf),
+        noise_snr_db=draw(up_to_inf),
+        seed=draw(st.integers(0, 2**63)),
+        sample_rate_hz=rate,
+        speaker_gains_db=draw(
+            st.none() | st.lists(gains, min_size=speakers, max_size=speakers)
+        ),
+    )
+
+
+fcp_configs = st.builds(
+    FcpConfig,
+    taps=st.integers(1, 64),
+    epsilon=st.floats(0.0, exclude_min=True),
+    diag_load_delta=st.floats(0.0),
+    stft=stft_configs(),
+    per_freq_floor=st.booleans(),
+)
+degradation_specs = st.builds(
+    DegradationSpec,
+    mode=st.sampled_from(DEGRADATION_MODES),
+    snr_db=up_to_inf,
+    cross_talk_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**63),
+)
+scene_ranges = st.builds(
+    SceneRanges,
+    num_speakers=st.integers(1, 8),
+    duration_s=st.floats(0.0, 60.0, exclude_min=True),
+    t60_range_s=ranges,
+    drr_range_db=ranges,
+    noise_snr_range_db=ranges,
+    sample_rate_hz=st.integers(1, 48000),
+    speaker_gains_db=st.none() | st.lists(gains, max_size=4).map(tuple),
+)
+experiment_configs = st.builds(
+    ExperimentConfig,
+    seed=st.integers(0, 2**63),
+    num_scenes=st.integers(1, 100),
+    scene=scene_ranges,
+    degradation=degradation_specs,
+    fcp_mode=st.sampled_from(FCP_MODES),
+    fcp=fcp_configs,
+    iterations=st.integers(1, 5),
+    refinement=st.sampled_from(REFINEMENTS),
+    stft_dnn=stft_configs(),
+    quantiles=st.lists(st.floats(0.0, 1.0, exclude_min=True), unique=True, max_size=4)
+    .map(sorted)
+    .map(tuple),
+    external_dir=st.none() | st.text(max_size=8),
+)
+CONFIGS = {
+    StftConfig: stft_configs(),
+    FcpConfig: fcp_configs,
+    DegradationSpec: degradation_specs,
+    SceneRanges: scene_ranges,
+    SceneSpec: scene_specs(),
+    ExperimentConfig: experiment_configs,
+}
+# A JSON value of each type.  No string reads "inf" or "-inf", which a
+# float field takes as an infinity.
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers(-3, 3) | st.floats(-3.0, 3.0),
+    "string": st.text(max_size=3).filter(lambda s: s not in ("inf", "-inf")),
+    "array": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+}
+
+
+def _json_types(hint) -> set:
+    """The JSON types that a config field of type ``hint`` decodes."""
+    if isinstance(hint, types.UnionType):  # ``X | None``
+        (inner,) = [h for h in typing.get_args(hint) if h is not type(None)]
+        return {"null"} | _json_types(inner)
+    if dataclasses.is_dataclass(hint):
+        return {"object"}
+    if typing.get_origin(hint) is tuple:
+        return {"array"}
+    return {int: {"number"}, float: {"number"}, bool: {"bool"}, str: {"string"}}[hint]
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_config_round_trips_through_its_dict(cls, data):
+    config = data.draw(CONFIGS[cls])
+    assert config_from_dict(cls, config_to_dict(config)) == config
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_config_field_of_another_json_type_is_named(cls, data):
+    encoded = config_to_dict(data.draw(CONFIGS[cls]))
+    hints = typing.get_type_hints(cls)
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    other = sorted(set(JSON_VALUES) - _json_types(hints[name]))
+    encoded[name] = data.draw(JSON_VALUES[data.draw(st.sampled_from(other))])
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name}")):
+        config_from_dict(cls, encoded)
