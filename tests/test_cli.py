@@ -887,9 +887,10 @@ def _empty_scene(directory, fault) -> str:
     if fault == "duration":
         _set_manifest_value(directory / "scene.json", "duration_s", 1e-5)
         return "duration_s 1e-05 is under one sample at 8000 Hz"
-    names = ["s1_rir.wav"] if fault == "rir" else [
-        "mixture.wav", "noise.wav", "s1_direct.wav", "s1_image.wav"
-    ]
+    if fault == "rir":
+        names = ["s1_rir.wav"]
+    else:
+        names = ["mixture.wav", "noise.wav", "s1_direct.wav", "s1_image.wav"]
     for name in names:
         write_wav(directory / name, np.zeros(0), 8000)
     return str(directory / names[0])
