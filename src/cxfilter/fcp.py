@@ -17,6 +17,7 @@ target before fitting.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +26,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from cxfilter.stft import FILTER_STFT, ComplexSpectrogram, StftConfig, _check_same_grid
+
+
+# Tile of the Gram accumulation, in bins x frames.  One tile's regressor
+# (8 x 40 taps x 512 frames of complex128, 2.5 MiB) stays in cache, and
+# the fit's working memory beyond its (frames, bins) weights does not
+# grow with the signal length.  The filter apply walks the same bin
+# blocks.
+_BIN_BLOCK = 8
+_FRAME_BLOCK = 512
+
+# Memory one bin block's (_BIN_BLOCK, taps, taps) complex128 Gram may
+# take.  It fixes the longest filter, MAX_TAPS (724), on every host, so
+# a config either runs everywhere or is rejected where it enters.
+_GRAM_BUDGET_BYTES = 64 * 2**20
+MAX_TAPS = math.isqrt(_GRAM_BUDGET_BYTES // (_BIN_BLOCK * 16))
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,12 @@ class FcpConfig:
     def __post_init__(self):
         if self.taps < 1:
             raise ValueError("taps must be >= 1")
+        if self.taps > MAX_TAPS:
+            raise ValueError(
+                f"taps {self.taps} exceeds the ceiling of {MAX_TAPS}: one "
+                f"{_BIN_BLOCK}-bin Gram must fit in "
+                f"{_GRAM_BUDGET_BYTES // 2**20} MiB"
+            )
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.diag_load_delta >= 0:
@@ -84,14 +106,6 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
     w[unset] = 1.0
     return w
 
-
-# Tile of the Gram accumulation, in bins x frames.  One tile's regressor
-# (8 x 40 taps x 512 frames of complex128, 2.5 MiB) stays in cache, and
-# the fit's working memory beyond its (frames, bins) weights does not
-# grow with the signal length.  The filter apply walks the same bin
-# blocks.
-_BIN_BLOCK = 8
-_FRAME_BLOCK = 512
 
 # Threads that fit a filter's bin blocks: this process's share of the
 # CPUs.  Only the batch runner sets it, next to the BLAS thread count
@@ -225,6 +239,61 @@ def apply_filter(
     return ComplexSpectrogram(out, s_hat.config)
 
 
+def _predict(target, s_hat, config) -> ComplexSpectrogram:
+    """One speaker's image: the filter fitted from ``s_hat`` to ``target``,
+    applied to ``s_hat``.  Passed as call arguments, neither input
+    outlives the call unless the caller keeps it."""
+    return apply_filter(estimate_fcp_filter(target, s_hat, config), s_hat)
+
+
+def fcp_loop(mixture_spec, s_hat_of, count: int, config, leave) -> None:
+    """The plain FCP loop over speakers ``0 .. count - 1``.
+
+    Speaker ``c``'s direct estimate ``s_hat_of(c)`` is fitted against
+    ``mixture_spec``, which is only read, and its image goes to
+    ``leave(c, image)`` at once: at most one direct estimate and one
+    image are alive at a time.
+    """
+    for c in range(count):
+        leave(c, _predict(mixture_spec, s_hat_of(c), config))
+
+
+def _target(residual, held: dict) -> ComplexSpectrogram:
+    """``residual`` minus the held images in index order, in a copy, or
+    ``residual`` itself when none is held."""
+    if not held:
+        return residual
+    data = residual.data.copy()
+    for j in sorted(held):
+        data -= held[j].data
+    return ComplexSpectrogram(data, residual.config)
+
+
+def essu_loop(residual, s_hat_of, order: list, config, leave) -> None:
+    """The ESSU loop over the speakers of ``order``, in that order.
+
+    Speaker ``c``'s direct estimate is ``s_hat_of(c)``, and its target is
+    the mixture minus the images fitted before it, subtracted in speaker
+    index order.  ``residual`` enters as the mixture and is written: it
+    holds the mixture minus the images of the speakers below the lowest
+    index still to fit.  So it is the first speaker's target with no
+    copy, and it becomes the last speaker's target in place.  An image
+    above that index is held until it can be subtracted in index order;
+    while one is held, a target is built in a copy.  Each image goes to
+    ``leave(c, image)`` as soon as no later target reads it, and one
+    direct estimate is alive at a time.
+    """
+    held = {}
+    for step, c in enumerate(order):
+        below = min(order[step:]) if step < len(order) - 1 else math.inf
+        for j in sorted(held):
+            if j < below:
+                residual.data -= held[j].data
+                leave(j, held.pop(j))
+        held[c] = _predict(_target(residual, held), s_hat_of(c), config)
+    leave(c, held.pop(c))
+
+
 def fcp_separate(
     mixture_spec: ComplexSpectrogram, s_hats: list, config: FcpConfig
 ) -> list:
@@ -233,25 +302,31 @@ def fcp_separate(
     Every speaker's filter is estimated with the mixture as target and
     applied to that speaker's direct-path estimate; speakers do not
     interact, so the outputs are invariant to their ordering.  Returns
-    the predicted images in speaker order.
+    the predicted images in speaker order.  Runs :func:`fcp_loop`.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_separate needs at least one speaker estimate")
-    return [
-        apply_filter(estimate_fcp_filter(mixture_spec, s_hat, config), s_hat)
-        for s_hat in s_hats
-    ]
+    images = [None] * len(s_hats)
+    fcp_loop(mixture_spec, s_hats.__getitem__, len(s_hats), config, images.__setitem__)
+    return images
 
 
-def energy_sort(s_hats: list) -> list:
+def _energy(s_hat: ComplexSpectrogram) -> float:
+    power = np.abs(s_hat.data)
+    return np.sum(np.square(power, out=power))
+
+
+def energy_sort(s_hats) -> list:
     """Speaker indices in descending order of direct-estimate energy.
 
     Energy is the squared Frobenius norm of each spectrogram; ties are
-    broken by ascending speaker index.
+    broken by ascending speaker index.  ``s_hats`` may be any iterable;
+    it is read one spectrogram at a time, so a generator that analyses
+    each on demand keeps only one alive.
     """
-    if len(s_hats) == 0:
+    energies = np.fromiter(map(_energy, s_hats), dtype=np.float64)
+    if energies.size == 0:
         raise ValueError("energy_sort needs at least one speaker estimate")
-    energies = np.array([np.sum(np.abs(s.data) ** 2) for s in s_hats])
     return list(np.argsort(-energies, kind="stable"))
 
 
@@ -262,25 +337,24 @@ def fcp_essu_separate(
 
     Speakers are processed in descending energy order.  Each speaker's
     target is the mixture minus the images already estimated for the
-    other speakers (unprocessed speakers contribute zero), and the
-    weight denominators are recomputed from that per-speaker target.
-    Removing the stronger sources first keeps their energy from biasing
-    the filter fits of the weaker ones; for a single speaker this
-    reduces exactly to :func:`fcp_separate`.  Returns the predicted
-    images in speaker order.
+    other speakers (unprocessed speakers contribute zero), subtracted in
+    speaker index order, and the weight denominators are recomputed from
+    that per-speaker target.  Removing the stronger sources first keeps
+    their energy from biasing the filter fits of the weaker ones; for a
+    single speaker this reduces exactly to :func:`fcp_separate`.
+    Returns the predicted images in speaker order.
+
+    Runs :func:`essu_loop` on one copy of the mixture, so the arguments
+    are not written.  Beyond the inputs and the images, what is alive
+    is that copy, one fit's working memory and, while the loop holds an
+    image, one target copy.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")
     for s_hat in s_hats:
         _check_same_grid(mixture_spec, s_hat, "fcp_essu_separate")
-
     images = [None] * len(s_hats)
-    for c in energy_sort(s_hats):
-        residual = mixture_spec.data.copy()
-        for image in images:  # the images fitted so far, in speaker order
-            if image is not None:
-                residual -= image.data
-        target = ComplexSpectrogram(residual, mixture_spec.config)
-        g = estimate_fcp_filter(target, s_hats[c], config)
-        images[c] = apply_filter(g, s_hats[c])
+    residual = ComplexSpectrogram(mixture_spec.data.copy(), mixture_spec.config)
+    order = energy_sort(s_hats)
+    essu_loop(residual, s_hats.__getitem__, order, config, images.__setitem__)
     return images

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from cxfilter.fcp import fcp_essu_separate, fcp_separate
+from cxfilter.fcp import energy_sort, essu_loop, fcp_loop
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
@@ -193,6 +193,16 @@ def run_fcp_stage(
     moved onto the prediction grid ``config.fcp.stft``, the variant
     named by ``config.fcp_mode`` (``fcp`` or ``essu``) is run, and the
     images are returned on the separator grid ``config.stft_dnn``.
+
+    The bytes are those of ``convert_config`` of each direct estimate,
+    then ``fcp_separate`` or ``fcp_essu_separate``, then ``convert_config``
+    of each image, with fewer prediction-grid spectrograms alive at once.
+    The direct estimates are kept in the time domain, and each is
+    analysed when a loop needs it (under ESSU twice: for
+    :func:`energy_sort`, then for its fit), or read as it is when it is
+    on the prediction grid already.  The one prediction-grid mixture
+    becomes each ESSU residual in place (:func:`essu_loop`), and each
+    image is converted back as soon as no later residual reads it.
     """
     if config.fcp_mode == "off":
         raise ValueError("fcp_mode 'off' has no prediction stage")
@@ -201,14 +211,27 @@ def run_fcp_stage(
         raise ValueError("run_fcp_stage expects a 1-D time-domain mixture")
     n = mixture.shape[0]
     grid = config.fcp.stft
-    s_hats = [convert_config(s, grid, n) for s in separator_output.direct_estimates]
-    separate = fcp_essu_separate if config.fcp_mode == "essu" else fcp_separate
-    images = separate(stft(mixture, grid), s_hats, config.fcp)
-    # The filter-grid mixture (a temporary of the call) and direct
-    # estimates are not needed past the fit.  Freed before the images are
-    # converted back, they do not add to the conversions' peak memory.
-    del s_hats
-    return [convert_config(img, config.stft_dnn, n) for img in images]
+    directs = separator_output.direct_estimates
+    if directs[0].config == grid:
+        s_hat_of = directs.__getitem__
+    else:
+        signals = [istft(s, n) for s in directs]
+
+        def s_hat_of(c):
+            return stft(signals[c], grid)
+
+    images = [None] * len(directs)
+
+    def leave(c, image):
+        images[c] = convert_config(image, config.stft_dnn, n)
+
+    mixture_spec = stft(mixture, grid)
+    if config.fcp_mode == "essu":
+        order = energy_sort(map(s_hat_of, range(len(directs))))
+        essu_loop(mixture_spec, s_hat_of, order, config.fcp, leave)
+    else:
+        fcp_loop(mixture_spec, s_hat_of, len(directs), config.fcp, leave)
+    return images
 
 
 def _exchange_files(kinds: tuple, speakers) -> list:

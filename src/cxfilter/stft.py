@@ -88,6 +88,14 @@ SEPARATOR_STFT = StftConfig(256, 64, 256, 8000)
 FILTER_STFT = StftConfig(1024, 64, 1024, 8000)
 
 
+# Frames per tile of :func:`stft` and :func:`istft`.  Each rfft row and
+# each irfft row is computed on its own, and the overlap-add keeps adding
+# frames in increasing order, so tiling keeps the bits of a whole-array
+# transform while its temporaries stay one tile long (4 MiB on the
+# 1024-point grid), whatever the length of the signal.
+_TILE_FRAMES = 512
+
+
 @functools.lru_cache(maxsize=8)
 def _sqrt_hann(length: int) -> np.ndarray:
     n = np.arange(length)
@@ -172,8 +180,10 @@ def stft(signal, config: StftConfig) -> ComplexSpectrogram:
     buf[config.head_padding : config.head_padding + x.size] = x
 
     frames = sliding_window_view(buf, w)[::h]  # (num_frames, w), zero-copy
-    windowed = frames * _sqrt_hann(w)
-    spec = np.fft.rfft(windowed, n=config.dft_size, axis=1)
+    spec = np.empty((num_frames, config.bins), dtype=np.complex128)
+    for t0 in range(0, num_frames, _TILE_FRAMES):
+        t = slice(t0, t0 + _TILE_FRAMES)
+        np.fft.rfft(frames[t] * _sqrt_hann(w), n=config.dft_size, axis=1, out=spec[t])
     return ComplexSpectrogram(spec, config)
 
 
@@ -182,10 +192,10 @@ def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndar
 
     Square-root Hann synthesis windowing followed by division by the
     constant overlap-add gain makes ``istft(stft(x))`` reproduce ``x``
-    to numerical precision.  The frames are overlap-added in hop-sized
-    slices rather than one frame at a time, with each output sample
-    summed in the same frame order, so the result is bit-identical to a
-    per-frame loop's.
+    to numerical precision.  The frames are inverted and overlap-added
+    in tiles of :data:`_TILE_FRAMES`, in hop-sized slices rather than one
+    frame at a time, with each output sample summed in the same frame
+    order, so the result is bit-identical to a per-frame loop's.
 
     Parameters
     ----------
@@ -207,15 +217,18 @@ def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndar
             f"reconstructible from {spec.frames} frames"
         )
 
-    segments = np.fft.irfft(spec.data, n=cfg.dft_size, axis=1)[:, :w]
-    segments *= _sqrt_hann(w)
-    segments = segments.reshape(spec.frames, w // h, h)
     # Block b of the output sums sub-block k of frame b - k.  Adding the
-    # sub-blocks from the last to the first gives every sample its frames
-    # in increasing frame order, the order of a per-frame overlap-add.
+    # tiles in turn, and each tile's sub-blocks from the last to the
+    # first, gives every sample its frames in increasing frame order, the
+    # order of a per-frame overlap-add.
     blocks = np.zeros((spec.frames - 1 + w // h, h))
-    for k in range(w // h - 1, -1, -1):
-        blocks[k : k + spec.frames] += segments[:, k]
+    for t0 in range(0, spec.frames, _TILE_FRAMES):
+        tile = spec.data[t0 : t0 + _TILE_FRAMES]
+        segments = np.fft.irfft(tile, n=cfg.dft_size, axis=1)[:, :w]
+        segments *= _sqrt_hann(w)
+        segments = segments.reshape(len(tile), w // h, h)
+        for k in range(w // h - 1, -1, -1):
+            blocks[t0 + k : t0 + k + len(tile)] += segments[:, k]
     buf = blocks.ravel()
     buf /= cfg.cola_gain
     start = cfg.head_padding

@@ -218,6 +218,16 @@ class TestSeparate:
         assert code == 5
         assert "epsilon" in capsys.readouterr().err
 
+    def test_taps_above_the_ceiling_are_exit_5(self, tmp_path, capsys):
+        # One (8, taps, taps) block Gram of 100000 taps would be 1.16 TiB.
+        path = tmp_path / "config.json"
+        write_json(path, {"fcp": {"taps": 100000}})
+        out = tmp_path / "out"
+        assert main(["separate", "--config", str(path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "taps" in err and "724" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "config, name",
         [

@@ -97,6 +97,20 @@ class TestFcpConfig:
         with pytest.raises(ValueError, match=name):
             FcpConfig(**{name: np.nan})
 
+    def test_taps_ceiling_follows_the_gram_budget(self):
+        # The longest filter whose (_BIN_BLOCK, taps, taps) complex128
+        # Gram fits in 64 MiB.
+        def gram(taps):
+            return fcp_module._BIN_BLOCK * taps**2 * 16
+
+        assert fcp_module._GRAM_BUDGET_BYTES == 64 * 2**20
+        assert gram(724) <= fcp_module._GRAM_BUDGET_BYTES < gram(725)
+        assert fcp_module.MAX_TAPS == 724
+        assert FcpConfig(taps=724).taps == 724
+        for taps in (725, 100000):
+            with pytest.raises(ValueError, match=r"taps .* 724"):
+                FcpConfig(taps=taps)
+
 
 class TestEstimateFcpFilter:
     def test_identity_projection(self, rng):
@@ -646,14 +660,33 @@ class TestFcpEssu:
     def test_images_apply_the_fitted_filters(self, rng):
         # Each speaker's target is the mixture minus the images of the
         # speakers processed before it, subtracted in index order.
+        self._check_targets(rng, (1.0, 3.0, 2.0), [1, 2, 0])
+
+    @pytest.mark.parametrize(
+        "gains, order",
+        [
+            ((0.5, 2.0, 3.0), [2, 1, 0]),
+            ((1.0, 2.0, 3.0, 0.5), [2, 1, 0, 3]),
+            ((2.0, 0.5, 3.0, 1.0), [2, 0, 3, 1]),
+            ((0.5, 3.0, 1.0, 2.0), [1, 3, 2, 0]),
+        ],
+    )
+    def test_targets_subtract_in_index_order(self, rng, gains, order):
+        # Energy orders that fit a speaker after one of a higher index:
+        # images subtracted in fitting order would move the bits.
+        self._check_targets(rng, gains, order)
+
+    @staticmethod
+    def _check_targets(rng, gains, order):
         mix = rand_spec(rng, 20, GRID)
         s_hats = [
             ComplexSpectrogram(gain * rand_spec(rng, 20, GRID).data, GRID)
-            for gain in (1.0, 3.0, 2.0)
+            for gain in gains
         ]
         config = FcpConfig(taps=2, stft=GRID)
+        before = [s.data.copy() for s in [mix, *s_hats]]
         images = fcp_essu_separate(mix, s_hats, config)
-        order = [1, 2, 0]
+        assert all(np.array_equal(a.data, b) for a, b in zip([mix, *s_hats], before))
         assert energy_sort(s_hats) == order
         for i, c in enumerate(order):
             target = mix.data.copy()

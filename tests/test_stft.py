@@ -1,5 +1,7 @@
 """STFT engine: framing, reconstruction, conversion, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cxfilter import (
     si_sdr,
     stft,
 )
+from cxfilter.stft import _TILE_FRAMES
 from cxfilter.io import config_from_dict, config_to_dict
 from conftest import naive_istft, naive_stft, rand_spec
 
@@ -165,6 +168,72 @@ class TestIstft:
             assert np.array_equal(got, naive_istft(spec, n))
             limit = cfg.max_signal_length(frames)
             assert np.array_equal(istft(spec), naive_istft(spec, limit))
+
+
+def whole_stft(signal: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Untiled analysis: every frame windowed and rfft'd in one call."""
+    w, h = config.window_length_samples, config.hop_samples
+    frames = config.num_frames(signal.size)
+    buf = np.zeros((frames - 1) * h + w)
+    buf[w - h : w - h + signal.size] = signal
+    window = np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(w) / w)))
+    stack = np.lib.stride_tricks.sliding_window_view(buf, w)[::h]
+    return np.fft.rfft(stack * window, n=config.dft_size, axis=1)
+
+
+def whole_istft(spec: ComplexSpectrogram, output_length: int) -> np.ndarray:
+    """Untiled synthesis: every frame irfft'd in one call, then the
+    sub-blocks overlap-added in increasing frame order."""
+    config = spec.config
+    w, h = config.window_length_samples, config.hop_samples
+    window = np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(w) / w)))
+    segments = np.fft.irfft(spec.data, n=config.dft_size, axis=1)[:, :w]
+    segments = (segments * window).reshape(spec.frames, w // h, h)
+    blocks = np.zeros((spec.frames - 1 + w // h, h))
+    for k in range(w // h - 1, -1, -1):
+        blocks[k : k + spec.frames] += segments[:, k]
+    buf = blocks.ravel() / (w / (2.0 * h))
+    return buf[w - h : w - h + output_length]
+
+
+class TestTiles:
+    """The tiled transforms keep the bits of whole-array ones, and their
+    temporaries do not grow with the signal."""
+
+    # Around one and three tiles of 512 frames.  A one-sample signal
+    # gives the fewest frames a grid makes: 4 and 16, never 1.
+    FRAMES = (1, 511, 512, 513, 1541)
+
+    @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
+    def test_stft_equals_whole_array_form(self, rng, cfg):
+        assert _TILE_FRAMES == 512
+        for frames in self.FRAMES:
+            x = rng.standard_normal(max(1, cfg.max_signal_length(frames)))
+            got = stft(x, cfg).data
+            assert got.shape[0] == max(frames, cfg.num_frames(1))
+            assert got.tobytes() == whole_stft(x, cfg).tobytes()
+
+    @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
+    def test_istft_equals_whole_array_form(self, rng, cfg):
+        for frames in self.FRAMES:
+            spec = rand_spec(rng, max(frames, cfg.num_frames(1)), cfg)
+            limit = cfg.max_signal_length(spec.frames)
+            for n in (limit, max(1, limit - 101)):
+                got = istft(spec, output_length=n)
+                assert got.tobytes() == whole_istft(spec, n).tobytes()
+
+    def test_sixty_second_stft_holds_one_tile(self, rng):
+        # 60 s on the filter grid: 7516 frames, 58.8 MiB of output.  One
+        # tile's windowed frames are 4 MiB; a whole-array windowed copy
+        # alone would be another 58.7 MiB.
+        x = rng.standard_normal(60 * FILTER_STFT.sample_rate_hz)
+        tracemalloc.start()
+        try:
+            spec = stft(x, FILTER_STFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * spec.data.nbytes
 
 
 class TestConvertConfig:

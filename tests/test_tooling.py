@@ -7,9 +7,11 @@ directory codec every other module goes through, the speaker cap
 permutation search it bounds, importing :mod:`cxfilter.cli` leaves
 the slow-to-import scipy submodules unloaded, and a ``CliError`` is
 built only where an exit code differs from what ``cli.main`` maps an
-exception type to."""
+exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
+prints a finite slope."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -177,3 +179,23 @@ def test_cli_import_leaves_lazy_scipy_modules_unloaded():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_peak_rss_tool_prints_a_finite_slope():
+    # Two short scenes keep the smoke run to a few seconds; the tool's
+    # default 10, 30 and 60 s durations are for measurements.
+    tool = PYPROJECT.parent / "tools" / "peak_rss.py"
+    run = subprocess.run(
+        [sys.executable, str(tool), "--durations", "0.5,1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["0.5 s", "1 s", "slope"]
+    peaks = [float(line.split()[-2]) for line in lines[:2]]
+    assert all(peak > 0 for peak in peaks)
+    slope = float(lines[2].split()[1])
+    assert math.isfinite(slope)
+    assert lines[2] == f"slope: {slope:.2f} MiB/s"
