@@ -53,6 +53,8 @@ def peak_rss_mib(duration_s: float, seed: int, work: Path) -> float:
                   "--seed", str(seed), *SEPARATE_ARGS),
         env=_env(), stdout=subprocess.DEVNULL,
     )
+    # wait4 reaps the child and returns its own rusage; the status is
+    # stored on the Popen, which would otherwise count it as running.
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode != 0:
