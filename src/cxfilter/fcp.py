@@ -10,9 +10,9 @@ room-filtering relation instead of being a free re-estimate.
 
 Two drivers are provided: :func:`fcp_separate` fits every speaker
 independently against the mixture, and :func:`fcp_essu_separate`
-processes speakers in descending energy order, subtracting the images
-already estimated for stronger speakers from each weaker speaker's
-target before fitting.
+fits speakers in descending energy order (the fitting order), each
+against the mixture minus the images already fitted for the stronger
+speakers.
 """
 
 from __future__ import annotations
@@ -258,40 +258,23 @@ def fcp_loop(mixture_spec, s_hat_of, count: int, config, leave) -> None:
         leave(c, _predict(mixture_spec, s_hat_of(c), config))
 
 
-def _target(residual, held: dict) -> ComplexSpectrogram:
-    """``residual`` minus the held images in index order, in a copy, or
-    ``residual`` itself when none is held."""
-    if not held:
-        return residual
-    data = residual.data.copy()
-    for j in sorted(held):
-        data -= held[j].data
-    return ComplexSpectrogram(data, residual.config)
-
-
 def essu_loop(residual, s_hat_of, order: list, config, leave) -> None:
-    """The ESSU loop over the speakers of ``order``, in that order.
+    """The ESSU loop over the speakers of ``order``, in that fitting order.
 
-    Speaker ``c``'s direct estimate is ``s_hat_of(c)``, and its target is
-    the mixture minus the images fitted before it, subtracted in speaker
-    index order.  ``residual`` enters as the mixture and is written: it
-    holds the mixture minus the images of the speakers below the lowest
-    index still to fit.  So it is the first speaker's target with no
-    copy, and it becomes the last speaker's target in place.  An image
-    above that index is held until it can be subtracted in index order;
-    while one is held, a target is built in a copy.  Each image goes to
-    ``leave(c, image)`` as soon as no later target reads it, and one
-    direct estimate is alive at a time.
+    ``residual`` enters as the mixture and is written: speaker ``c``'s
+    direct estimate ``s_hat_of(c)`` is fitted against it, and its image
+    is then subtracted from it in place, except after the last speaker,
+    and goes to ``leave(c, image)``.  So each target is the mixture minus
+    the images fitted before it, subtracted in fitting order, and one
+    direct estimate and one image are alive at a time.
     """
-    held = {}
+    last = len(order) - 1
     for step, c in enumerate(order):
-        below = min(order[step:]) if step < len(order) - 1 else math.inf
-        for j in sorted(held):
-            if j < below:
-                residual.data -= held[j].data
-                leave(j, held.pop(j))
-        held[c] = _predict(_target(residual, held), s_hat_of(c), config)
-    leave(c, held.pop(c))
+        image = _predict(residual, s_hat_of(c), config)
+        if step < last:
+            residual.data -= image.data
+        leave(c, image)
+        del image  # not alive while the next speaker is fitted
 
 
 def fcp_separate(
@@ -335,19 +318,18 @@ def fcp_essu_separate(
 ) -> list:
     """FCP with energy-sorted source update.
 
-    Speakers are processed in descending energy order.  Each speaker's
-    target is the mixture minus the images already estimated for the
-    other speakers (unprocessed speakers contribute zero), subtracted in
-    speaker index order, and the weight denominators are recomputed from
-    that per-speaker target.  Removing the stronger sources first keeps
-    their energy from biasing the filter fits of the weaker ones; for a
-    single speaker this reduces exactly to :func:`fcp_separate`.
-    Returns the predicted images in speaker order.
+    Speakers are fitted in descending energy order (the fitting order).
+    Each speaker's target is the mixture minus the images already
+    fitted for the stronger speakers, subtracted in fitting order, and
+    the weight denominators are recomputed from that per-speaker target.
+    Removing the stronger sources first keeps their energy from biasing
+    the filter fits of the weaker ones; for a single speaker this
+    reduces exactly to :func:`fcp_separate`.  Relabelling speakers of
+    distinct energies permutes the images bit for bit.  Returns the
+    predicted images in speaker order.
 
     Runs :func:`essu_loop` on one copy of the mixture, so the arguments
-    are not written.  Beyond the inputs and the images, what is alive
-    is that copy, one fit's working memory and, while the loop holds an
-    image, one target copy.
+    are not written.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")

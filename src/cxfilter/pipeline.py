@@ -197,12 +197,11 @@ def run_fcp_stage(
     The bytes are those of ``convert_config`` of each direct estimate,
     then ``fcp_separate`` or ``fcp_essu_separate``, then ``convert_config``
     of each image, with fewer prediction-grid spectrograms alive at once.
-    The direct estimates are kept in the time domain, and each is
-    analysed when a loop needs it (under ESSU twice: for
-    :func:`energy_sort`, then for its fit), or read as it is when it is
-    on the prediction grid already.  The one prediction-grid mixture
-    becomes each ESSU residual in place (:func:`essu_loop`), and each
-    image is converted back as soon as no later residual reads it.
+    Each direct estimate is converted when a loop needs it (under ESSU
+    twice: for :func:`energy_sort`, then for its fit).  The one
+    prediction-grid mixture becomes the ESSU residual in place, with
+    the images subtracted in fitting order (:func:`essu_loop`), and each
+    image is converted back as soon as it is fitted.
     """
     if config.fcp_mode == "off":
         raise ValueError("fcp_mode 'off' has no prediction stage")
@@ -212,13 +211,9 @@ def run_fcp_stage(
     n = mixture.shape[0]
     grid = config.fcp.stft
     directs = separator_output.direct_estimates
-    if directs[0].config == grid:
-        s_hat_of = directs.__getitem__
-    else:
-        signals = [istft(s, n) for s in directs]
 
-        def s_hat_of(c):
-            return stft(signals[c], grid)
+    def s_hat_of(c):
+        return convert_config(directs[c], grid, n)
 
     images = [None] * len(directs)
 

@@ -659,7 +659,7 @@ class TestFcpEssu:
 
     def test_images_apply_the_fitted_filters(self, rng):
         # Each speaker's target is the mixture minus the images of the
-        # speakers processed before it, subtracted in index order.
+        # speakers fitted before it, subtracted in fitting order.
         self._check_targets(rng, (1.0, 3.0, 2.0), [1, 2, 0])
 
     @pytest.mark.parametrize(
@@ -671,9 +671,9 @@ class TestFcpEssu:
             ((0.5, 3.0, 1.0, 2.0), [1, 3, 2, 0]),
         ],
     )
-    def test_targets_subtract_in_index_order(self, rng, gains, order):
+    def test_targets_subtract_in_fitting_order(self, rng, gains, order):
         # Energy orders that fit a speaker after one of a higher index:
-        # images subtracted in fitting order would move the bits.
+        # images subtracted in index order would move the bits.
         self._check_targets(rng, gains, order)
 
     @staticmethod
@@ -690,7 +690,7 @@ class TestFcpEssu:
         assert energy_sort(s_hats) == order
         for i, c in enumerate(order):
             target = mix.data.copy()
-            for other in sorted(order[:i]):
+            for other in order[:i]:
                 target -= images[other].data
             g = estimate_fcp_filter(ComplexSpectrogram(target, GRID), s_hats[c], config)
             want = apply_filter(g, s_hats[c])

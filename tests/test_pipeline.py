@@ -202,29 +202,31 @@ class TestRunFcpStage:
         assert all(g.config == SEPARATOR_STFT for g in got)
 
     def test_ten_second_essu_stage_peak_is_bounded(self):
-        # Two speakers for 10 s: the stage holds the filter-grid mixture
-        # (turned into the ESSU residual in place), one filter-grid direct
+        # 10 s scenes: the stage holds the filter-grid mixture (turned
+        # into the ESSU residual in place), one filter-grid direct
         # estimate, one weight array or image and tiles at a time, and
-        # converts each image back once no later residual reads it: about
-        # 3.5 filter-grid spectrograms.  Inputs are allocated before
-        # tracing.
+        # converts each image back once it is subtracted: under 4
+        # filter-grid spectrograms, at any count of speakers.  The gains
+        # (1, 3, 2) fit speaker 0 after speakers 1 and 2.  Inputs are
+        # allocated before tracing.
         config = ExperimentConfig(fcp_mode="essu")
         n = 10 * config.stft_dnn.sample_rate_hz
-        rng = np.random.default_rng(10)
-        signals = [rng.standard_normal(n) for _ in range(2)]
-        specs = [stft(s, config.stft_dnn) for s in signals]
-        sep = SeparatorOutput(direct_estimates=specs, image_estimates=specs)
-        mixture = signals[0] + signals[1]
         grid = config.fcp.stft
         spectrogram = grid.num_frames(n) * grid.bins * 16
-        tracemalloc.start()
-        try:
-            images = run_fcp_stage(mixture, sep, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(images) == 2
-        assert peak <= 4 * spectrogram
+        rng = np.random.default_rng(10)
+        for gains in [(1.0, 1.0), (1.0, 3.0, 2.0)]:
+            signals = [g * rng.standard_normal(n) for g in gains]
+            specs = [stft(s, config.stft_dnn) for s in signals]
+            sep = SeparatorOutput(direct_estimates=specs, image_estimates=specs)
+            mixture = np.sum(signals, axis=0)
+            tracemalloc.start()
+            try:
+                images = run_fcp_stage(mixture, sep, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(images) == len(gains)
+            assert peak <= 4 * spectrogram, (gains, peak / spectrogram)
 
     def test_fcp_grid_comes_from_fcp_config(self, mono_scene):
         n = mono_scene.num_samples
