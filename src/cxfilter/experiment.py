@@ -184,6 +184,8 @@ class ExperimentConfig:
             raise ValueError("num_scenes must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
 
     def config_hash(self) -> str:

@@ -102,6 +102,8 @@ class DegradationSpec:
             raise ValueError("snr_db must be finite or +inf")
         if not 0.0 <= self.cross_talk_fraction < 1.0:
             raise ValueError("cross_talk_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(eq=False)

@@ -67,6 +67,8 @@ class SceneSpec:
             raise ValueError("num_speakers must be >= 1")
         if self.sample_rate_hz < 1:
             raise ValueError("sample_rate_hz must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.duration_s < math.inf:
             raise ValueError("duration_s must be positive and finite")
         if self.num_samples < 1:

@@ -955,6 +955,32 @@ class TestEmptyScenes:
         assert not (tmp_path / "out").exists()
 
 
+class TestNegativeSeeds:
+    """A negative seed is rejected where it enters, naming the field:
+    exit 5, and no ``--out`` is left."""
+
+    def _check(self, argv, out, capsys):
+        assert main([*argv, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_flag(self, tmp_path, capsys):
+        self._check(["simulate", "--seed", "-1"], tmp_path / "o", capsys)
+
+    def test_degradation_seed(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        write_json(path, {"degradation": {"seed": -1}})
+        argv = ["separate", "--config", str(path), "--count", "1"]
+        self._check(argv, tmp_path / "o", capsys)
+
+    def test_scene_manifest_seed(self, tmp_path, capsys):
+        assert _simulate(tmp_path / "scenes") == 0
+        _set_manifest_value(tmp_path / "scenes" / "scene_0001" / "scene.json", "seed", -1)
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        self._check(argv, tmp_path / "o", capsys)
+
+
 class TestSweep:
     def test_taps_axis_via_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
