@@ -12,7 +12,8 @@ Two drivers are provided: :func:`fcp_separate` fits every speaker
 independently against the mixture, and :func:`fcp_essu_separate`
 fits speakers in descending energy order (the fitting order), each
 against the mixture minus the images already fitted for the stronger
-speakers.
+speakers.  Both run the one prediction loop, :func:`fcp_loop`, which
+alone decides the fitting order.
 """
 
 from __future__ import annotations
@@ -239,42 +240,29 @@ def apply_filter(
     return ComplexSpectrogram(out, s_hat.config)
 
 
-def _predict(target, s_hat, config) -> ComplexSpectrogram:
-    """One speaker's image: the filter fitted from ``s_hat`` to ``target``,
-    applied to ``s_hat``.  Passed as call arguments, neither input
-    outlives the call unless the caller keeps it."""
-    return apply_filter(estimate_fcp_filter(target, s_hat, config), s_hat)
-
-
-def fcp_loop(mixture_spec, s_hat_of, count: int, config, leave) -> None:
-    """The plain FCP loop over speakers ``0 .. count - 1``.
+def fcp_loop(target, s_hat_of, count: int, config, leave, *, essu: bool) -> None:
+    """The one prediction loop over speakers ``0 .. count - 1``.
 
     Speaker ``c``'s direct estimate ``s_hat_of(c)`` is fitted against
-    ``mixture_spec``, which is only read, and its image goes to
-    ``leave(c, image)`` at once: at most one direct estimate and one
-    image are alive at a time.
+    ``target``, and the fitted filter applied to it is the image that
+    goes to ``leave(c, image)`` at once.  Without ``essu`` the speakers
+    are fitted in index order and ``target`` is only read.  With
+    ``essu`` they are fitted in :func:`energy_sort` order (the fitting
+    order), ``target`` enters as the mixture and each image but the last
+    is subtracted from it in place, so each target is the mixture minus
+    the images fitted before it.  One direct estimate and one image are
+    alive at a time; under ESSU each direct estimate is taken twice, for
+    the sort and for its fit.
     """
-    for c in range(count):
-        leave(c, _predict(mixture_spec, s_hat_of(c), config))
-
-
-def essu_loop(residual, s_hat_of, order: list, config, leave) -> None:
-    """The ESSU loop over the speakers of ``order``, in that fitting order.
-
-    ``residual`` enters as the mixture and is written: speaker ``c``'s
-    direct estimate ``s_hat_of(c)`` is fitted against it, and its image
-    is then subtracted from it in place, except after the last speaker,
-    and goes to ``leave(c, image)``.  So each target is the mixture minus
-    the images fitted before it, subtracted in fitting order, and one
-    direct estimate and one image are alive at a time.
-    """
-    last = len(order) - 1
+    order = energy_sort(map(s_hat_of, range(count))) if essu else range(count)
     for step, c in enumerate(order):
-        image = _predict(residual, s_hat_of(c), config)
-        if step < last:
-            residual.data -= image.data
+        s_hat = s_hat_of(c)
+        image = apply_filter(estimate_fcp_filter(target, s_hat, config), s_hat)
+        del s_hat  # not alive while the next speaker is fitted
+        if essu and step < count - 1:
+            target.data -= image.data
         leave(c, image)
-        del image  # not alive while the next speaker is fitted
+        del image
 
 
 def fcp_separate(
@@ -285,12 +273,14 @@ def fcp_separate(
     Every speaker's filter is estimated with the mixture as target and
     applied to that speaker's direct-path estimate; speakers do not
     interact, so the outputs are invariant to their ordering.  Returns
-    the predicted images in speaker order.  Runs :func:`fcp_loop`.
+    the predicted images in speaker order.  Runs :func:`fcp_loop`
+    without ``essu``.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_separate needs at least one speaker estimate")
     images = [None] * len(s_hats)
-    fcp_loop(mixture_spec, s_hats.__getitem__, len(s_hats), config, images.__setitem__)
+    leave = images.__setitem__
+    fcp_loop(mixture_spec, s_hats.__getitem__, len(s_hats), config, leave, essu=False)
     return images
 
 
@@ -328,8 +318,8 @@ def fcp_essu_separate(
     distinct energies permutes the images bit for bit.  Returns the
     predicted images in speaker order.
 
-    Runs :func:`essu_loop` on one copy of the mixture, so the arguments
-    are not written.
+    Runs :func:`fcp_loop` with ``essu`` on one copy of the mixture, so
+    the arguments are not written.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")
@@ -337,6 +327,6 @@ def fcp_essu_separate(
         _check_same_grid(mixture_spec, s_hat, "fcp_essu_separate")
     images = [None] * len(s_hats)
     residual = ComplexSpectrogram(mixture_spec.data.copy(), mixture_spec.config)
-    order = energy_sort(s_hats)
-    essu_loop(residual, s_hats.__getitem__, order, config, images.__setitem__)
+    leave = images.__setitem__
+    fcp_loop(residual, s_hats.__getitem__, len(s_hats), config, leave, essu=True)
     return images

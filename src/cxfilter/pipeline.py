@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from cxfilter.fcp import energy_sort, essu_loop, fcp_loop
+from cxfilter.fcp import fcp_loop
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
@@ -199,11 +199,12 @@ def run_fcp_stage(
     The bytes are those of ``convert_config`` of each direct estimate,
     then ``fcp_separate`` or ``fcp_essu_separate``, then ``convert_config``
     of each image, with fewer prediction-grid spectrograms alive at once.
-    Each direct estimate is converted when a loop needs it (under ESSU
-    twice: for :func:`energy_sort`, then for its fit).  The one
-    prediction-grid mixture becomes the ESSU residual in place, with
-    the images subtracted in fitting order (:func:`essu_loop`), and each
-    image is converted back as soon as it is fitted.
+    The stage runs the one prediction loop, :func:`~cxfilter.fcp.fcp_loop`,
+    which converts each direct estimate when it needs it (under ESSU
+    twice: for the fitting order, then for the fit).  The one
+    prediction-grid mixture is its target, under ESSU the residual
+    written in place, and each image is converted back as soon as it is
+    fitted.
     """
     if config.fcp_mode == "off":
         raise ValueError("fcp_mode 'off' has no prediction stage")
@@ -222,12 +223,8 @@ def run_fcp_stage(
     def leave(c, image):
         images[c] = convert_config(image, config.stft_dnn, n)
 
-    mixture_spec = stft(mixture, grid)
-    if config.fcp_mode == "essu":
-        order = energy_sort(map(s_hat_of, range(len(directs))))
-        essu_loop(mixture_spec, s_hat_of, order, config.fcp, leave)
-    else:
-        fcp_loop(mixture_spec, s_hat_of, len(directs), config.fcp, leave)
+    essu = config.fcp_mode == "essu"
+    fcp_loop(stft(mixture, grid), s_hat_of, len(directs), config.fcp, leave, essu=essu)
     return images
 
 
