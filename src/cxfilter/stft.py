@@ -243,9 +243,9 @@ def convert_config(
     Defined as ``stft(istft(spec, length), to_config)``; exactness is
     inherited from the round-trip guarantees.  ``length`` is the
     time-domain sample count carried through the conversion.  When
-    ``to_config`` is ``spec.config`` the result is an exact copy of
-    ``spec`` and ``length`` is not used.
+    ``to_config`` is ``spec.config`` the result is ``spec`` itself, not
+    a copy, and ``length`` is not used.
     """
     if to_config == spec.config:
-        return ComplexSpectrogram(spec.data.copy(), to_config)
+        return spec
     return stft(istft(spec, length), to_config)

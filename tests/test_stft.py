@@ -243,6 +243,7 @@ class TestConvertConfig:
         out = convert_config(spec, SEPARATOR_STFT, x.size)
         err = np.linalg.norm(out.data - spec.data) / np.linalg.norm(spec.data)
         assert err <= 1e-6
+        assert out is spec
 
     def test_round_trip_through_other_config(self, rng):
         x = rng.standard_normal(8000)
