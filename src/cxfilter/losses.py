@@ -57,6 +57,15 @@ def base_loss(est: ComplexSpectrogram, ref: ComplexSpectrogram) -> float:
     return float((re_im + mag) / (3 * units))
 
 
+def check_speaker_cap(count: int, op: str) -> None:
+    """Raise ValueError, naming ``op``, if ``count`` speakers exceed
+    :data:`MAX_SPEAKERS`, the most a permutation search enumerates."""
+    if count > MAX_SPEAKERS:
+        raise ValueError(
+            f"{op}: {count} speakers exceeds the enumeration cap of {MAX_SPEAKERS}"
+        )
+
+
 def best_permutation(cost) -> tuple:
     """Permutation minimizing ``sum_c cost[c, perm[c]]``.
 
@@ -65,11 +74,7 @@ def best_permutation(cost) -> tuple:
     :data:`MAX_SPEAKERS` rows raise ValueError.
     """
     count = len(cost)
-    if count > MAX_SPEAKERS:
-        raise ValueError(
-            f"best_permutation: {count} speakers exceeds the enumeration cap "
-            f"of {MAX_SPEAKERS}"
-        )
+    check_speaker_cap(count, "best_permutation")
     best_perm, best_total = None, np.inf
     for perm in itertools.permutations(range(count)):
         total = sum(cost[c, perm[c]] for c in range(count))

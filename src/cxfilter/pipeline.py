@@ -28,6 +28,7 @@ from cxfilter.io import (
     read_manifest,
     write_wav_dir,
 )
+from cxfilter.losses import check_speaker_cap
 from cxfilter.metrics import evaluate_scene
 from cxfilter.scenes import Scene
 from cxfilter.stft import (
@@ -413,7 +414,9 @@ def predict(
     Returns the estimates the last feature stack was built from, and
     that stack; :func:`run_pipeline` applies the last refinement.  A
     scene whose sample rate is not that of ``config.stft_dnn`` (and, with
-    FCP on, of ``config.fcp.stft``) raises ValueError naming both rates.
+    FCP on, of ``config.fcp.stft``) raises ValueError naming both rates,
+    and one with more speakers than the scoring's permutation search
+    takes raises it before any of its work.
     """
     grids = {"stft_dnn": config.stft_dnn}
     if config.fcp_mode != "off":
@@ -425,6 +428,7 @@ def predict(
                 f"scene sample rate {rate} Hz does not match the "
                 f"{name} sample rate {grid.sample_rate_hz} Hz"
             )
+    check_speaker_cap(scene.spec.num_speakers, "scene")
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     if config.fcp_mode != "off":

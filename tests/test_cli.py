@@ -11,6 +11,7 @@ from scipy.io import wavfile
 
 import cxfilter.cli
 import cxfilter.experiment
+import cxfilter.pipeline
 from cxfilter import DegradationSpec, SceneSpec, simulate_scene
 from cxfilter.cli import build_parser, main
 from cxfilter.experiment import ExperimentConfig, NoScenesError, SceneRanges
@@ -306,6 +307,20 @@ class TestSeparate:
                 "--out", str(out)]
         assert main(argv) == 5
         assert "9 speakers exceeds the enumeration cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_speakers_past_the_cap_are_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert _simulate(tmp_path / "scenes", speakers=9, duration=0.5) == 0
+        separated = count_calls(monkeypatch, cxfilter.pipeline, "oracle_separate")
+        staged = count_calls(monkeypatch, cxfilter.pipeline, "run_fcp_stage")
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "fcp",
+                "--out", str(out)]
+        assert main(argv) == 5
+        assert "9 speakers exceeds the enumeration cap" in capsys.readouterr().err
+        assert (len(separated), len(staged)) == (0, 0)
         assert not out.exists()
 
     def test_external_estimates_at_another_rate_are_exit_5(self, tmp_path, capsys):
