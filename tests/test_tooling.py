@@ -1,10 +1,11 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And five source rules:
+as a failure, and the tests after it still run.  And six source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
 directory codec every other module goes through, the speaker cap
 ``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
-permutation search it bounds, importing :mod:`cxfilter.cli` leaves
+permutation search it bounds, the fitting order is decided only in
+:mod:`cxfilter.fcp`, the one module that names ``energy_sort``, importing :mod:`cxfilter.cli` leaves
 the slow-to-import scipy submodules unloaded, and a ``CliError`` is
 built only where an exit code differs from what ``cli.main`` maps an
 exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
@@ -127,6 +128,18 @@ def test_speaker_cap_is_read_only_in_losses():
         if "MAX_SPEAKERS" in (getattr(node, k, None) for k in ("id", "attr", "name"))
     )
     assert found == []
+
+
+def test_fitting_order_is_decided_only_in_fcp():
+    found = sorted(
+        (path.name, type(node).__name__)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fcp.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "energy_sort" in (getattr(node, k, None) for k in ("id", "attr", "name"))
+    )
+    # The package re-exports the public name and nothing else names it.
+    assert found == [("__init__.py", "alias")]
 
 
 # (function, exit code) of each CliError that cli.py builds: the codes
