@@ -1,9 +1,10 @@
 """Command-line front end: simulate, separate, eval, sweep.
 
 Every subcommand writes under ``--out``.  ``simulate``, ``separate``
-and ``sweep`` also take ``--seed`` and ``--config FILE`` (flag values
-override config-file values); ``separate`` and ``sweep`` run scenes on
-``--jobs`` worker processes.  ``eval`` takes no other common flag.
+and ``sweep`` also take ``--seed`` and ``--config FILE``; the file and
+the flags, which override its values, are decoded as one config, so its
+checks see both.  ``separate`` and ``sweep`` run scenes on ``--jobs``
+worker processes.  ``eval`` takes no other common flag.
 :data:`FLAGS` is the one table of flags and the config fields they set.
 Negative values parse (``--drr-range -5,0``, ``--values -5,0``).  A
 scene input with no rendering is rejected with exit 5: a ``t60_s`` that
@@ -32,7 +33,6 @@ from cxfilter.experiment import (
     FCP_MODES,
     SWEEP_AXES,
     ExperimentConfig,
-    NoScenesError,
     evaluate_estimates,
     override,
     run_separation,
@@ -42,7 +42,7 @@ from cxfilter.experiment import (
 from cxfilter.io import config_from_dict, read_json
 from cxfilter.metrics import check_quantiles
 from cxfilter.pipeline import DEGRADATION_MODES, REFINEMENTS, import_estimates
-from cxfilter.scenes import SCENE_MANIFEST, load_scene
+from cxfilter.scenes import NoScenesError, load_scene
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -84,20 +84,13 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(err))
 
 
-def _float_pair(text: str) -> tuple:
-    values = _float_list(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO,HI, got {text!r}")
-    return values
-
-
 _SIM, _SEP, _SWEEP, _EVAL = ("simulate",), ("separate",), ("sweep",), ("eval",)
 _RUNS, _BATCHES = _SIM + _SEP + _SWEEP, _SEP + _SWEEP
-_PAIR = dict(type=_float_pair, metavar="LO,HI")
+_PAIR = dict(type=_float_list, metavar="LO,HI")
 
 # One row per flag: (flag, dotted ExperimentConfig field path or None,
 # argparse keywords, subcommands that take it).  A supplied flag with a
-# path overrides that field of the --config file or default config.
+# path sets that field of the --config file's object before it decodes.
 FLAGS = (
     ("--seed", "seed", dict(type=int, help="global seed"), _RUNS),
     ("--out", None, dict(required=True, help="output directory"), _RUNS + _EVAL),
@@ -160,23 +153,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    """Config-file values overlaid with any flags that were supplied."""
+    """The config file's JSON object, or ``{}``, with each supplied flag
+    set at its field path, decoded once."""
+    data = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(EXIT_IO, f"config file not found: {path}")
         try:
-            config = config_from_dict(ExperimentConfig, read_json(path))
+            data = read_json(path)
         except ValueError as err:
-            raise CliError(EXIT_BAD_ARGS, f"bad config file {path}: {err}")
-    else:
-        config = ExperimentConfig()
+            raise ValueError(f"bad config file {path}: {err}") from None
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"bad config file {path}: ExperimentConfig must be a JSON "
+                f"object, not {type(data).__name__}"
+            )
     supplied = vars(args)
     for flag, field_path, _, commands in FLAGS:
         value = supplied.get(flag[2:].replace("-", "_"))
         if field_path and args.command in commands and value is not None:
-            config = override(config, field_path, value)
-    return config
+            data = override(data, field_path, value)
+    return config_from_dict(ExperimentConfig, data)
 
 
 def _make_out_dir(args) -> Path:
@@ -237,14 +235,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scene_dir = Path(args.scene)
-    manifest = scene_dir / SCENE_MANIFEST
-    if not manifest.is_file():
-        raise CliError(EXIT_MISSING_SCENE, f"scene manifest not found: {manifest}")
     quantiles = check_quantiles(args.quantiles)
     with _run_into(args) as out:
         try:
-            scene = load_scene(scene_dir)
+            scene = load_scene(args.scene)
             estimates, num_samples = import_estimates(args.estimates)
         except ValueError as err:
             raise CliError(EXIT_IO, f"unreadable inputs: {err}")

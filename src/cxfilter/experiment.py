@@ -29,7 +29,13 @@ import scipy
 
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
-from cxfilter.io import config_to_dict, decode_value, write_csv, write_json
+from cxfilter.io import (
+    config_from_dict,
+    config_to_dict,
+    decode_value,
+    write_csv,
+    write_json,
+)
 from cxfilter.metrics import (
     MetricsReport,
     QuantileSweep,
@@ -43,13 +49,13 @@ from cxfilter.pipeline import (
     DegradationSpec,
     SeparatorOutput,
     check_estimates,
-    check_external_dir,
     export_estimates,
     predict,
     run_pipeline,
 )
 from cxfilter.scenes import (
     SCENE_MANIFEST,
+    NoScenesError,
     Scene,
     SceneSpec,
     load_scene,
@@ -151,8 +157,9 @@ class ExperimentConfig:
     degraded first-stage estimates directly, ``fcp`` and ``essu`` run
     the plain and energy-sorted variants on the ``fcp.stft`` grid.
     ``external`` refinement exchanges per-iteration feature and
-    estimate directories under ``external_dir``; a batch or sweep
-    without one is rejected before any scene runs.  The content hash
+    estimate directories under ``external_dir``, so a config that asks
+    for it without one is rejected when it is built, unless ``fcp_mode``
+    is ``off`` and the refinement never runs.  The content hash
     covers all result-determining fields; ``external_dir``, an output
     location, is excluded so relocating an experiment does not change
     its identity.
@@ -186,6 +193,9 @@ class ExperimentConfig:
             raise ValueError("iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        external = self.refinement == "external" and self.fcp_mode != "off"
+        if external and self.external_dir is None:
+            raise ValueError("external refinement requires external_dir")
         object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
 
     def config_hash(self) -> str:
@@ -208,10 +218,6 @@ def discover_scene_dirs(scenes_dir) -> list:
     return sorted(
         (p.parent for p in root.glob(f"*/{SCENE_MANIFEST}")), key=lambda p: p.name
     )
-
-
-class NoScenesError(FileNotFoundError):
-    """A scene root that holds no scene manifest."""
 
 
 def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
@@ -389,7 +395,6 @@ def run_separation(
     ``scenes_dir`` without a scene manifest raises :class:`NoScenesError`.
     """
     scene_jobs = _scene_jobs(config, scenes_dir)
-    check_external_dir(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [
@@ -489,12 +494,16 @@ def evaluate_estimates(
     return payload
 
 
-def override(config, path: str, value):
-    """A copy of a nested config with the field at a dotted path replaced."""
+def override(d: dict, path: str, value) -> dict:
+    """A copy of a config dict with ``value`` set at a dotted field path;
+    a value on the path that is not a dict is returned unchanged, for
+    :func:`~cxfilter.io.config_from_dict` to name."""
+    if not isinstance(d, dict):
+        return d
     name, _, rest = path.partition(".")
     if rest:
-        value = override(getattr(config, name), rest, value)
-    return replace(config, **{name: value})
+        value = override(d.get(name, {}), rest, value)
+    return {**d, name: value}
 
 
 def apply_sweep_axis(
@@ -504,7 +513,8 @@ def apply_sweep_axis(
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     path, cast = SWEEP_AXES[axis]
-    return override(config, path, cast(value))
+    swept = override(config_to_dict(config), path, cast(value))
+    return config_from_dict(ExperimentConfig, swept)
 
 
 def _sweep_worker(job) -> dict:
@@ -541,7 +551,6 @@ def run_sweep(
         )
     if config.fcp_mode == "off":
         raise ValueError("sweep requires fcp_mode 'fcp' or 'essu'")
-    check_external_dir(config)
     sweeps = [apply_sweep_axis(config, axis, value) for value in values]
     if not sweeps:
         raise ValueError("sweep needs at least one value")

@@ -143,8 +143,8 @@ def decode_value(hint, value, name: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name}: expected a number, not {value!r}")
         return float(value)
-    if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``
-        if not isinstance(value, list):
+    if typing.get_origin(hint) is tuple:  # ``tuple[X, ...]``; a flag gives a tuple
+        if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: expected a list, not {value!r}")
         item = typing.get_args(hint)[0]
         return tuple(

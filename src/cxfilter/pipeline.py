@@ -229,12 +229,13 @@ def run_fcp_stage(
     return images
 
 
-def _exchange_files(kinds: tuple, speakers) -> list:
-    """WAV names of an exchange directory: ``s{c}_{kind}.wav`` for each
-    speaker label ``c`` in turn, after ``mixture.wav`` in a feature
-    directory."""
-    head = ["mixture.wav"] if kinds == FEATURE_KINDS else []
-    return head + [f"s{c}_{kind}.wav" for c in speakers for kind in kinds]
+def _exchange_files(kinds: tuple, speakers):
+    """WAV names of an exchange directory, made one at a time:
+    ``s{c}_{kind}.wav`` for each speaker label ``c`` in turn, after
+    ``mixture.wav`` in a feature directory.  So a reader stops at the
+    first missing file, whatever speaker count a manifest declares."""
+    yield from ["mixture.wav"] if kinds == FEATURE_KINDS else []
+    yield from (f"s{c}_{kind}.wav" for c in speakers for kind in kinds)
 
 
 def _write_exchange(
@@ -245,7 +246,7 @@ def _write_exchange(
     ``version``, ``num_samples``, ``stft`` and ``files`` added.  Returns
     its path."""
     config = specs[0].config
-    files = _exchange_files(kinds, range(1, manifest["num_speakers"] + 1))
+    files = list(_exchange_files(kinds, range(1, manifest["num_speakers"] + 1)))
     manifest = {**manifest, "version": EXCHANGE_FORMAT_VERSION, "files": files}
     manifest.update(num_samples=num_samples, stft=config_to_dict(config))
     signals = (istft(spec, output_length=num_samples) for spec in specs)
@@ -362,16 +363,6 @@ def check_estimates(
         )
 
 
-def check_external_dir(config: ExperimentConfig) -> None:
-    """Reject a config whose external refinement has no exchange directory."""
-    if (
-        config.fcp_mode != "off"
-        and config.refinement == "external"
-        and config.external_dir is None
-    ):
-        raise ValueError("external refinement requires external_dir")
-
-
 def _refine(
     stack: FeatureStack,
     separator: SeparatorOutput,
@@ -385,7 +376,6 @@ def _refine(
             direct_estimates=list(separator.direct_estimates),
             image_estimates=list(stack.fcp_images),
         )
-    check_external_dir(config)
     base = Path(config.external_dir) / f"iteration_{iteration}"
     export_features(stack, base / "features")
     refined, num_samples = import_estimates(base / "estimates")

@@ -33,6 +33,10 @@ _MIN_DIRECT_DELAY = 23
 _MAX_DIRECT_DELAY = 47
 
 
+class NoScenesError(FileNotFoundError):
+    """A scene directory, or scene root, that holds no scene manifest."""
+
+
 @dataclass
 class Rir:
     """Room impulse response: unit direct impulse plus decaying tail."""
@@ -309,7 +313,7 @@ def load_scene(directory) -> Scene:
     """
     path = Path(directory) / SCENE_MANIFEST
     if not path.is_file():
-        raise FileNotFoundError(f"no scene manifest at {path}")
+        raise NoScenesError(f"no scene manifest at {path}")
     spec_keys = [f.name for f in fields(SceneSpec) if f.name != "speaker_gains_db"]
     manifest = read_manifest(path, SCENE_FORMAT_VERSION, spec_keys)
     spec = config_from_dict(SceneSpec, manifest)

@@ -112,7 +112,10 @@ class TestSimulate:
     def test_range_of_three_values_is_exit_5(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["simulate", "--out", str(out), "--t60-range", "0.2,0.3,0.4"]) == 5
-        assert "expected LO,HI, got '0.2,0.3,0.4'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == (
+            "bad arguments: t60_range_s must be a (lo, hi) pair, got 3 values\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -591,6 +594,9 @@ class TestEval:
             ]
         )
         assert code == 3
+        manifest = tmp_path / "nope" / "scene.json"
+        assert capsys.readouterr().err == f"no scene manifest at {manifest}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_estimates_is_exit_2(self, tmp_path, capsys):
         self._fixture(tmp_path)
@@ -1345,6 +1351,20 @@ class TestSurface:
             ((out,), {"scenes_dir": scenes, "jobs": 3}),
             (("epsilon", (0.5, 0.01), out), {"jobs": 2}),
         ]
+
+    def test_config_file_and_flags_are_checked_together(
+        self, tmp_path, capsys, recorded
+    ):
+        path = tmp_path / "config.json"
+        write_json(path, {"refinement": "external"})
+        argv = ["separate", "--config", str(path), "--out"]
+        assert main([*argv, str(tmp_path / "a"), "--external-dir", "ext"]) == 0
+        [(config, _, _)] = recorded
+        assert (config["refinement"], config["external_dir"]) == ("external", "ext")
+        assert main([*argv, str(tmp_path / "b")]) == 5
+        assert "external_dir" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        assert len(recorded) == 1
 
     def test_options_of_each_subcommand(self):
         parser = build_parser()

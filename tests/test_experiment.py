@@ -21,7 +21,8 @@ from cxfilter.experiment import (
     run_simulation,
     run_sweep,
 )
-from cxfilter.io import config_from_dict, config_to_dict, read_json
+from cxfilter.cli import main
+from cxfilter.io import config_from_dict, config_to_dict, read_json, write_json
 from cxfilter.metrics import evaluate_scene
 from cxfilter.pipeline import (
     export_estimates,
@@ -305,19 +306,20 @@ class TestBatchRuns:
 
     @pytest.mark.parametrize("run", ("separation", "sweep"))
     def test_external_without_directory_fails_before_any_scene(
-        self, tmp_path, monkeypatch, run
+        self, tmp_path, monkeypatch, capsys, run
     ):
-        config = _tiny_config(
-            fcp_mode="fcp", fcp=FcpConfig(taps=2), refinement="external"
-        )
+        # The config is rejected when it is built, so no batch starts.
+        config = config_to_dict(_tiny_config(fcp_mode="fcp", fcp=FcpConfig(taps=2)))
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        write_json(path, {**config, "refinement": "external"})
         stage_calls = count_calls(monkeypatch, pipeline, "run_fcp_stage")
-        with pytest.raises(ValueError, match="external refinement requires external_dir"):
-            if run == "separation":
-                run_separation(config, tmp_path / "out")
-            else:
-                run_sweep(config, "taps", [2], tmp_path / "out")
+        sweep = ["sweep", "--axis", "taps", "--values", "2"]
+        command = ["separate"] if run == "separation" else sweep
+        assert main([*command, "--out", str(out), "--config", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert err == "bad arguments: external refinement requires external_dir\n"
         assert stage_calls == []
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     @staticmethod
     def _answer_external(config, ext, *parts):

@@ -216,6 +216,9 @@ class TestConfigDict:
         assert config.scene.t60_range_s == (1.0, 2.0)
         assert config.scene.speaker_gains_db == (0.0, -np.inf)
         assert all(type(v) is float for v in config.scene.t60_range_s)
+        # A flag gives a tuple where a JSON file gives a list.
+        flags = {"scene": {"t60_range_s": (1, 2), "speaker_gains_db": (0, "-inf")}}
+        assert config_from_dict(ExperimentConfig, flags) == config
 
     def test_integral_number_decodes_as_int(self):
         config = config_from_dict(ExperimentConfig, {"fcp": {"taps": 7.0}, "seed": 3})

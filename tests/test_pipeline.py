@@ -256,9 +256,13 @@ class TestPipelineConfig:
                 ExperimentConfig(fcp_mode=mode, refinement="dnn")
         with pytest.raises(ValueError):
             ExperimentConfig(iterations=0)
-        # external_dir is checked when the refinement runs, so a config
-        # file may name it while a flag supplies the directory.
-        ExperimentConfig(refinement="external")
+        for mode in ("fcp", "essu"):
+            with pytest.raises(
+                ValueError, match="external refinement requires external_dir"
+            ):
+                ExperimentConfig(fcp_mode=mode, refinement="external")
+        # Without a prediction stage the refinement never runs.
+        ExperimentConfig(fcp_mode="off", refinement="external")
 
 
 class TestFeatureStack:
@@ -383,6 +387,21 @@ class TestFeatureExchange:
             write_json(directory / name, manifest)
             with pytest.raises(ValueError, match=rf"missing required key\(s\) {key}"):
                 read(directory)
+
+    def test_declared_speakers_are_read_until_a_wav_is_missing(
+        self, mono_scene, tmp_path
+    ):
+        _, sep, n = self._float32_scene_stack(mono_scene)
+        path = export_estimates(sep, tmp_path, n)
+        write_json(path, {**read_json(path), "num_speakers": 10**6})
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileNotFoundError, match="s2_direct.wav"):
+                import_estimates(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_missing_wav_is_named(self, small_scene, tmp_path):
         stack, _, _ = self._float32_scene_stack(small_scene)
@@ -528,11 +547,10 @@ class TestRunPipeline:
             run_pipeline(mono_scene, config)
 
     def test_external_refinement_requires_external_dir(self, mono_scene):
-        config = ExperimentConfig(refinement="external", fcp=FcpConfig(taps=4))
         with pytest.raises(ValueError, match="external_dir"):
-            run_pipeline(mono_scene, config)
+            ExperimentConfig(refinement="external", fcp=FcpConfig(taps=4))
         # Without a prediction stage the refinement never runs.
-        off = replace(config, fcp_mode="off")
+        off = ExperimentConfig(fcp_mode="off", refinement="external")
         run_pipeline(mono_scene, off)
         assert predict(mono_scene, off)[1] is None
 

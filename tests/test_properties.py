@@ -337,8 +337,10 @@ scene_ranges = st.builds(
     sample_rate_hz=st.integers(1, 48000),
     speaker_gains_db=st.none() | st.lists(gains, max_size=4).map(tuple),
 )
+# Only valid configs: external refinement needs an exchange directory
+# unless FCP is off.
 experiment_configs = st.builds(
-    ExperimentConfig,
+    dict,
     seed=st.integers(0, 2**63),
     num_scenes=st.integers(1, 100),
     scene=scene_ranges,
@@ -352,7 +354,11 @@ experiment_configs = st.builds(
     .map(sorted)
     .map(tuple),
     external_dir=st.none() | st.text(max_size=8),
-)
+).filter(
+    lambda kw: kw["external_dir"] is not None
+    or kw["refinement"] != "external"
+    or kw["fcp_mode"] == "off"
+).map(lambda kw: ExperimentConfig(**kw))
 CONFIGS = {
     StftConfig: stft_configs(),
     FcpConfig: fcp_configs,

@@ -147,9 +147,7 @@ def test_fitting_order_is_decided_only_in_fcp():
 ALLOWED_CLI_ERRORS = {
     ("_Parser.error", "EXIT_BAD_ARGS"),
     ("_resolve_config", "EXIT_IO"),
-    ("_resolve_config", "EXIT_BAD_ARGS"),
     ("_make_out_dir", "EXIT_IO"),
-    ("cmd_eval", "EXIT_MISSING_SCENE"),
     ("cmd_eval", "EXIT_IO"),
     ("cmd_eval", "EXIT_SHAPE_MISMATCH"),
 }
