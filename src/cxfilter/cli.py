@@ -160,10 +160,7 @@ def _resolve_config(args) -> ExperimentConfig:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(EXIT_IO, f"config file not found: {path}")
-        try:
-            data = read_json(path)
-        except ValueError as err:
-            raise ValueError(f"bad config file {path}: {err}") from None
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError(
                 f"bad config file {path}: ExperimentConfig must be a JSON "

@@ -13,7 +13,6 @@ merge in deterministic scene order.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import json
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
+import numpy.random  # numpy 2 loads it lazily: here, not in a batch's first scene
 
 from cxfilter import fcp as fcp_module
 from cxfilter.fcp import FcpConfig
@@ -255,37 +254,23 @@ def _scene(source) -> Scene:
     return load_scene(source)
 
 
-# (package, library file pattern in <package>.libs, thread-count symbol)
-# of the OpenBLAS builds that the numpy and scipy wheels bundle.
-_OPENBLAS = (
-    (np, "libscipy_openblas64_*.so", "scipy_openblas_{}_num_threads64_"),
-    (scipy, "libscipy_openblas-*.so", "scipy_openblas_{}_num_threads"),
-)
-
-
-@functools.cache
 def _openblas_thread_apis() -> dict:
-    """Package name -> (get, set) thread-count functions of its OpenBLAS.
-
-    A package whose bundled OpenBLAS is not found (another BLAS) is left
-    out.
-    """
-    apis = {}
-    for package, pattern, symbol in _OPENBLAS:
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        try:
-            lib = ctypes.CDLL(str(sorted(libs.glob(pattern))[0]))
-            apis[package.__name__] = (
-                getattr(lib, symbol.format("get")),
-                getattr(lib, symbol.format("set")),
-            )
-        except (IndexError, OSError, AttributeError):
-            pass
-    return apis
+    """``{"numpy": (get, set)}``, the thread-count functions of numpy's
+    bundled OpenBLAS (:func:`cxfilter.fcp.openblas`); empty where numpy
+    bundles none (another BLAS)."""
+    lib = fcp_module.openblas()
+    if lib is None:
+        return {}
+    return {
+        "numpy": (
+            lib.scipy_openblas_get_num_threads64_,
+            lib.scipy_openblas_set_num_threads64_,
+        )
+    }
 
 
 def _pin_blas_threads(fit_threads: int) -> list:
-    """Run numpy's and scipy's OpenBLAS on one thread each.
+    """Run numpy's OpenBLAS, which the FCP solve calls too, on one thread.
 
     Pool workers that each run several BLAS threads oversubscribe the
     cores, which made parallel batches slower than serial ones.  The
@@ -328,17 +313,16 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    apis = _openblas_thread_apis()
-    missing = [p.__name__ for p, _, _ in _OPENBLAS if p.__name__ not in apis]
-    if missing:
+    found = bool(_openblas_thread_apis())
+    if not found:
         print(
-            f"warning: no OpenBLAS thread control found for {', '.join(missing)}; "
+            "warning: no OpenBLAS thread control found for numpy; "
             "BLAS keeps its default thread count",
             file=sys.stderr,
         )
     cpus = _cpu_count()
     workers = min(jobs, cpus, len(payloads))
-    fit_threads = 1 if missing else cpus
+    fit_threads = cpus if found else 1
     if workers > 1:
         pool = None
         try:

@@ -18,13 +18,15 @@ alone decides the fitting order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from cxfilter.stft import FILTER_STFT, ComplexSpectrogram, StftConfig, _check_same_grid
 
@@ -106,6 +108,75 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
     np.logical_not(unset, out=unset)
     w[unset] = 1.0
     return w
+
+
+@functools.cache
+def openblas():
+    """numpy's bundled OpenBLAS (ILP64, ``scipy_``-prefixed symbols) as a
+    ``ctypes.CDLL``, or None where numpy bundles none (another BLAS).
+
+    The batch runner sets its thread count through it, and
+    :func:`cho_factor` and :func:`cho_solve` call its LAPACK.
+    """
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    try:
+        return ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas64_*.so"))[0]))
+    except (IndexError, OSError):
+        return None
+
+
+def cho_factor(system):
+    """``(c, False)``: the upper Cholesky factor of a Hermitian
+    positive-definite complex matrix, with the bits of
+    ``scipy.linalg.cho_factor(system)``.
+
+    LAPACK ``zpotrf`` (``'U'``, 64-bit integers, the hidden Fortran
+    length of ``'U'`` last) factors a Fortran-ordered copy in place, so
+    the strict lower triangle of ``c`` keeps the input.  A non-finite
+    entry raises ValueError, and a matrix that is not positive definite
+    ``np.linalg.LinAlgError``.  Where numpy bundles no OpenBLAS, scipy's
+    own function runs.
+    """
+    lib = openblas()
+    if lib is None:
+        from scipy.linalg import cho_factor
+
+        return cho_factor(system)
+    c = np.array(np.asarray_chkfinite(system), dtype=np.complex128, order="F")
+    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
+    info = ctypes.c_int64()
+    lib.scipy_zpotrf_64_(
+        b"U", n, c.ctypes.data_as(ctypes.c_void_p), n, ctypes.byref(info),
+        ctypes.c_size_t(1),
+    )
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"{info.value}-th leading minor of the array is not positive definite"
+        )
+    return c, False
+
+
+def cho_solve(factor, b):
+    """The solution ``x`` of ``A x = b`` from :func:`cho_factor`'s ``(c,
+    False)``, with the bits of ``scipy.linalg.cho_solve(factor, b)``:
+    LAPACK ``zpotrs`` (``'U'``, one right-hand side) on a copy of ``b``.
+    A non-finite entry raises ValueError.  Where numpy bundles no
+    OpenBLAS, scipy's own function runs.
+    """
+    lib = openblas()
+    if lib is None:
+        from scipy.linalg import cho_solve
+
+        return cho_solve(factor, b)
+    c = np.asfortranarray(np.asarray_chkfinite(factor[0]), dtype=np.complex128)
+    x = np.array(np.asarray_chkfinite(b), dtype=np.complex128)
+    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
+    lib.scipy_zpotrs_64_(
+        b"U", n, ctypes.byref(ctypes.c_int64(1)), c.ctypes.data_as(ctypes.c_void_p),
+        n, x.ctypes.data_as(ctypes.c_void_p), n, ctypes.byref(ctypes.c_int64()),
+        ctypes.c_size_t(1),
+    )
+    return x
 
 
 # Threads that fit a filter's bin blocks: this process's share of the
@@ -208,7 +279,7 @@ def estimate_fcp_filter(
                 continue  # silent frequency: zero filter
             try:
                 filters[f0 + b] = cho_solve(cho_factor(system), cross[b])
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 filters[f0 + b] = np.linalg.lstsq(system, cross[b], rcond=None)[0]
 
     _run_blocks(fit_block, list(range(0, bins, _BIN_BLOCK)), fit_threads)

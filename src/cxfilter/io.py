@@ -24,12 +24,12 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import types
 import typing
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 
 @contextlib.contextmanager
@@ -50,35 +50,93 @@ def _replacing(path):
 
 
 def write_wav(path, samples, sample_rate_hz: int) -> None:
-    """Write a mono float32 WAV file."""
-    data = np.asarray(samples, dtype=np.float32)
+    """Write a mono float32 WAV file: a RIFF header, an 18-byte ``fmt ``
+    chunk (IEEE float), a ``fact`` chunk holding the sample count, then
+    ``data``, as ``scipy.io.wavfile.write`` lays it out."""
+    data = np.ascontiguousarray(samples, dtype="<f4")
     if data.ndim != 1:
         raise ValueError("only mono signals are written")
+    if 50 + data.nbytes > 0xFFFFFFFF:  # the RIFF size field is 32-bit
+        raise ValueError(f"{path}: {data.size} samples do not fit a RIFF WAV file")
+    rate = int(sample_rate_hz)
+    header = struct.pack(
+        "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
+        b"RIFF", 50 + data.nbytes, b"WAVE",
+        b"fmt ", 18, 3, 1, rate, 4 * rate, 4, 32, 0,  # tag 3: IEEE float
+        b"fact", 4, data.size,
+        b"data", data.nbytes,
+    )
     with _replacing(path) as tmp:
-        wavfile.write(str(tmp), int(sample_rate_hz), data)
+        tmp.write_bytes(header + data.tobytes())
+
+
+def _wav_format(path, fmt, order: str) -> tuple:
+    """(format tag, channels, rate, bytes per sample, bits) of a ``fmt ``
+    chunk.  An extensible header (tag 0xFFFE) gives the tag of its
+    sub-format, the first field of a GUID ``{tag-0000-0010-8000-00AA00389B71}``."""
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: fmt chunk of {len(fmt)} bytes, expected 16 or more")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", fmt)
+    if tag == 0xFFFE and len(fmt) >= 40:
+        sub, *guid = struct.unpack_from(order + "IHH8s", fmt, 24)
+        if guid == [0, 0x10, b"\x80\x00\x00\xaa\x00\x38\x9b\x71"]:
+            tag = sub
+    return tag, channels, rate, block_align // max(channels, 1), bits
 
 
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:
     """Read a mono WAV file as float64 samples.
 
-    Float formats are passed through, and a non-finite sample raises
-    ValueError naming the file; 16/32-bit PCM is rescaled to [-1, 1) so
-    externally produced scenes are accepted.
+    A RIFF (little-endian) or RIFX (big-endian) file is read chunk by
+    chunk; its ``fmt `` chunk must come before ``data``, and an
+    extensible header is read by its sub-format.  IEEE float samples (32
+    or 64-bit) pass through, and a non-finite one raises ValueError
+    naming the file; integer PCM in 2, 3 or 4 bytes (16, 24 or 32-bit)
+    is scaled to [-1, 1) so externally produced scenes are accepted.
+    Any other file (RF64 and 8-bit PCM included), a missing chunk or a
+    ``data`` chunk cut short raises ValueError naming the file.
     """
-    rate, data = wavfile.read(str(path))
+    raw = memoryview(Path(path).read_bytes())
+    order = {b"RIFF": "<", b"RIFX": ">"}.get(bytes(raw[:4]))
+    if order is None or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF or RIFX WAV file: {bytes(raw[:12])!r}")
+    fmt, pos = None, 12
+    while True:
+        if pos + 8 > len(raw):
+            raise ValueError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
+        chunk, size = struct.unpack_from(order + "4sI", raw, pos)
+        pos += 8
+        if chunk == b"data":
+            break
+        if chunk == b"fmt ":
+            fmt = _wav_format(path, raw[pos : pos + size], order)
+        pos += size + size % 2
+    if fmt is None:
+        raise ValueError(f"{path}: no fmt chunk before the data chunk")
+    if pos + size > len(raw):
+        raise ValueError(f"{path}: data chunk holds {len(raw) - pos} of {size} bytes")
+    tag, channels, rate, width, bits = fmt
     if expected_rate is not None and rate != expected_rate:
         raise ValueError(f"{path}: sample rate {rate} != expected {expected_rate}")
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got shape {data.shape}")
-    if data.dtype == np.int16:
-        return data.astype(np.float64) / 32768.0
-    if data.dtype == np.int32:
-        return data.astype(np.float64) / 2147483648.0
-    if data.dtype not in (np.float32, np.float64):
-        raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
+    if channels != 1:
+        raise ValueError(f"{path}: expected mono audio, got {channels} channels")
+    pcm = tag == 1 and bits > 8 and width in (2, 3, 4)  # tag 1: integer PCM
+    if not pcm and not (tag == 3 and bits in (32, 64) and width in (4, 8)):
+        raise ValueError(
+            f"{path}: unsupported WAV sample format: tag {tag:#x}, {bits}-bit"
+        )
+    count = size // width
+    if pcm:
+        # Each sample left-justified in an int32, then scaled by 2^-31.
+        padded = np.zeros((count, 4), dtype=np.uint8)
+        cols = slice(4 - width, 4) if order == "<" else slice(0, width)
+        samples = np.frombuffer(raw, np.uint8, count * width, pos)
+        padded[:, cols] = samples.reshape(count, width)
+        return padded.view(order + "i4")[:, 0] / 2147483648.0
+    data = np.frombuffer(raw, f"{order}f{width}", count, pos).astype(np.float64)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: signal contains non-finite values")
-    return data.astype(np.float64)
+    return data
 
 
 def _encode_value(v):
@@ -192,8 +250,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not valid
+    UTF-8 JSON raises ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_wav_dir(directory, name: str, manifest: dict, wavs, rate: int) -> Path:

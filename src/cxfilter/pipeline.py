@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: here, not in a batch's first scene
 
 from cxfilter.fcp import fcp_loop
 from cxfilter.io import (

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+# numpy 2 loads these lazily: here, not in a batch's first scene.
+import numpy.fft
+import numpy.random
 
 from cxfilter.io import (
     config_from_dict,

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy 2 loads it lazily: here, not in a batch's first scene
 from numpy.lib.stride_tricks import sliding_window_view
 
 

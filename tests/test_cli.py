@@ -767,6 +767,14 @@ def _break_directory(directory, manifest_name, fault):
         wavfile.write(wav, 8000, np.stack([read_wav(wav)] * 2, axis=1))
     elif fault == "pcm8":
         wavfile.write(wav, 8000, np.full(read_wav(wav).size, 128, dtype=np.uint8))
+    elif fault == "not_wav":
+        wav.write_bytes(b"garbage")
+    elif fault in _CHUNK_FAULTS:
+        raw = wav.read_bytes()  # RIFF header, fmt chunk to 38, fact to 50, data
+        wav.write_bytes(
+            {"rf64": b"RF64" + raw[4:], "no_fmt": raw[:12] + raw[38:],
+             "no_data": raw[:50], "truncated": raw[:-8]}[fault]
+        )
     elif fault in ("non_finite", "non_finite_mixture"):
         samples = read_wav(wav)
         samples[100] = np.nan
@@ -774,6 +782,11 @@ def _break_directory(directory, manifest_name, fault):
     else:
         write_wav(wav, read_wav(wav)[:-1], 8000)
 
+
+# A WAV broken at its chunks: RF64 (not read), no fmt or data chunk, or a
+# data chunk cut short.
+_CHUNK_FAULTS = ("rf64", "no_fmt", "no_data", "truncated")
+_WAV_FAULTS = ("stereo", "pcm8", "not_wav", *_CHUNK_FAULTS)
 
 _DIRECTORY_FAULTS = ("version", "missing_key", "missing_wav", "wrong_rate",
                      "wrong_length")
@@ -809,11 +822,13 @@ class TestDirectoryRejections:
 
 
 class TestWavFormatRejections:
-    """A stereo or 8-bit PCM WAV, or one with a non-finite sample, is
-    rejected naming the file: exit 5 from ``separate``, 2 from ``eval``."""
+    """A stereo or 8-bit PCM WAV, a file that is not RIFF WAV, one without
+    a fmt or data chunk or with its data cut short, and one with a
+    non-finite sample are rejected naming the file: exit 5 from
+    ``separate``, 2 from ``eval``."""
 
     @pytest.mark.parametrize(
-        "fault", ["stereo", "pcm8", "non_finite", "non_finite_mixture"]
+        "fault", [*_WAV_FAULTS, "non_finite", "non_finite_mixture"]
     )
     def test_separate_scenes_is_exit_5(self, tmp_path, capsys, fault):
         assert _simulate(tmp_path / "scenes", count=2) == 0
@@ -824,7 +839,7 @@ class TestWavFormatRejections:
         wav = "mixture.wav" if fault == "non_finite_mixture" else "s1_image.wav"
         assert f"scene_0002/{wav}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("fault", ["stereo", "pcm8"])
+    @pytest.mark.parametrize("fault", _WAV_FAULTS)
     @pytest.mark.parametrize("directory", ["scene", "est"])
     def test_eval_is_exit_2(self, tmp_path, capsys, directory, fault):
         _eval_inputs(tmp_path)
@@ -849,6 +864,36 @@ class TestWavFormatRejections:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'scene' / 'mixture.wav'}: signal contains" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestInvalidJson:
+    """A manifest or config file that is not valid JSON is rejected,
+    naming the file once."""
+
+    def test_scene_manifest_is_exit_5(self, tmp_path, capsys):
+        assert _simulate(tmp_path / "scenes", count=2) == 0
+        path = tmp_path / "scenes" / "scene_0002" / "scene.json"
+        path.write_text("{")
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "off"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert err.count(str(path)) == 1 and "Traceback" not in err
+
+    def test_estimates_manifest_is_exit_2(self, tmp_path, capsys):
+        _eval_inputs(tmp_path)
+        path = tmp_path / "est" / "estimates.json"
+        path.write_text("{")
+        assert _eval(tmp_path) == 2
+        assert capsys.readouterr().err.count(str(path)) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_is_exit_5(self, tmp_path, capsys):
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text("{")
+        assert main(["separate", "--config", str(path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad arguments: {path}: ") and err.count(str(path)) == 1
+        assert not out.exists()
 
 
 # A manifest value of the wrong JSON type in a 2-speaker directory:

@@ -427,7 +427,7 @@ class TestBatchRuns:
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
         monkeypatch.setattr(fcp_module, "fit_threads", 1)
-        blas_found = sorted(openblas) == ["numpy", "scipy"]
+        blas_found = sorted(openblas) == ["numpy"]
         values = list(range(7))
         for jobs, count, workers, fit_threads in (
             (10**6, 7, 4, 1),  # CPU count
@@ -448,8 +448,8 @@ class TestBatchRuns:
         assert started == []  # one payload runs in this process
 
     def test_serial_workers_run_on_one_blas_thread(self, openblas):
-        if sorted(openblas) != ["numpy", "scipy"]:
-            pytest.skip("numpy and scipy do not both bundle OpenBLAS here")
+        if sorted(openblas) != ["numpy"]:
+            pytest.skip("numpy bundles no OpenBLAS here")
 
         def counts(_=None):
             return [get() for get, _ in openblas.values()] + [fcp_module.fit_threads]
@@ -457,16 +457,16 @@ class TestBatchRuns:
         cpus = experiment._cpu_count()
 
         def fail(_):
-            assert counts() == [1, 1, cpus]
+            assert counts() == [1, cpus]
             raise RuntimeError("worker failed")
 
         for _, set_ in openblas.values():
             set_(2)
-        assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, 1, cpus]] * 3
-        assert counts() == [2, 2, 1]
+        assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, cpus]] * 3
+        assert counts() == [2, 1]
         with pytest.raises(RuntimeError, match="worker failed"):
             _map_jobs(fail, [0], jobs=1)
-        assert counts() == [2, 2, 1]
+        assert counts() == [2, 1]
 
     def test_missing_openblas_warns_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
@@ -474,7 +474,7 @@ class TestBatchRuns:
         assert report["num_scenes"] == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "no OpenBLAS thread control found for numpy, scipy" in err
+        assert "no OpenBLAS thread control found for numpy;" in err
 
     @pytest.mark.parametrize("jobs", [0, -7])
     def test_map_jobs_rejects_fewer_than_one(self, jobs):

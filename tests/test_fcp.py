@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import LinAlgError
 
 from cxfilter import fcp as fcp_module
@@ -290,6 +291,56 @@ class TestNaiveOracleEdgeCases:
         want = naive_fcp_filter(target, s_hat, config)
         assert len(failures) == GRID64.bins
         assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.fixture(params=["openblas", "scipy"])
+def solve_binding(request, monkeypatch):
+    """Each binding of ``fcp.cho_factor``/``cho_solve``: LAPACK from
+    numpy's OpenBLAS, or scipy's functions, as where numpy bundles none."""
+    if request.param == "scipy":
+        monkeypatch.setattr(fcp_module, "openblas", lambda: None)
+    elif fcp_module.openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    return request.param
+
+
+def _hpd_system(rng, taps, frames):
+    """A Hermitian positive-definite Gram as the fit builds it: made
+    exactly Hermitian, with trace-scaled loading on its diagonal."""
+    x = rng.standard_normal((taps, frames)) + 1j * rng.standard_normal((taps, frames))
+    gram = x @ x.conj().T
+    gram = 0.5 * (gram + gram.conj().T)
+    gram[np.diag_indices(taps)] += 1e-6 * np.trace(gram).real / taps
+    return gram
+
+
+class TestCholeskyOracle:
+    """``fcp.cho_factor``/``cho_solve`` against ``scipy.linalg``, bit for bit."""
+
+    @pytest.mark.parametrize("taps, frames", [(1, 3), (8, 8), (40, 60), (40, 30), (97, 200)])
+    def test_solve_equals_scipys(self, rng, solve_binding, taps, frames):
+        for _ in range(5):
+            system = _hpd_system(rng, taps, frames)
+            b = rng.standard_normal(taps) + 1j * rng.standard_normal(taps)
+            factor = fcp_module.cho_factor(system)
+            want = scipy.linalg.cho_factor(system)
+            assert factor[1] is want[1] is False
+            np.testing.assert_array_equal(factor[0], want[0])
+            x = fcp_module.cho_solve(factor, b)
+            assert _same_bits(x, scipy.linalg.cho_solve(want, b))
+
+    def test_not_positive_definite_is_linalg_error(self, solve_binding):
+        assert LinAlgError is np.linalg.LinAlgError
+        system = np.diag([1.0, -1.0, 1.0]).astype(np.complex128)
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            fcp_module.cho_factor(system)
+
+    @pytest.mark.parametrize("where", ["system", "rhs"])
+    def test_non_finite_is_value_error(self, solve_binding, where):
+        system, b = np.eye(3, dtype=np.complex128), np.ones(3, dtype=np.complex128)
+        (system if where == "system" else b)[1, ...] = np.nan
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            fcp_module.cho_solve(fcp_module.cho_factor(system), b)
 
 
 def _signed_zero_inputs(rng):

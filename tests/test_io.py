@@ -1,13 +1,16 @@
 """WAV, JSON and CSV helpers: precision, rejection paths, manifest safety."""
 
 import re
-import types
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
 
-from cxfilter import io as io_module
 from cxfilter.experiment import ExperimentConfig
 from cxfilter.io import (
     config_from_dict,
@@ -50,6 +53,95 @@ class TestWav:
             read_wav(path, expected_rate=16000)
 
 
+def _wav_file(order, tag, bits, width, payload, extensible=False) -> bytes:
+    """A mono 8 kHz WAV: RIFF (``order`` ``<``) or RIFX (``>``), a ``fmt ``
+    chunk (plain, or extensible naming ``tag`` by its sub-format GUID),
+    an odd-sized ``LIST`` chunk with its pad byte, then ``data``."""
+    head = (1, 8000, 8000 * width, width, bits)
+    if extensible:
+        guid = struct.pack(order + "IHH8s", tag, 0, 0x10, b"\x80\x00\x00\xaa\x00\x38\x9b\x71")
+        fmt = struct.pack(order + "HHIIHHHHI", 0xFFFE, *head, 22, bits, 4) + guid
+    else:
+        fmt = struct.pack(order + "HHIIHH", tag, *head)
+    chunks = [(b"fmt ", fmt), (b"LIST", b"abc"), (b"data", payload)]
+    body = b"WAVE" + b"".join(
+        name + struct.pack(order + "I", len(data)) + data + b"\0" * (len(data) % 2)
+        for name, data in chunks
+    )
+    magic = b"RIFF" if order == "<" else b"RIFX"
+    return magic + struct.pack(order + "I", len(body)) + body
+
+
+def _scipy_read_wav(path) -> np.ndarray:
+    """The oracle: ``scipy.io.wavfile.read``, with 16 and 32-bit PCM
+    scaled by 2^-15 and 2^-31 and floats widened to float64."""
+    data = wavfile.read(path)[1]
+    scale = {np.int16: 2.0**-15, np.int32: 2.0**-31}.get(data.dtype.type, 1.0)
+    return data.astype(np.float64) * scale
+
+
+# (format tag, bits, bytes per sample) of every sample format read_wav takes.
+_ACCEPTED = [(1, 16, 2), (1, 24, 3), (1, 32, 4), (3, 32, 4), (3, 64, 8)]
+
+
+class TestWavOracle:
+    """The codec against ``scipy.io.wavfile``: the writer's bytes, and
+    every accepted format read as scipy reads it."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        length=st.integers(0, 3000),
+        rate=st.integers(1, (2**32 - 1) // 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_write_wav_bytes_are_scipys(self, length, rate, seed):
+        samples = np.random.default_rng(seed).standard_normal(length)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp, "ours.wav"), Path(tmp, "theirs.wav")
+            write_wav(ours, samples, rate)
+            wavfile.write(theirs, rate, samples.astype(np.float32))
+            assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+    @pytest.mark.parametrize("order", ["<", ">"], ids=["riff", "rifx"])
+    @pytest.mark.parametrize(
+        "tag, bits, width", _ACCEPTED, ids=["pcm16", "pcm24", "pcm32", "float32", "float64"]
+    )
+    def test_read_wav_equals_scipys(self, tmp_path, rng, tag, bits, width, order, extensible):
+        count = 257  # an odd data chunk for 3-byte samples
+        if tag == 1:
+            payload = rng.integers(0, 256, count * width, dtype=np.uint8).tobytes()
+        else:
+            payload = rng.standard_normal(count).astype(f"{order}f{width}").tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_file(order, tag, bits, width, payload, extensible))
+        got = read_wav(path, expected_rate=8000)
+        want = _scipy_read_wav(path)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["pcm8", "alaw", "rf64", "not_wav", "no_fmt", "no_data", "truncated"],
+    )
+    def test_rejection_names_the_file(self, tmp_path, fault):
+        path = tmp_path / "x.wav"
+        write_wav(path, np.zeros(64), 8000)
+        raw = path.read_bytes()  # RIFF header, fmt to 38, fact to 50, data
+        broken = {
+            "pcm8": _wav_file("<", 1, 8, 1, bytes(64)),
+            "alaw": _wav_file("<", 6, 8, 1, bytes(64)),
+            "rf64": b"RF64" + raw[4:],
+            "not_wav": b"garbage",
+            "no_fmt": raw[:12] + raw[38:],
+            "no_data": raw[:50],
+            "truncated": raw[:-8],
+        }[fault]
+        path.write_bytes(broken)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            read_wav(path)
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         obj = {"a": 1, "b": [1.5, 2.5], "c": {"nested": "x"}}
@@ -88,12 +180,12 @@ class TestAtomicWrites:
         if kind == "wav":
             write_wav(path, np.ones(100), 8000)
 
-            def torn_wav(filename, rate, data):
-                Path(filename).write_bytes(b"RIFF\0\0")
+            def torn_bytes(self, data):
+                with open(self, "wb") as fh:
+                    fh.write(data[: len(data) // 2])
                 raise OSError("disk full")
 
-            fake = types.SimpleNamespace(write=torn_wav)
-            monkeypatch.setattr(io_module, "wavfile", fake)
+            monkeypatch.setattr(Path, "write_bytes", torn_bytes)
 
             def write():
                 write_wav(path, np.zeros(50), 8000)

@@ -5,8 +5,9 @@ WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
 directory codec every other module goes through, the speaker cap
 ``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
 permutation search it bounds, the fitting order is decided only in
-:mod:`cxfilter.fcp`, the one module that names ``energy_sort``, importing :mod:`cxfilter.cli` leaves
-the slow-to-import scipy submodules unloaded, and a ``CliError`` is
+:mod:`cxfilter.fcp`, the one module that names ``energy_sort``,
+importing :mod:`cxfilter.cli` loads no scipy module and a ``separate``
+batch after it imports no further module, and a ``CliError`` is
 built only where an exit code differs from what ``cli.main`` maps an
 exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
@@ -17,6 +18,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from cxfilter.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "cxfilter"
@@ -170,26 +175,46 @@ def test_cli_errors_are_built_only_where_main_maps_otherwise():
     assert set(_cli_errors(tree)) == ALLOWED_CLI_ERRORS
 
 
-# scipy submodules imported only inside the functions that use them:
-# scipy.signal alone adds more to a process start than cxfilter.cli
-# takes without it.
-LAZY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.stats")
-
-
-def test_cli_import_leaves_lazy_scipy_modules_unloaded():
-    code = (
-        "import sys, cxfilter.cli; "
-        f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])"
-    )
+def _fresh_python(code: str, cwd=None) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this package from the source tree."""
     run = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_cli_import_leaves_lazy_scipy_modules_unloaded():
+    # scipy is imported only inside the functions that use it (simulate's
+    # fftconvolve, and the solve where numpy bundles no OpenBLAS): it
+    # takes longer to import than cxfilter.cli does without it.
+    code = (
+        "import sys, cxfilter.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert _fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("fcp", ["off", "essu"])
+def test_separate_batch_imports_no_module_after_the_cli(tmp_path, fcp):
+    # Set-up work stays in the import: a batch loads nothing more.
+    simulate = ["simulate", "--out", str(tmp_path / "scenes"), "--count", "1",
+                "--speakers", "2", "--duration", "0.5"]
+    assert main(simulate) == 0
+    argv = ["separate", "--scenes", "scenes", "--out", "out", "--fcp", fcp,
+            "--jobs", "1"]
+    code = (
+        "import sys, cxfilter.cli; before = set(sys.modules); "
+        f"assert cxfilter.cli.main({argv!r}) == 0; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert _fresh_python(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
 def test_peak_rss_tool_prints_a_finite_slope():
