@@ -113,16 +113,31 @@ def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
 @functools.cache
 def openblas():
     """numpy's bundled OpenBLAS (ILP64, ``scipy_``-prefixed symbols) as a
-    ``ctypes.CDLL``, or None where numpy bundles none (another BLAS).
+    ``ctypes.CDLL`` with the signatures this package calls declared, or
+    None where numpy bundles none (another BLAS).
 
     The batch runner sets its thread count through it, and
     :func:`cho_factor` and :func:`cho_solve` call its LAPACK.
     """
     libs = Path(np.__file__).parents[1] / "numpy.libs"
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    text, array, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+    # Fortran calls: every argument by reference, then the hidden length
+    # of each character argument by value.
+    signatures = {
+        "scipy_zpotrf_64_": ([text, i64, array, i64, i64, length], None),
+        "scipy_zpotrs_64_": ([text, i64, i64, array, i64, array, i64, i64, length], None),
+        "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+        "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    }
     try:
-        return ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas64_*.so"))[0]))
-    except (IndexError, OSError):
+        lib = ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas64_*.so"))[0]))
+        for name, (argtypes, restype) in signatures.items():
+            getattr(lib, name).argtypes = argtypes
+            getattr(lib, name).restype = restype
+    except (IndexError, OSError, AttributeError):
         return None
+    return lib
 
 
 def cho_factor(system):
@@ -130,12 +145,11 @@ def cho_factor(system):
     positive-definite complex matrix, with the bits of
     ``scipy.linalg.cho_factor(system)``.
 
-    LAPACK ``zpotrf`` (``'U'``, 64-bit integers, the hidden Fortran
-    length of ``'U'`` last) factors a Fortran-ordered copy in place, so
-    the strict lower triangle of ``c`` keeps the input.  A non-finite
-    entry raises ValueError, and a matrix that is not positive definite
-    ``np.linalg.LinAlgError``.  Where numpy bundles no OpenBLAS, scipy's
-    own function runs.
+    LAPACK ``zpotrf`` (``'U'``) factors a Fortran-ordered copy in place,
+    so the strict lower triangle of ``c`` keeps the input.  A non-finite
+    entry or a shape other than ``(n, n)`` raises ValueError, and a
+    matrix that is not positive definite ``np.linalg.LinAlgError``.
+    Where numpy bundles no OpenBLAS, scipy's own function runs.
     """
     lib = openblas()
     if lib is None:
@@ -143,12 +157,10 @@ def cho_factor(system):
 
         return cho_factor(system)
     c = np.array(np.asarray_chkfinite(system), dtype=np.complex128, order="F")
-    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
-    info = ctypes.c_int64()
-    lib.scipy_zpotrf_64_(
-        b"U", n, c.ctypes.data_as(ctypes.c_void_p), n, ctypes.byref(info),
-        ctypes.c_size_t(1),
-    )
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {c.shape}")
+    n, info = ctypes.c_int64(c.shape[0]), ctypes.c_int64()
+    lib.scipy_zpotrf_64_(b"U", n, c.ctypes.data, n, info, 1)
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"{info.value}-th leading minor of the array is not positive definite"
@@ -157,11 +169,12 @@ def cho_factor(system):
 
 
 def cho_solve(factor, b):
-    """The solution ``x`` of ``A x = b`` from :func:`cho_factor`'s ``(c,
-    False)``, with the bits of ``scipy.linalg.cho_solve(factor, b)``:
-    LAPACK ``zpotrs`` (``'U'``, one right-hand side) on a copy of ``b``.
-    A non-finite entry raises ValueError.  Where numpy bundles no
-    OpenBLAS, scipy's own function runs.
+    """The solution ``x`` of ``A x = b`` for one right-hand side, from
+    :func:`cho_factor`'s ``(c, False)``, with the bits of
+    ``scipy.linalg.cho_solve(factor, b)``: LAPACK ``zpotrs`` (``'U'``) on
+    a copy of ``b``.  A non-finite entry or a shape other than ``(n, n)``
+    and ``(n,)`` raises ValueError.  Where numpy bundles no OpenBLAS,
+    scipy's own function runs.
     """
     lib = openblas()
     if lib is None:
@@ -170,12 +183,10 @@ def cho_solve(factor, b):
         return cho_solve(factor, b)
     c = np.asfortranarray(np.asarray_chkfinite(factor[0]), dtype=np.complex128)
     x = np.array(np.asarray_chkfinite(b), dtype=np.complex128)
-    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
-    lib.scipy_zpotrs_64_(
-        b"U", n, ctypes.byref(ctypes.c_int64(1)), c.ctypes.data_as(ctypes.c_void_p),
-        n, x.ctypes.data_as(ctypes.c_void_p), n, ctypes.byref(ctypes.c_int64()),
-        ctypes.c_size_t(1),
-    )
+    if c.shape != x.shape * 2 or c.size == 0:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
+    n, info = ctypes.c_int64(x.size), ctypes.c_int64()
+    lib.scipy_zpotrs_64_(b"U", n, ctypes.c_int64(1), c.ctypes.data, n, x.ctypes.data, n, info, 1)
     return x
 
 

@@ -335,6 +335,15 @@ class TestCholeskyOracle:
         with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
             fcp_module.cho_factor(system)
 
+    @pytest.mark.parametrize(
+        "system, b", [(np.ones((2, 3)), np.ones(2)), (np.eye(3), np.ones(2))],
+        ids=["not_square", "rhs_length"],
+    )
+    def test_shape_mismatch_is_value_error(self, solve_binding, system, b):
+        # Checked before LAPACK is handed a pointer.
+        with pytest.raises(ValueError):
+            fcp_module.cho_solve(fcp_module.cho_factor(system), b)
+
     @pytest.mark.parametrize("where", ["system", "rhs"])
     def test_non_finite_is_value_error(self, solve_binding, where):
         system, b = np.eye(3, dtype=np.complex128), np.ones(3, dtype=np.complex128)
