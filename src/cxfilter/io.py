@@ -53,7 +53,7 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     """Write a mono float32 WAV file: a RIFF header, an 18-byte ``fmt ``
     chunk (IEEE float), a ``fact`` chunk holding the sample count, then
     ``data``, as ``scipy.io.wavfile.write`` lays it out."""
-    data = np.ascontiguousarray(samples, dtype="<f4")
+    data = np.asarray(samples, dtype="<f4")
     if data.ndim != 1:
         raise ValueError("only mono signals are written")
     if 50 + data.nbytes > 0xFFFFFFFF:  # the RIFF size field is 32-bit
