@@ -126,7 +126,9 @@ def openblas():
     # of each character argument by value.
     signatures = {
         "scipy_zpotrf_64_": ([text, i64, array, i64, i64, length], None),
-        "scipy_zpotrs_64_": ([text, i64, i64, array, i64, array, i64, i64, length], None),
+        "scipy_zpotrs_64_": (
+            [text, i64, i64, array, i64, array, i64, i64, length], None
+        ),
         "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
         "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
     }
@@ -186,7 +188,8 @@ def cho_solve(factor, b):
     if c.shape != x.shape * 2 or c.size == 0:
         raise ValueError(f"incompatible dimensions ({c.shape} and {x.shape})")
     n, info = ctypes.c_int64(x.size), ctypes.c_int64()
-    lib.scipy_zpotrs_64_(b"U", n, ctypes.c_int64(1), c.ctypes.data, n, x.ctypes.data, n, info, 1)
+    one = ctypes.c_int64(1)  # right-hand side
+    lib.scipy_zpotrs_64_(b"U", n, one, c.ctypes.data, n, x.ctypes.data, n, info, 1)
     return x
 
 

@@ -73,15 +73,16 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
 def _wav_format(path, fmt, order: str) -> tuple:
     """(format tag, channels, rate, bytes per sample, bits) of a ``fmt ``
     chunk.  An extensible header (tag 0xFFFE) gives the tag of its
-    sub-format, the first field of a GUID ``{tag-0000-0010-8000-00AA00389B71}``."""
+    sub-format, the first field of the GUID
+    ``{tag-0000-0010-8000-00AA00389B71}``."""
     if len(fmt) < 16:
         raise ValueError(f"{path}: fmt chunk of {len(fmt)} bytes, expected 16 or more")
-    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", fmt)
+    tag, channels, rate, _, align, bits = struct.unpack_from(order + "HHIIHH", fmt)
     if tag == 0xFFFE and len(fmt) >= 40:
         sub, *guid = struct.unpack_from(order + "IHH8s", fmt, 24)
         if guid == [0, 0x10, b"\x80\x00\x00\xaa\x00\x38\x9b\x71"]:
             tag = sub
-    return tag, channels, rate, block_align // max(channels, 1), bits
+    return tag, channels, rate, align // max(channels, 1), bits
 
 
 def read_wav(path, expected_rate: int | None = None) -> np.ndarray:

@@ -317,7 +317,9 @@ def _hpd_system(rng, taps, frames):
 class TestCholeskyOracle:
     """``fcp.cho_factor``/``cho_solve`` against ``scipy.linalg``, bit for bit."""
 
-    @pytest.mark.parametrize("taps, frames", [(1, 3), (8, 8), (40, 60), (40, 30), (97, 200)])
+    @pytest.mark.parametrize(
+        "taps, frames", [(1, 3), (8, 8), (40, 60), (40, 30), (97, 200)]
+    )
     def test_solve_equals_scipys(self, rng, solve_binding, taps, frames):
         for _ in range(5):
             system = _hpd_system(rng, taps, frames)

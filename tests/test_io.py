@@ -59,7 +59,8 @@ def _wav_file(order, tag, bits, width, payload, extensible=False) -> bytes:
     an odd-sized ``LIST`` chunk with its pad byte, then ``data``."""
     head = (1, 8000, 8000 * width, width, bits)
     if extensible:
-        guid = struct.pack(order + "IHH8s", tag, 0, 0x10, b"\x80\x00\x00\xaa\x00\x38\x9b\x71")
+        tail = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        guid = struct.pack(order + "IHH8s", tag, 0, 0x10, tail)
         fmt = struct.pack(order + "HHIIHHHHI", 0xFFFE, *head, 22, bits, 4) + guid
     else:
         fmt = struct.pack(order + "HHIIHH", tag, *head)
@@ -105,9 +106,12 @@ class TestWavOracle:
     @pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
     @pytest.mark.parametrize("order", ["<", ">"], ids=["riff", "rifx"])
     @pytest.mark.parametrize(
-        "tag, bits, width", _ACCEPTED, ids=["pcm16", "pcm24", "pcm32", "float32", "float64"]
+        "tag, bits, width", _ACCEPTED,
+        ids=["pcm16", "pcm24", "pcm32", "float32", "float64"],
     )
-    def test_read_wav_equals_scipys(self, tmp_path, rng, tag, bits, width, order, extensible):
+    def test_read_wav_equals_scipys(
+        self, tmp_path, rng, tag, bits, width, order, extensible
+    ):
         count = 257  # an odd data chunk for 3-byte samples
         if tag == 1:
             payload = rng.integers(0, 256, count * width, dtype=np.uint8).tobytes()
