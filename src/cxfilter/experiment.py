@@ -204,9 +204,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_scene(scene: Scene, config: ExperimentConfig) -> tuple:
+def run_scene(scene: Scene, config: ExperimentConfig, threads=1) -> tuple:
     """Run the configured system over one scene; see :func:`run_pipeline`."""
-    return run_pipeline(scene, config)
+    return run_pipeline(scene, config, threads)
 
 
 def discover_scene_dirs(scenes_dir) -> list:
@@ -254,40 +254,22 @@ def _scene(source) -> Scene:
     return load_scene(source)
 
 
-def _openblas_thread_apis() -> dict:
-    """``{"numpy": (get, set)}``, the thread-count functions of numpy's
-    bundled OpenBLAS (:func:`cxfilter.fcp.openblas`); empty where numpy
-    bundles none (another BLAS)."""
-    lib = fcp_module.openblas()
-    if lib is None:
-        return {}
-    return {
-        "numpy": (
-            lib.scipy_openblas_get_num_threads64_,
-            lib.scipy_openblas_set_num_threads64_,
-        )
-    }
-
-
-def _pin_blas_threads(fit_threads: int) -> list:
-    """Run numpy's OpenBLAS, which the FCP solve calls too, on one thread.
+def _pin_blas_threads(count: int = 1) -> int | None:
+    """Run numpy's OpenBLAS (:func:`cxfilter.fcp.openblas`), which the FCP
+    solve calls too, on ``count`` threads; returns its previous count.
+    Where numpy bundles no OpenBLAS, does nothing and returns None.
 
     Pool workers that each run several BLAS threads oversubscribe the
     cores, which made parallel batches slower than serial ones.  The
-    serial path is pinned too, so report bytes depend neither on
-    ``jobs`` nor on the CPU count.  The FCP fit then builds its Gram on
-    ``fit_threads`` threads (:data:`cxfilter.fcp.fit_threads`), which
-    changes no bits.  Returns (set function, previous count) pairs to
-    restore.
+    serial path is pinned to one thread too, so report bytes depend
+    neither on ``jobs`` nor on the CPU count.
     """
-    pinned = [
-        (functools.partial(setattr, fcp_module, "fit_threads"), fcp_module.fit_threads)
-    ]
-    fcp_module.fit_threads = fit_threads
-    for get, set_ in _openblas_thread_apis().values():
-        pinned.append((set_, get()))
-        set_(1)
-    return pinned
+    lib = fcp_module.openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    return previous
 
 
 def _cpu_count() -> int:
@@ -302,8 +284,9 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
 
     At most ``jobs`` worker processes run, and never more than there
     are CPUs or payloads.  Every worker runs OpenBLAS on one thread
-    (:func:`_pin_blas_threads`) and fits FCP filters on its share of the
-    CPUs: all of them in this process, ``CPUs // workers`` in a pool.
+    (:func:`_pin_blas_threads`) and is called as ``func(payload,
+    threads=share)``, to fit FCP filters on its share of the CPUs: all of
+    them in this process, ``CPUs // workers`` in a pool.
     Where a bundled OpenBLAS is not found, one warning line goes to
     stderr, its threads are left as they are, and the fits run on one
     thread, since Python threads over a multi-threaded BLAS would
@@ -313,7 +296,7 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    found = bool(_openblas_thread_apis())
+    found = fcp_module.openblas() is not None
     if not found:
         print(
             "warning: no OpenBLAS thread control found for numpy; "
@@ -322,16 +305,15 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
         )
     cpus = _cpu_count()
     workers = min(jobs, cpus, len(payloads))
-    fit_threads = cpus if found else 1
+    share = cpus if found else 1
     if workers > 1:
         pool = None
         try:
             pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pin_blas_threads,
-                initargs=(max(1, fit_threads // workers),),
+                max_workers=workers, initializer=_pin_blas_threads
             )
-            results = pool.map(func, payloads)  # submits every payload now
+            work = functools.partial(func, threads=max(1, share // workers))
+            results = pool.map(work, payloads)  # submits every payload now
         except OSError as err:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -343,18 +325,17 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
         else:
             with pool:  # a worker's own error, OSError or not, reaches the caller
                 return list(results)
-    pinned = _pin_blas_threads(fit_threads)
+    previous = _pin_blas_threads()
     try:
-        return [func(p) for p in payloads]
+        return [func(p, threads=share) for p in payloads]
     finally:
-        for set_, count in pinned:
-            set_(count)
+        _pin_blas_threads(previous)
 
 
-def _separate_worker(job) -> MetricsReport:
+def _separate_worker(job, threads) -> MetricsReport:
     source, config, out_dir = job
     scene = _scene(source)
-    separator, report = run_scene(scene, config)
+    separator, report = run_scene(scene, config, threads)
     export_estimates(separator, out_dir / "estimates", scene.num_samples)
     write_json(
         out_dir / "report.json",
@@ -501,10 +482,10 @@ def apply_sweep_axis(
     return config_from_dict(ExperimentConfig, swept)
 
 
-def _sweep_worker(job) -> dict:
+def _sweep_worker(job, threads) -> dict:
     source, config = job
     scene = _scene(source)
-    _, stack = predict(scene, config)
+    _, stack = predict(scene, config, threads)
     images = [istft(s, output_length=scene.num_samples) for s in stack.fcp_images]
     return evaluate_scene(images, scene).mean
 

@@ -193,13 +193,6 @@ def cho_solve(factor, b):
     return x
 
 
-# Threads that fit a filter's bin blocks: this process's share of the
-# CPUs.  Only the batch runner sets it, next to the BLAS thread count
-# (``experiment._map_jobs``); at 1 the caller runs every block.  The bits
-# of a fit do not depend on it.
-fit_threads = 1
-
-
 def _run_blocks(block, starts: list, threads: int) -> None:
     """Call ``block(f0)`` for every start, on up to ``threads`` threads.
 
@@ -228,6 +221,7 @@ def estimate_fcp_filter(
     target: ComplexSpectrogram,
     s_hat: ComplexSpectrogram,
     config: FcpConfig,
+    threads: int = 1,
 ) -> np.ndarray:
     """Fit one speaker's per-frequency causal filter by weighted LS.
 
@@ -248,17 +242,20 @@ def estimate_fcp_filter(
     and ``p += X_w target^H`` with ``X_w = X * (1/w)``.  Each bin block is
     fitted whole on one thread (accumulated, made Hermitian, loaded on
     its diagonal and solved bin by bin), writing only its own filter
-    rows; the blocks run on :data:`fit_threads` threads with the same
-    bits at any count.  Beyond the ``(frames, bins)`` weights and the
-    filters, memory per fit thread is one block's input rows, its Gram
-    and two tiles (about 5 MiB at 40 taps), whatever the number of
-    frames.
+    rows; the blocks run on ``threads`` threads (at 1 the caller runs
+    every block) with the same bits at any count, and a ``threads`` that
+    is not an int >= 1 raises ValueError.  Beyond the ``(frames, bins)``
+    weights and the filters, memory per fit thread is one block's input
+    rows, its Gram and two tiles (about 5 MiB at 40 taps), whatever the
+    number of frames.
 
     Returns
     -------
     numpy.ndarray
         Complex filter array of shape ``(bins, taps)``.
     """
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     _check_same_grid(target, s_hat, "estimate_fcp_filter")
     taps = config.taps
     z = target.data
@@ -296,7 +293,7 @@ def estimate_fcp_filter(
             except np.linalg.LinAlgError:
                 filters[f0 + b] = np.linalg.lstsq(system, cross[b], rcond=None)[0]
 
-    _run_blocks(fit_block, list(range(0, bins, _BIN_BLOCK)), fit_threads)
+    _run_blocks(fit_block, list(range(0, bins, _BIN_BLOCK)), threads)
     return filters
 
 
@@ -325,7 +322,9 @@ def apply_filter(
     return ComplexSpectrogram(out, s_hat.config)
 
 
-def fcp_loop(target, s_hat_of, count: int, config, leave, *, essu: bool) -> None:
+def fcp_loop(
+    target, s_hat_of, count: int, config, leave, *, essu: bool, threads=1
+) -> None:
     """The one prediction loop over speakers ``0 .. count - 1``.
 
     Speaker ``c``'s direct estimate ``s_hat_of(c)`` is fitted against
@@ -337,12 +336,13 @@ def fcp_loop(target, s_hat_of, count: int, config, leave, *, essu: bool) -> None
     is subtracted from it in place, so each target is the mixture minus
     the images fitted before it.  One direct estimate and one image are
     alive at a time; under ESSU each direct estimate is taken twice, for
-    the sort and for its fit.
+    the sort and for its fit.  Each filter is fitted on ``threads``
+    threads.
     """
     order = energy_sort(map(s_hat_of, range(count))) if essu else range(count)
     for step, c in enumerate(order):
         s_hat = s_hat_of(c)
-        image = apply_filter(estimate_fcp_filter(target, s_hat, config), s_hat)
+        image = apply_filter(estimate_fcp_filter(target, s_hat, config, threads), s_hat)
         del s_hat  # not alive while the next speaker is fitted
         if essu and step < count - 1:
             target.data -= image.data

@@ -189,14 +189,16 @@ def oracle_separate(
 
 
 def run_fcp_stage(
-    mixture, separator_output: SeparatorOutput, config: ExperimentConfig
+    mixture, separator_output: SeparatorOutput, config: ExperimentConfig, threads=1
 ) -> list:
     """Predict per-speaker reverberant images from direct estimates.
 
     The time-domain mixture and the separator's direct estimates are
     moved onto the prediction grid ``config.fcp.stft``, the variant
-    named by ``config.fcp_mode`` (``fcp`` or ``essu``) is run, and the
-    images are returned on the separator grid ``config.stft_dnn``.
+    named by ``config.fcp_mode`` (``fcp`` or ``essu``) is run, each
+    filter fitted on ``threads`` threads, and the images are returned on
+    the separator grid ``config.stft_dnn``.  A mixture whose frame count
+    on the estimates' grid is not theirs raises ValueError.
 
     The bytes are those of ``convert_config`` of each direct estimate,
     then ``fcp_separate`` or ``fcp_essu_separate``, then ``convert_config``
@@ -216,6 +218,12 @@ def run_fcp_stage(
     n = mixture.shape[0]
     grid = config.fcp.stft
     directs = separator_output.direct_estimates
+    frames = directs[0].config.num_frames(n)
+    if frames != directs[0].frames:
+        raise ValueError(
+            f"a mixture of {n} samples has {frames} frames on the estimates' "
+            f"grid, but the estimates have {directs[0].frames}"
+        )
 
     def s_hat_of(c):
         return convert_config(directs[c], grid, n)
@@ -225,8 +233,10 @@ def run_fcp_stage(
     def leave(c, image):
         images[c] = convert_config(image, config.stft_dnn, n)
 
-    essu = config.fcp_mode == "essu"
-    fcp_loop(stft(mixture, grid), s_hat_of, len(directs), config.fcp, leave, essu=essu)
+    fcp_loop(
+        stft(mixture, grid), s_hat_of, len(directs), config.fcp, leave,
+        essu=config.fcp_mode == "essu", threads=threads,
+    )
     return images
 
 
@@ -392,7 +402,7 @@ def _refine(
 
 
 def predict(
-    scene: Scene, config: ExperimentConfig
+    scene: Scene, config: ExperimentConfig, threads=1
 ) -> tuple[SeparatorOutput, FeatureStack | None]:
     """Run the separator and the prediction stage over a scene.
 
@@ -407,7 +417,8 @@ def predict(
     scene whose sample rate is not that of ``config.stft_dnn`` (and, with
     FCP on, of ``config.fcp.stft``) raises ValueError naming both rates,
     and one with more speakers than the scoring's permutation search
-    takes raises it before any of its work.
+    takes raises it before any of its work.  Filters are fitted on
+    ``threads`` threads (:func:`run_fcp_stage`).
     """
     grids = {"stft_dnn": config.stft_dnn}
     if config.fcp_mode != "off":
@@ -430,7 +441,7 @@ def predict(
             # Only an external refinement changes the direct estimates
             # that the images are predicted from.
             if stack is None or config.refinement == "external":
-                images = run_fcp_stage(scene.mixture, current, config)
+                images = run_fcp_stage(scene.mixture, current, config, threads)
             stack = FeatureStack(
                 mixture=mixture_spec,
                 stage1_direct=list(current.direct_estimates),
@@ -441,12 +452,13 @@ def predict(
     return current, stack
 
 
-def run_pipeline(scene: Scene, config: ExperimentConfig) -> tuple:
+def run_pipeline(scene: Scene, config: ExperimentConfig, threads=1) -> tuple:
     """Run :func:`predict` and the last refinement, then score the final
     image signals, ``istft(s, output_length=scene.num_samples)`` of each
     ``s`` in ``separator.image_estimates``, once against the scene's true
-    reverberant images at ``config.quantiles``; returns ``(separator, report)``."""
-    separator, features = predict(scene, config)
+    reverberant images at ``config.quantiles``; returns ``(separator, report)``.
+    Filters are fitted on ``threads`` threads."""
+    separator, features = predict(scene, config, threads)
     if features is not None:
         separator = _refine(features, separator, config, config.iterations)
     image_estimates = [

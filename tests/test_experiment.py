@@ -36,22 +36,22 @@ from cxfilter.scenes import save_scene
 from conftest import count_calls
 
 
-def _square(x):
+def _square(x, threads):
     return x * x
 
 
-def _missing_file(x):
+def _missing_file(x, threads):
     raise FileNotFoundError(f"payload {x}: no such file")
 
 
 @pytest.fixture
 def openblas():
-    """OpenBLAS (get, set) pairs by package; thread counts restored after."""
-    apis = experiment._openblas_thread_apis()
-    before = [get() for get, _ in apis.values()]
-    yield apis
-    for (_, set_), count in zip(apis.values(), before):
-        set_(count)
+    """numpy's OpenBLAS, or None; its thread count restored after."""
+    lib = fcp_module.openblas()
+    before = lib and lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _tiny_ranges(**kw):
@@ -410,10 +410,10 @@ class TestBatchRuns:
         started, initializers = [], []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, initializer):
                 started.append(max_workers)
-                initializers.append((initializer, initargs))
-                initializer(*initargs)  # pins this process; restored below
+                initializers.append(initializer)
+                initializer()  # pins this process; restored below
 
             def __enter__(self):
                 return self
@@ -422,12 +422,13 @@ class TestBatchRuns:
                 return False
 
             def map(self, func, payloads):
+                shares.append(func.keywords["threads"])
                 return map(func, payloads)
 
+        shares = []
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(fcp_module, "fit_threads", 1)
-        blas_found = sorted(openblas) == ["numpy"]
+        blas_found = openblas is not None
         values = list(range(7))
         for jobs, count, workers, fit_threads in (
             (10**6, 7, 4, 1),  # CPU count
@@ -440,28 +441,28 @@ class TestBatchRuns:
             ]
             assert started == [workers]
             share = fit_threads if blas_found else 1
-            assert initializers == [(experiment._pin_blas_threads, (share,))]
-            assert fcp_module.fit_threads == share
+            assert initializers == [experiment._pin_blas_threads]
+            assert shares == [share]
             initializers.clear()
+            shares.clear()
         started.clear()
         assert _map_jobs(_square, values[:1], 10**6) == [0]
         assert started == []  # one payload runs in this process
 
     def test_serial_workers_run_on_one_blas_thread(self, openblas):
-        if sorted(openblas) != ["numpy"]:
+        if openblas is None:
             pytest.skip("numpy bundles no OpenBLAS here")
 
-        def counts(_=None):
-            return [get() for get, _ in openblas.values()] + [fcp_module.fit_threads]
+        def counts(_=None, threads=1):
+            return [openblas.scipy_openblas_get_num_threads64_(), threads]
 
         cpus = experiment._cpu_count()
 
-        def fail(_):
-            assert counts() == [1, cpus]
+        def fail(_, threads):
+            assert counts(threads=threads) == [1, cpus]
             raise RuntimeError("worker failed")
 
-        for _, set_ in openblas.values():
-            set_(2)
+        openblas.scipy_openblas_set_num_threads64_(2)
         assert _map_jobs(counts, [0, 1, 2], jobs=1) == [[1, cpus]] * 3
         assert counts() == [2, 1]
         with pytest.raises(RuntimeError, match="worker failed"):
@@ -469,7 +470,7 @@ class TestBatchRuns:
         assert counts() == [2, 1]
 
     def test_missing_openblas_warns_once(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
+        monkeypatch.setattr(fcp_module, "openblas", lambda: None)
         report = run_separation(_tiny_config(), tmp_path / "out", jobs=1)
         assert report["num_scenes"] == 2
         err = capsys.readouterr().err
@@ -600,13 +601,13 @@ class TestSweep:
         assert len(scored) + len(scored_here) == 2 * 2
 
     def test_one_pool_per_sweep_warns_once(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(experiment, "_openblas_thread_apis", dict)
+        monkeypatch.setattr(fcp_module, "openblas", lambda: None)
         config = _tiny_config(num_scenes=1, fcp_mode="fcp", fcp=FcpConfig(taps=2))
         rows = run_sweep(config, "taps", [2, 3, 4], tmp_path)
         assert len(rows) == 3
         assert capsys.readouterr().err.count("no OpenBLAS thread control") == 1
         # Without OpenBLAS thread control the fits stay on one thread.
-        assert _map_jobs(lambda _: fcp_module.fit_threads, [0], jobs=1) == [1]
+        assert _map_jobs(lambda _, threads: threads, [0], jobs=1) == [1]
 
     def test_pooled_sweep_groups_scores_by_value(self, tmp_path):
         config = _tiny_config(num_scenes=2, fcp_mode="fcp", fcp=FcpConfig(taps=2))

@@ -186,6 +186,12 @@ class TestEstimateFcpFilter:
                 FcpConfig(taps=2, stft=GRID),
             )
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.0, "2", True, None])
+    def test_rejects_a_thread_count_that_is_not_a_positive_int(self, rng, threads):
+        spec = rand_spec(rng, 10, GRID)
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            estimate_fcp_filter(spec, spec, FcpConfig(taps=2, stft=GRID), threads)
+
     def test_per_freq_floor_option(self, rng):
         # A target with wildly different per-frequency levels weights
         # differently under the per-frequency floor.
@@ -272,7 +278,6 @@ class TestNaiveOracleEdgeCases:
         # normal matrix rank-deficient, so every Cholesky factorization
         # fails and the minimum-norm least-squares solution is returned.
         # The solves run on the fit threads.
-        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         failures = []
         cho_factor = fcp_module.cho_factor
 
@@ -287,7 +292,7 @@ class TestNaiveOracleEdgeCases:
         target = rand_spec(rng, 5, GRID64)
         s_hat = rand_spec(rng, 5, GRID64)
         config = FcpConfig(taps=12, stft=GRID64, **EXACT)
-        g = estimate_fcp_filter(target, s_hat, config)
+        g = estimate_fcp_filter(target, s_hat, config, threads)
         want = naive_fcp_filter(target, s_hat, config)
         assert len(failures) == GRID64.bins
         assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
@@ -389,16 +394,15 @@ class TestKernelBits:
         ],
     )
     def test_fit_equals_divided_tile_reference(
-        self, rng, monkeypatch, taps, per_freq_floor, threads
+        self, rng, taps, per_freq_floor, threads
     ):
-        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=taps, stft=GRID64, per_freq_floor=per_freq_floor)
         # Frequent thread switches, so a lost update between blocks shows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = estimate_fcp_filter(target, s_hat, config)
+            got = estimate_fcp_filter(target, s_hat, config, threads)
         finally:
             sys.setswitchinterval(interval)
         want = divided_tile_fcp_filter(target, s_hat, config)
@@ -424,11 +428,10 @@ class TestKernelBits:
     def test_threaded_fit_joins_its_threads(self, rng, monkeypatch, failing_block):
         # Batch runners fork worker processes after a fit, so no helper
         # thread may outlive it, also when a block raises.
-        monkeypatch.setattr(fcp_module, "fit_threads", 2)
         target, s_hat = _signed_zero_inputs(rng)
         config = FcpConfig(taps=6, stft=GRID64)
         before = threading.active_count()
-        estimate_fcp_filter(target, s_hat, config)
+        estimate_fcp_filter(target, s_hat, config, 2)
         assert threading.active_count() == before
 
         tap_stack = fcp_module._tap_stack
@@ -441,7 +444,7 @@ class TestKernelBits:
 
         monkeypatch.setattr(fcp_module, "_tap_stack", failing_tap_stack)
         with pytest.raises(RuntimeError, match="block failed"):
-            estimate_fcp_filter(target, s_hat, config)
+            estimate_fcp_filter(target, s_hat, config, 2)
         assert threading.active_count() == before
 
 
@@ -470,7 +473,7 @@ class TestBoundedMemory:
         silent = fcp_module._weights(np.zeros((3, 4), complex), FcpConfig())
         assert np.array_equal(silent, np.ones((3, 4)))
 
-    def test_sixty_second_fit_stays_under_bound(self, monkeypatch):
+    def test_sixty_second_fit_stays_under_bound(self):
         # One speaker, 60 s on the filter grid: 7515 frames x 513 bins
         # and 40 taps.  A whole (bins, frames, taps) regressor would be
         # 2.3 GiB on its own; the inputs are allocated before tracing.
@@ -479,10 +482,9 @@ class TestBoundedMemory:
         s_hat = rand_spec(rng, 7515, FILTER_STFT)
         for threads in (1, 2):
             # Each fit thread holds its own tiles.
-            monkeypatch.setattr(fcp_module, "fit_threads", threads)
             tracemalloc.start()
             try:
-                g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40))
+                g = estimate_fcp_filter(target, s_hat, FcpConfig(taps=40), threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -491,13 +493,12 @@ class TestBoundedMemory:
             assert peak < 256 * 2**20
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_ten_second_fit_holds_no_gram_stack(self, monkeypatch, threads):
+    def test_ten_second_fit_holds_no_gram_stack(self, threads):
         # 10 s on the filter grid: 1252 frames x 513 bins and 40 taps.
         # Beyond its (frames, bins) float64 weights, a fit holds two tiles,
         # one block's input rows and its (8, taps, taps) Gram per fit
         # thread: under three tiles.  A (bins, taps, taps) Gram stack
         # alone is 12.5 MiB, five tiles.
-        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         rng = np.random.default_rng(10)
         target = rand_spec(rng, 1252, FILTER_STFT)
         s_hat = rand_spec(rng, 1252, FILTER_STFT)
@@ -506,7 +507,7 @@ class TestBoundedMemory:
         tile = fcp_module._BIN_BLOCK * config.taps * fcp_module._FRAME_BLOCK * 16
         tracemalloc.start()
         try:
-            g = estimate_fcp_filter(target, s_hat, config)
+            g = estimate_fcp_filter(target, s_hat, config, threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -30,7 +30,6 @@ from cxfilter import (
     simulate_scene,
     stft,
 )
-from cxfilter import fcp as fcp_module
 from cxfilter import pipeline as pipeline_module
 from cxfilter.pipeline import export_estimates, import_features
 from cxfilter.io import read_json, write_json
@@ -148,6 +147,23 @@ class TestRunFcpStage:
         with pytest.raises(ValueError):
             run_fcp_stage(np.zeros((2, 100)), sep, ExperimentConfig())
 
+    @pytest.mark.parametrize("mixture_len, frames", [(2000, 35), (6000, 97)])
+    @pytest.mark.parametrize("equal_grids", [False, True], ids=["grids", "one_grid"])
+    def test_rejects_a_mixture_off_the_estimates_frames(
+        self, mixture_len, frames, equal_grids
+    ):
+        # Estimates of a 4000-sample signal have 66 frames on the 256/64
+        # grid.  A shorter mixture once returned images of its own 35.
+        grid = SEPARATOR_STFT if equal_grids else FILTER_STFT
+        config = ExperimentConfig(fcp=FcpConfig(taps=4, stft=grid))
+        rng = np.random.default_rng(66)
+        spec = stft(rng.standard_normal(4000), SEPARATOR_STFT)
+        assert spec.frames == 66
+        sep = SeparatorOutput(direct_estimates=[spec], image_estimates=[spec])
+        mixture = rng.standard_normal(mixture_len)
+        with pytest.raises(ValueError, match=rf"\b{frames} frames.*\b66\b"):
+            run_fcp_stage(mixture, sep, config)
+
     def test_fcp_mode_selects_variant(self, small_scene):
         sep = oracle_separate(small_scene, DegradationSpec(snr_db=10.0))
         cfg = FcpConfig(taps=6, stft=SEPARATOR_STFT)
@@ -174,15 +190,12 @@ class TestRunFcpStage:
          (1.0, 2.0, 3.0, 0.5)],
         ids=lambda gains: "-".join(f"{g:g}" for g in gains),
     )
-    def test_bytes_equal_the_list_composition(
-        self, monkeypatch, gains, mode, equal_grids, threads
-    ):
+    def test_bytes_equal_the_list_composition(self, gains, mode, equal_grids, threads):
         # The stage keeps the bits of converting every direct estimate,
         # running fcp_*_separate on the lists and converting every image
         # back.  Speaker gains set the ESSU order, also to orders other
         # than the speaker order; the loop both sides share is checked
         # against the literal ESSU targets in TestFcpEssu.
-        monkeypatch.setattr(fcp_module, "fit_threads", threads)
         grid = SEPARATOR_STFT if equal_grids else FILTER_STFT
         config = ExperimentConfig(fcp_mode=mode, fcp=FcpConfig(taps=6, stft=grid))
         n = 3000
@@ -197,7 +210,7 @@ class TestRunFcpStage:
         images = separate(stft(mixture, grid), s_hats, config.fcp)
         want = [convert_config(image, config.stft_dnn, n) for image in images]
 
-        got = run_fcp_stage(mixture, sep, config)
+        got = run_fcp_stage(mixture, sep, config, threads)
         assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want]
         assert all(g.config == SEPARATOR_STFT for g in got)
 
@@ -418,6 +431,10 @@ class TestRunPipeline:
         assert report.mean["si_sdr_db"] >= 60.0
         assert len(separator.image_estimates) == 2
         assert predict(small_scene, config)[1].num_speakers == 2
+
+    def test_rejects_a_thread_count_below_one(self, mono_scene):
+        with pytest.raises(ValueError, match="threads must be an int >= 1, got 0"):
+            run_pipeline(mono_scene, ExperimentConfig(fcp=FcpConfig(taps=2)), threads=0)
 
     def test_fcp_substitute_fixed_point(self, mono_scene):
         cfg = dict(

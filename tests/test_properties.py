@@ -9,7 +9,6 @@ negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
 tile edges.  A grid has at least two bins (even DFT sizes only).
 """
 
-import contextlib
 import dataclasses
 import math
 import re
@@ -83,16 +82,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@contextlib.contextmanager
-def _fit_threads(count: int):
-    before = fcp_module.fit_threads
-    fcp_module.fit_threads = count
-    try:
-        yield
-    finally:
-        fcp_module.fit_threads = before
-
-
 @given(
     seed=seeds,
     bins=st.integers(2, 40),
@@ -106,10 +95,8 @@ def test_threaded_fit_equals_serial_fit(
 ):
     target, s_hat = _specs(seed, frames, bins, 2)
     config = FcpConfig(taps=taps, stft=_grid(bins), per_freq_floor=per_freq_floor)
-    with _fit_threads(1):
-        serial = estimate_fcp_filter(target, s_hat, config)
-    with _fit_threads(threads):
-        threaded = estimate_fcp_filter(target, s_hat, config)
+    serial = estimate_fcp_filter(target, s_hat, config)
+    threaded = estimate_fcp_filter(target, s_hat, config, threads)
     assert np.array_equal(threaded, serial)
     assert _same_bits(threaded, serial)
 

@@ -1,18 +1,20 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And six source rules:
+as a failure, and the tests after it still run.  And seven source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
 directory codec every other module goes through, the speaker cap
 ``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
 permutation search it bounds, the fitting order is decided only in
-:mod:`cxfilter.fcp`, the one module that names ``energy_sort``,
-importing :mod:`cxfilter.cli` loads no scipy module and a ``separate``
-batch after it imports no further module, and a ``CliError`` is
-built only where an exit code differs from what ``cli.main`` maps an
-exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
+:mod:`cxfilter.fcp`, the one module that names ``energy_sort``, no
+module has a ``global`` statement or sets an attribute of a module it
+imports, importing :mod:`cxfilter.cli` loads no scipy module and a
+``separate`` batch after it imports no further module, and a
+``CliError`` is built only where an exit code differs from what
+``cli.main`` maps an exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
 
 import ast
+import importlib.util
 import math
 import os
 import subprocess
@@ -145,6 +147,83 @@ def test_fitting_order_is_decided_only_in_fcp():
     )
     # The package re-exports the public name and nothing else names it.
     assert found == [("__init__.py", "alias")]
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # a parent that is a module, not a package
+        return False
+
+
+def _module_mutations(tree, scope=None, modules=None):
+    """(enclosing function, kind) of every ``global`` statement under a
+    node, and of every assignment, augmented assignment, ``del``,
+    ``setattr`` or ``delattr`` whose target is an imported module: a
+    name bound by ``import``, or by ``from`` when it names a module.
+    ``setattr`` counts when called or when passed on, as to ``partial``."""
+    if modules is None:
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules |= {
+                    a.asname or a.name
+                    for a in node.names
+                    if _is_module(f"{node.module}.{a.name}")
+                }
+
+    def is_module(node):
+        return isinstance(node, ast.Name) and node.id in modules
+
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name if scope is None else f"{scope}.{child.name}"
+        if isinstance(child, ast.Global):
+            yield scope, "global"
+        elif isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+            if is_module(child.value):
+                yield scope, type(child.ctx).__name__.lower()
+        elif isinstance(child, ast.Call):
+            seq = [child.func, *child.args]
+            for setter, target in zip(seq, seq[1:]):
+                name = getattr(setter, "id", getattr(setter, "attr", None))
+                if name in ("setattr", "delattr") and is_module(target):
+                    yield scope, name
+        yield from _module_mutations(child, inner, modules)
+
+
+def test_no_module_holds_state_that_another_sets():
+    found = sorted(
+        (path.name, function, kind)
+        for path in PACKAGE.glob("*.py")
+        for function, kind in _module_mutations(ast.parse(path.read_text()))
+    )
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f():\n    global x\n    x = 1", [("f", "global")]),
+        ("import os\nos.sep = '/'", [(None, "store")]),
+        ("import numpy.random\ndel numpy.x", [(None, "del")]),
+        ("from cxfilter import fcp as m\nm.x += 1", [(None, "store")]),
+        ("from cxfilter import fcp\nsetattr(fcp, 'x', 1)", [(None, "setattr")]),
+        (
+            "import functools\nfrom cxfilter import fcp\n"
+            "def pin():\n    functools.partial(setattr, fcp, 'x')",
+            [("pin", "setattr")],
+        ),
+        ("class A:\n    def f(self):\n        object.__setattr__(self, 'x', 1)", []),
+        ("from cxfilter.fcp import MAX_TAPS\nMAX_TAPS.x = 1", []),
+        ("import os\nclass A:\n    def f(self):\n        self.sep = os.sep", []),
+    ],
+)
+def test_module_mutation_rule_finds_its_cases(source, found):
+    assert list(_module_mutations(ast.parse(source))) == found
 
 
 # (function, exit code) of each CliError that cli.py builds: the codes
