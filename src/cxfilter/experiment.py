@@ -5,7 +5,9 @@ batch result: scene sampling ranges, separator degradation, pipeline
 settings, metric quantiles, and the global seed.  Configs serialize to
 versioned JSON, embed into every report together with a content hash,
 and identical configs reproduce byte-identical reports.  Every batch
-runner walks one list of named scene jobs (:func:`_scene_jobs`).
+runner walks one list of named scene jobs (:func:`_scene_jobs`), and
+``separate`` and ``sweep`` check all of them before the first scene
+runs (:func:`_checked_jobs`).
 Scene-level parallelism is available through a jobs parameter: workers
 receive the scene source and config objects themselves, and results
 merge in deterministic scene order.
@@ -48,6 +50,7 @@ from cxfilter.pipeline import (
     DegradationSpec,
     SeparatorOutput,
     check_estimates,
+    check_scene_spec,
     export_estimates,
     predict,
     run_pipeline,
@@ -58,6 +61,7 @@ from cxfilter.scenes import (
     Scene,
     SceneSpec,
     load_scene,
+    read_scene_manifest,
     save_scene,
     simulate_scene,
 )
@@ -239,6 +243,24 @@ def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
     return jobs
 
 
+def _checked_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
+    """:func:`_scene_jobs`, each checked by
+    :func:`~cxfilter.pipeline.check_scene_spec` before any scene runs: a
+    drawn spec as it is, a directory's spec from its manifest alone
+    (:func:`~cxfilter.scenes.read_scene_manifest`).  A fault raises
+    ValueError naming the scene or its manifest."""
+    jobs = _scene_jobs(config, scenes_dir)
+    for key, source in jobs:
+        where, spec = key, source
+        if not isinstance(source, SceneSpec):
+            where, _, spec = read_scene_manifest(source)
+        try:
+            check_scene_spec(spec, config)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+    return jobs
+
+
 def _job_config(config: ExperimentConfig, *parts: str) -> ExperimentConfig:
     """The config of one scene job: external refinement exchanges under
     ``external_dir/<parts>/iteration_{i}``, so no two jobs share a directory."""
@@ -357,9 +379,10 @@ def run_separation(
     scenes are generated from the config's ranges and seed.  Returns
     the batch report, which is also written to ``out_dir/report.json``;
     its ``mean`` is the :func:`mean_scores` of the scene means.  A
-    ``scenes_dir`` without a scene manifest raises :class:`NoScenesError`.
+    ``scenes_dir`` without a scene manifest raises :class:`NoScenesError`,
+    and a scene that cannot run raises ValueError before any scene runs.
     """
-    scene_jobs = _scene_jobs(config, scenes_dir)
+    scene_jobs = _checked_jobs(config, scenes_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [
@@ -522,7 +545,7 @@ def run_sweep(
     payloads = [
         (source, _job_config(swept, f"value_{k}", key))
         for k, swept in enumerate(sweeps, 1)
-        for key, source in _scene_jobs(swept)
+        for key, source in _checked_jobs(swept)
     ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

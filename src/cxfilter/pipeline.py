@@ -31,7 +31,7 @@ from cxfilter.io import (
 )
 from cxfilter.losses import check_speaker_cap
 from cxfilter.metrics import evaluate_scene
-from cxfilter.scenes import Scene
+from cxfilter.scenes import Scene, SceneSpec
 from cxfilter.stft import (
     SEPARATOR_STFT,
     ComplexSpectrogram,
@@ -401,6 +401,24 @@ def _refine(
     return refined
 
 
+def check_scene_spec(spec: SceneSpec, config: ExperimentConfig) -> None:
+    """Raise ValueError if a scene cannot run under a config: its sample
+    rate is not that of ``config.stft_dnn`` (and, with FCP on, of
+    ``config.fcp.stft``), named with both rates, or it has more speakers
+    than the scoring's permutation search takes."""
+    grids = {"stft_dnn": config.stft_dnn}
+    if config.fcp_mode != "off":
+        grids["fcp.stft"] = config.fcp.stft
+    rate = spec.sample_rate_hz
+    for name, grid in grids.items():
+        if grid.sample_rate_hz != rate:
+            raise ValueError(
+                f"scene sample rate {rate} Hz does not match the "
+                f"{name} sample rate {grid.sample_rate_hz} Hz"
+            )
+    check_speaker_cap(spec.num_speakers, "scene")
+
+
 def predict(
     scene: Scene, config: ExperimentConfig, threads=1
 ) -> tuple[SeparatorOutput, FeatureStack | None]:
@@ -414,23 +432,11 @@ def predict(
     refinement, the one refinement that changes the direct estimates.
     Returns the estimates the last feature stack was built from, and
     that stack; :func:`run_pipeline` applies the last refinement.  A
-    scene whose sample rate is not that of ``config.stft_dnn`` (and, with
-    FCP on, of ``config.fcp.stft``) raises ValueError naming both rates,
-    and one with more speakers than the scoring's permutation search
-    takes raises it before any of its work.  Filters are fitted on
-    ``threads`` threads (:func:`run_fcp_stage`).
+    scene that :func:`check_scene_spec` rejects raises ValueError before
+    any of its work.  Filters are fitted on ``threads`` threads
+    (:func:`run_fcp_stage`).
     """
-    grids = {"stft_dnn": config.stft_dnn}
-    if config.fcp_mode != "off":
-        grids["fcp.stft"] = config.fcp.stft
-    rate = scene.spec.sample_rate_hz
-    for name, grid in grids.items():
-        if grid.sample_rate_hz != rate:
-            raise ValueError(
-                f"scene sample rate {rate} Hz does not match the "
-                f"{name} sample rate {grid.sample_rate_hz} Hz"
-            )
-    check_speaker_cap(scene.spec.num_speakers, "scene")
+    check_scene_spec(scene.spec, config)
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     if config.fcp_mode != "off":

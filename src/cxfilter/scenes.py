@@ -215,6 +215,32 @@ def synthesize_dry_sources(spec: SceneSpec, rng: np.random.Generator) -> list:
     return sources
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 5-smooth integer (``2**i * 3**j * 5**k``) >= ``n`` >= 1:
+    the real transform length ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full linear convolution of two real 1-D arrays, with the bits of
+    ``scipy.signal.fftconvolve(a, b)``: real FFTs at its length, and a
+    plain product where an array has one sample, as there."""
+    if a.size == 1 or b.size == 1:
+        return a * b
+    full = a.size + b.size - 1
+    m = _smooth_length(full)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:full]
+
+
 def render_scene(sources, spec: SceneSpec, rng: np.random.Generator) -> Scene:
     """Convolve dry sources with generated RIRs and mix with noise.
 
@@ -224,10 +250,6 @@ def render_scene(sources, spec: SceneSpec, rng: np.random.Generator) -> Scene:
     added at ``spec.noise_snr_db`` relative to the summed images
     (``+inf`` means noise-free).
     """
-    # Imported here: scipy.signal dominates the package's import time and
-    # memory, and only scene rendering needs it.
-    from scipy.signal import fftconvolve
-
     if len(sources) == 0:
         raise ValueError("render_scene needs at least one source")
     if len(sources) != spec.num_speakers:
@@ -255,7 +277,7 @@ def render_scene(sources, spec: SceneSpec, rng: np.random.Generator) -> Scene:
         tail = rir.taps.copy()
         tail[delay] = 0.0
         if np.any(tail):
-            images.append(direct + fftconvolve(src, tail)[:n])
+            images.append(direct + _fftconvolve(src, tail)[:n])
         else:
             images.append(direct.copy())
 
@@ -307,19 +329,25 @@ def save_scene(scene: Scene, directory) -> Path:
     return write_wav_dir(directory, SCENE_MANIFEST, manifest, wavs, rate)
 
 
-def load_scene(directory) -> Scene:
-    """Load a scene directory written by :func:`save_scene` (or externally).
+def read_scene_manifest(directory) -> tuple[Path, dict, SceneSpec]:
+    """The manifest path, the manifest and the :class:`SceneSpec` of a
+    scene directory, read with every check that needs no WAV.
 
-    The manifest's ``files`` object names each component's WAV.  The
-    noise and every direct-path and image component must have as many
-    samples as the mixture.
+    A directory without a manifest raises :class:`NoScenesError`.  An
+    unsupported version, a missing or invalid spec value, a ``files``
+    that is not an object of WAV names, or ``rir_direct_delays_samples``
+    that are not one integer per speaker raise ValueError naming the
+    manifest.
     """
     path = Path(directory) / SCENE_MANIFEST
     if not path.is_file():
         raise NoScenesError(f"no scene manifest at {path}")
     spec_keys = [f.name for f in fields(SceneSpec) if f.name != "speaker_gains_db"]
     manifest = read_manifest(path, SCENE_FORMAT_VERSION, spec_keys)
-    spec = config_from_dict(SceneSpec, manifest)
+    try:
+        spec = config_from_dict(SceneSpec, manifest)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     files = manifest.get("files")
     if not isinstance(files, dict) or not all(
         isinstance(name, str) for name in files.values()
@@ -335,6 +363,20 @@ def load_scene(directory) -> Scene:
         raise ValueError(
             f"{path}: rir_direct_delays_samples must list {count} delays as integers"
         )
+    return path, manifest, spec
+
+
+def load_scene(directory) -> Scene:
+    """Load a scene directory written by :func:`save_scene` (or externally).
+
+    The manifest is read by :func:`read_scene_manifest`, and its ``files``
+    object names each component's WAV.  The noise and every direct-path
+    and image component must have as many samples as the mixture.
+    """
+    path, manifest, spec = read_scene_manifest(directory)
+    files = manifest["files"]
+    count = spec.num_speakers
+    delays = manifest.get("rir_direct_delays_samples")
 
     def component(name: str, length: int | None = None) -> np.ndarray:
         if name not in files:

@@ -326,6 +326,44 @@ class TestSeparate:
         assert (len(separated), len(staged)) == (0, 0)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                {"sample_rate_hz": 16000},
+                "scene sample rate 16000 Hz does not match the stft_dnn sample "
+                "rate 8000 Hz",
+            ),
+            (
+                {"num_speakers": 9, "rir_direct_delays_samples": None},
+                "9 speakers exceeds the enumeration cap of 8",
+            ),
+            ({"seed": None}, "missing required key(s) seed"),
+            (
+                {"num_speakers": 0, "rir_direct_delays_samples": None},
+                "num_speakers must be >= 1",
+            ),
+        ],
+        ids=["rate", "speakers", "missing_key", "bad_value"],
+    )
+    def test_a_bad_later_scene_fails_the_batch_before_its_first_scene(
+        self, tmp_path, capsys, monkeypatch, fault, message
+    ):
+        # The second of three manifests; None deletes the key.
+        assert _simulate(tmp_path / "scenes", count=3, duration=0.5) == 0
+        path = tmp_path / "scenes" / "scene_0002" / "scene.json"
+        manifest = {**read_json(path), **fault}
+        write_json(path, {k: v for k, v in manifest.items() if v is not None})
+        separated = count_calls(monkeypatch, cxfilter.pipeline, "oracle_separate")
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "essu",
+                "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+        assert separated == []
+        assert not out.exists()
+
     def test_external_estimates_at_another_rate_are_exit_5(self, tmp_path, capsys):
         # A 1 s, 8 kHz, 2-speaker scene answered by estimates with as many
         # samples, declared and written at 16 kHz.

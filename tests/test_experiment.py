@@ -543,6 +543,16 @@ class TestSweep:
         assert stage_calls == []
         assert not (tmp_path / "out").exists()
 
+    def test_every_scene_is_checked_before_any_is_rendered(
+        self, tmp_path, monkeypatch
+    ):
+        config = _tiny_config(fcp_mode="fcp", scene=_tiny_ranges(num_speakers=9))
+        rendered = count_calls(monkeypatch, experiment, "simulate_scene")
+        with pytest.raises(ValueError, match="scene_0001: scene: 9 speakers"):
+            run_sweep(config, "taps", [2], tmp_path / "out")
+        assert rendered == []
+        assert not (tmp_path / "out").exists()
+
     def test_empty_value_list_is_rejected_before_any_write(self, tmp_path):
         config = _tiny_config(fcp_mode="fcp", fcp=FcpConfig(taps=2))
         with pytest.raises(ValueError, match="sweep needs at least one value"):

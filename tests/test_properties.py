@@ -1,8 +1,10 @@
 """Property tests over drawn shapes: the FCP fit and its drivers, the
 prediction stage under a relabelling of the speakers, exact recovery of
 a known filter, the STFT round trip, the scale invariance
-of SI-SDR, batch output bytes that do not depend on ``jobs``, and the
-config codec's round trip and its rejection of a wrongly typed field.
+of SI-SDR, a whole-chain report that a power-of-two gain on every
+scene signal leaves bit-identical, batch output bytes that do not depend
+on ``jobs``, and the config codec's round trip and its rejection of a
+wrongly typed field.
 
 Spectrograms come from a drawn seed, with silent bins, silent frames and
 negative zeros mixed in; the shapes cross the fit's 8-bin and 512-frame
@@ -28,6 +30,7 @@ from cxfilter import (
     SEPARATOR_STFT,
     ComplexSpectrogram,
     FcpConfig,
+    Scene,
     SceneSpec,
     StftConfig,
     apply_filter,
@@ -36,6 +39,7 @@ from cxfilter import (
     fcp_separate,
     istft,
     si_sdr,
+    simulate_scene,
     stft,
 )
 from cxfilter.experiment import (
@@ -52,6 +56,7 @@ from cxfilter.pipeline import (
     DegradationSpec,
     SeparatorOutput,
     run_fcp_stage,
+    run_pipeline,
 )
 from conftest import naive_istft, tree_bytes
 
@@ -229,6 +234,43 @@ def test_si_sdr_ignores_the_estimate_scale(seed, length, exponent, negative):
     est = ref + 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(length)
     scale = (-1.0 if negative else 1.0) * 10.0**exponent
     assert abs(si_sdr(scale * est, ref) - si_sdr(est, ref)) <= 1e-9
+
+
+@settings(max_examples=3)
+@given(
+    speakers=st.integers(1, 3),
+    duration=st.floats(0.5, 1.0),
+    seed=seeds,
+    exponent=st.integers(-30, 30).filter(bool),
+)
+@pytest.mark.parametrize("degraded", [False, True], ids=["oracle", "degraded"])
+@pytest.mark.parametrize("fcp_mode", FCP_MODES)
+def test_power_of_two_gain_leaves_the_report_bit_identical(
+    fcp_mode, degraded, speakers, duration, seed, exponent
+):
+    # A power-of-two gain is exact in floating point, and every step is
+    # homogeneous in the signals (the STFT, the weight floor, the trace-
+    # scaled loading, noise at an SNR, SI-SDR), so no score moves a bit.
+    scene = simulate_scene(
+        SceneSpec(num_speakers=speakers, duration_s=duration, seed=seed)
+    )
+    gain = 2.0**exponent
+    scaled = Scene(
+        scene.mixture * gain,
+        [s * gain for s in scene.direct_path],
+        [s * gain for s in scene.reverberant_image],
+        scene.noise * gain,
+        scene.spec,
+        scene.rirs,
+    )
+    degradation = DegradationSpec("combined", 10.0, 0.2) if degraded else None
+    config = ExperimentConfig(
+        fcp_mode=fcp_mode,
+        degradation=degradation or DegradationSpec(),
+        quantiles=(0.1, 0.5, 1.0),
+    )
+    reports = [run_pipeline(s, config)[1].to_dict() for s in (scene, scaled)]
+    assert repr(reports[0]) == repr(reports[1])
 
 
 @settings(max_examples=6)

@@ -1,4 +1,5 @@
-"""Scene synthesis: RIR model, mixture accounting, serialization."""
+"""Scene synthesis: RIR model, convolution, mixture accounting,
+serialization."""
 
 import json
 import math
@@ -6,7 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
+from scipy.signal import fftconvolve
 
 from cxfilter import (
     Scene,
@@ -19,6 +24,7 @@ from cxfilter import (
     synthesize_dry_sources,
 )
 from cxfilter.io import config_from_dict, config_to_dict, write_wav
+from cxfilter.scenes import _fftconvolve, _smooth_length
 
 
 def tail_energy(rir):
@@ -76,6 +82,57 @@ class TestGenerateRir:
     def test_infinite_t60_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             generate_rir(math.inf, 0, 0.0, np.random.default_rng(0))
+
+
+def _primes(limit: int) -> list:
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+# Full convolution lengths up to a 10 s scene plus a long tail: 1, primes,
+# 5-smooth lengths (transformed as they are) and one more (the next
+# 5-smooth length is the farthest above), and anything between.
+_LONGEST = 100_000
+_SMOOTH = sorted(
+    2**i * 3**j * 5**k
+    for i in range(17)
+    for j in range(11)
+    for k in range(8)
+    if 2**i * 3**j * 5**k <= _LONGEST
+)
+_FULL_LENGTHS = st.one_of(
+    st.just(1),
+    st.sampled_from(_primes(_LONGEST)),
+    st.sampled_from(_SMOOTH),
+    st.sampled_from(_SMOOTH[:-1]).map(lambda n: n + 1),
+    st.integers(1, _LONGEST),
+)
+
+
+class TestConvolutionOracle:
+    """Scene rendering's convolution against ``scipy.signal.fftconvolve``."""
+
+    def test_length_is_next_fast_len(self):
+        lengths = [*range(1, 30_001), *_SMOOTH, *(n + 1 for n in _SMOOTH), 480_007]
+        assert [_smooth_length(n) for n in lengths] == [
+            next_fast_len(n, real=True) for n in lengths
+        ]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(full=_FULL_LENGTHS, split=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_fftconvolve_bits_are_scipys(self, full, split, seed):
+        # a.size + b.size - 1 == full, with either side as short as 1.
+        size = 1 + round(split * (full - 1))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(size)
+        b = rng.standard_normal(full + 1 - size)
+        got, want = _fftconvolve(a, b), fftconvolve(a, b)
+        assert got.shape == want.shape == (full,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRenderScene:

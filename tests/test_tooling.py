@@ -1,5 +1,5 @@
 """The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And seven source rules:
+as a failure, and the tests after it still run.  And eight source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
 directory codec every other module goes through, the speaker cap
@@ -7,11 +7,13 @@ directory codec every other module goes through, the speaker cap
 permutation search it bounds, the fitting order is decided only in
 :mod:`cxfilter.fcp`, the one module that names ``energy_sort``, no
 module has a ``global`` statement or sets an attribute of a module it
-imports, importing :mod:`cxfilter.cli` loads no scipy module and a
-``separate`` batch after it imports no further module, and a
+imports, scipy is imported only by the solve where numpy bundles no
+OpenBLAS, importing :mod:`cxfilter.cli` loads no scipy module, nor does
+a ``simulate``, a generated ``separate`` or a ``sweep`` run, and a
+``separate`` batch after the import loads no further module, and a
 ``CliError`` is built only where an exit code differs from what
-``cli.main`` maps an exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
-prints a finite slope."""
+``cli.main`` maps an exception type to.  A smoke run of
+``tools/peak_rss.py`` checks that it prints a finite slope."""
 
 import ast
 import importlib.util
@@ -24,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from cxfilter.cli import main
+from cxfilter.fcp import openblas
+from cxfilter.io import write_json
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "cxfilter"
@@ -237,21 +241,45 @@ ALLOWED_CLI_ERRORS = {
 }
 
 
-def _cli_errors(node, scope=None):
-    """(enclosing function, code) of every ``CliError(...)`` under a node;
-    a method reads ``Class.method``."""
+def _scoped_nodes(node, scope=None):
+    """(enclosing function, node) of every node under a node; a method
+    reads ``Class.method``."""
     for child in ast.iter_child_nodes(node):
+        yield scope, child
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = child.name if scope is None else f"{scope}.{child.name}"
-        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "CliError":
-            yield scope, ast.unparse(child.args[0]) if child.args else None
-        yield from _cli_errors(child, inner)
+        yield from _scoped_nodes(child, inner)
 
 
 def test_cli_errors_are_built_only_where_main_maps_otherwise():
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    assert set(_cli_errors(tree)) == ALLOWED_CLI_ERRORS
+    found = {
+        (scope, ast.unparse(node.args[0]) if node.args else None)
+        for scope, node in _scoped_nodes(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CliError"
+    }
+    assert found == ALLOWED_CLI_ERRORS
+
+
+def _imported_roots(node) -> list:
+    """The top-level packages an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def test_scipy_is_imported_only_by_the_solve_fallback():
+    # numpy's FFT renders scenes and numpy's bundled OpenBLAS solves; scipy
+    # runs only the solve on a numpy built on another BLAS.
+    found = sorted(
+        (path.name, scope)
+        for path in PACKAGE.glob("*.py")
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+        if "scipy" in _imported_roots(node)
+    )
+    assert found == [("fcp.py", "cho_factor"), ("fcp.py", "cho_solve")]
 
 
 def _fresh_python(code: str, cwd=None) -> str:
@@ -269,15 +297,39 @@ def _fresh_python(code: str, cwd=None) -> str:
     return run.stdout
 
 
+SCIPY_MODULES = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
+
 def test_cli_import_leaves_lazy_scipy_modules_unloaded():
-    # scipy is imported only inside the functions that use it (simulate's
-    # fftconvolve, and the solve where numpy bundles no OpenBLAS): it
-    # takes longer to import than cxfilter.cli does without it.
+    # scipy is imported only inside the solve where numpy bundles no
+    # OpenBLAS: it takes longer to import than cxfilter.cli does without it.
+    assert _fresh_python("import sys, cxfilter.cli; " + SCIPY_MODULES) == "[]\n"
+
+
+# One 0.5 s scene, generated, for the batch runs.
+SHORT_BATCH = {"num_scenes": 1, "scene": {"duration_s": 0.5}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--out", "out", "--count", "1", "--duration", "0.5"],
+        ["separate", "--out", "out", "--config", "short.json", "--fcp", "essu",
+         "--jobs", "1"],
+        ["sweep", "--out", "out", "--config", "short.json", "--axis", "taps",
+         "--values", "2,3", "--jobs", "1"],
+    ],
+    ids=["simulate", "separate", "sweep"],
+)
+def test_runs_load_no_scipy(tmp_path, argv):
+    if argv[0] != "simulate" and openblas() is None:
+        pytest.skip("the FCP solve imports scipy where numpy bundles no OpenBLAS")
+    write_json(tmp_path / "short.json", SHORT_BATCH)
     code = (
-        "import sys, cxfilter.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        f"import sys, cxfilter.cli; assert cxfilter.cli.main({argv!r}) == 0; "
+        + SCIPY_MODULES
     )
-    assert _fresh_python(code) == "[]\n"
+    assert _fresh_python(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("fcp", ["off", "essu"])
