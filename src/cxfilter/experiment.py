@@ -246,18 +246,20 @@ def _scene_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
 def _checked_jobs(config: ExperimentConfig, scenes_dir=None) -> list:
     """:func:`_scene_jobs`, each checked by
     :func:`~cxfilter.pipeline.check_scene_spec` before any scene runs: a
-    drawn spec as it is, a directory's spec from its manifest alone
-    (:func:`~cxfilter.scenes.read_scene_manifest`).  A fault raises
-    ValueError naming the scene or its manifest."""
+    drawn spec as it is, a directory's spec and component list from its
+    manifest alone (:func:`~cxfilter.scenes.read_scene_manifest`).  A
+    fault raises ValueError naming the scene or its manifest, or, for a
+    component the manifest does not list, FileNotFoundError."""
     jobs = _scene_jobs(config, scenes_dir)
+    check = functools.partial(check_scene_spec, config=config)
     for key, source in jobs:
-        where, spec = key, source
         if not isinstance(source, SceneSpec):
-            where, _, spec = read_scene_manifest(source)
+            read_scene_manifest(source, check)
+            continue
         try:
-            check_scene_spec(spec, config)
+            check(source)
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
+            raise ValueError(f"{key}: {err}") from None
     return jobs
 
 

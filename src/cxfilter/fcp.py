@@ -31,11 +31,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cxfilter.stft import FILTER_STFT, ComplexSpectrogram, StftConfig, _check_same_grid
 
 
-# Tile of the Gram accumulation, in bins x frames.  One tile's regressor
-# (8 x 40 taps x 512 frames of complex128, 2.5 MiB) stays in cache, and
-# the fit's working memory beyond its (frames, bins) weights does not
-# grow with the signal length.  The filter apply walks the same bin
-# blocks.
+# Tiles of the Gram accumulation.  A fit thread takes _BIN_BLOCK bins at
+# a time, with their weights, and walks them _FRAME_BLOCK frames at a
+# time, one bin per product: one bin's weighted tile and its conjugate
+# (40 taps x 512 frames of complex128, 0.3 MiB each) stay in cache, and
+# the fit's working memory does not grow with the signal length.  The
+# filter apply walks the same bin blocks.
 _BIN_BLOCK = 8
 _FRAME_BLOCK = 512
 
@@ -90,17 +91,38 @@ def _tap_stack(data: np.ndarray, taps: int) -> np.ndarray:
     return sliding_window_view(padded, frames, axis=1)[:, ::-1]
 
 
-def _weights(target: np.ndarray, config: FcpConfig) -> np.ndarray:
-    """Per-unit weight denominators: eps * max(|target|^2) + |target|^2.
+def _power(target: np.ndarray) -> np.ndarray:
+    """``|target|^2`` of a ``(frames, bins)`` array, as one new
+    ``(bins, frames)`` array squared in place."""
+    power = np.abs(target.T, order="C")
+    return np.square(power, out=power)
 
-    Built in place in one (frames, bins) array.
+
+def _weight_floor(target: np.ndarray, config: FcpConfig) -> np.ndarray:
+    """The weight floor of each bin, ``eps * max(|target|^2)``: the max
+    over all units, or over the bin's own frames under ``per_freq_floor``.
+
+    Taken as the max of each bin block's maxima, which a max keeps exact,
+    so no ``(frames, bins)`` temporary is made.
     """
-    w = np.abs(target)
-    np.square(w, out=w)
-    if config.per_freq_floor:
-        w += config.epsilon * w.max(axis=0, keepdims=True)
-    else:
-        w += config.epsilon * w.max()
+    bins = target.shape[1]
+    peaks = np.concatenate(
+        [_power(target[:, f0 : f0 + _BIN_BLOCK]).max(axis=1)
+         for f0 in range(0, bins, _BIN_BLOCK)]
+    )
+    if not config.per_freq_floor:
+        peaks = np.full_like(peaks, peaks.max())
+    return config.epsilon * peaks
+
+
+def _weights(target: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per-unit weight denominators ``floor + |target|^2`` of a
+    ``(frames, bins)`` block, with ``floor`` one value per bin.
+
+    Built in place in one ``(bins, frames)`` array.
+    """
+    w = _power(target)
+    w += floor[:, None]
     # A weight of zero only happens where the floored target region is
     # entirely silent; unit weight there keeps the solve finite and the
     # zero cross vector already forces a zero filter.  NaN maps to 1 too.
@@ -236,18 +258,19 @@ def estimate_fcp_filter(
     loading.  Frequencies where ``s_hat`` is identically zero yield a
     zero filter row rather than an error.
 
-    The Gram ``R[f] = sum_t stack stack^H / w`` and cross term ``p[f] =
-    sum_t stack conj(target) / w`` are accumulated over tiles of
-    ``_BIN_BLOCK`` bins by ``_FRAME_BLOCK`` frames, as ``R += X_w X^H``
-    and ``p += X_w target^H`` with ``X_w = X * (1/w)``.  Each bin block is
-    fitted whole on one thread (accumulated, made Hermitian, loaded on
-    its diagonal and solved bin by bin), writing only its own filter
-    rows; the blocks run on ``threads`` threads (at 1 the caller runs
-    every block) with the same bits at any count, and a ``threads`` that
-    is not an int >= 1 raises ValueError.  Beyond the ``(frames, bins)``
-    weights and the filters, memory per fit thread is one block's input
-    rows, its Gram and two tiles (about 5 MiB at 40 taps), whatever the
-    number of frames.
+    The floor of ``w`` is taken first, over every bin.  Then the Gram
+    ``R[f] = sum_t stack stack^H / w`` and cross term ``p[f] = sum_t
+    stack conj(target) / w`` are accumulated over blocks of ``_BIN_BLOCK``
+    bins, each walked ``_FRAME_BLOCK`` frames at a time and bin by bin,
+    as ``R += X_w X^H`` and ``p += X_w target^H`` with ``X_w = X * (1/w)``.
+    Each bin block is fitted whole on one thread (its weights built,
+    accumulated, made Hermitian, loaded on its diagonal and solved bin
+    by bin), writing only its own filter rows; the blocks run on
+    ``threads`` threads (at 1 the caller runs every block) with the same
+    bits at any count, and a ``threads`` that is not an int >= 1 raises
+    ValueError.  Beyond the filters, memory per fit thread is one
+    block's input rows, weights and Gram and one bin's two tiles (about
+    0.7 MiB at 40 taps), whatever the number of frames.
 
     Returns
     -------
@@ -259,8 +282,7 @@ def estimate_fcp_filter(
     _check_same_grid(target, s_hat, "estimate_fcp_filter")
     taps = config.taps
     z = target.data
-    w = _weights(z, config)
-    recip = np.reciprocal(w, out=w)
+    floor = _weight_floor(z, config)
     frames, bins = z.shape
 
     filters = np.zeros((bins, taps), dtype=np.complex128)
@@ -271,16 +293,20 @@ def estimate_fcp_filter(
         gram = np.zeros((f1 - f0, taps, taps), dtype=np.complex128)
         cross = np.zeros((f1 - f0, taps), dtype=np.complex128)
         regress = _tap_stack(s_hat.data[:, f0:f1], taps)
-        recip_blk = recip[:, f0:f1].T
+        recip = _weights(z[:, f0:f1], floor[f0:f1])
+        np.reciprocal(recip, out=recip)
         z_blk = z[:, f0:f1].T.conj()
         for t0 in range(0, frames, _FRAME_BLOCK):
             t = slice(t0, t0 + _FRAME_BLOCK)
-            x = regress[:, :, t]
-            # X times 1/w matches X / (w + 0j) but for a zero's sign, and
-            # the sums start at +0, so the Gram and cross keep their bits.
-            xw = x * recip_blk[:, None, t]
-            gram += xw @ x.conj().transpose(0, 2, 1)
-            cross += (xw @ z_blk[:, t, None])[:, :, 0]
+            for b in range(f1 - f0):
+                # Each product is one bin's zgemm, as in a stacked matmul
+                # over the block.  X times 1/w matches X / (w + 0j) but
+                # for a zero's sign, and the sums start at +0, so the Gram
+                # and cross keep their bits.
+                x = regress[b, :, t]
+                xw = x * recip[b, t]
+                gram[b] += xw @ x.conj().T
+                cross[b] += (xw @ z_blk[b, t, None])[:, 0]
         gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
         trace = np.einsum("fkk->f", gram).real
         diag = np.einsum("fkk->fk", gram)
@@ -298,7 +324,7 @@ def estimate_fcp_filter(
 
 
 def apply_filter(
-    filters: np.ndarray, s_hat: ComplexSpectrogram
+    filters: np.ndarray, s_hat: ComplexSpectrogram, out: np.ndarray | None = None
 ) -> ComplexSpectrogram:
     """Convolve the per-frequency filters with the stacked direct estimate.
 
@@ -306,6 +332,10 @@ def apply_filter(
     zero-prefix taps, i.e. a per-frequency FIR along the frame axis.
     The output is filled one ``_BIN_BLOCK`` of bins at a time, so memory
     beyond it is one block's padded input, whatever the number of bins.
+    It is written to ``out`` if given, an array of ``s_hat``'s shape and
+    the result's dtype, which may be ``s_hat.data`` itself: each block's
+    input is copied into its tap stack before the block's columns are
+    written, with the same bits.
     """
     filters = np.asarray(filters)
     if filters.ndim != 2 or filters.shape[0] != s_hat.bins:
@@ -315,7 +345,13 @@ def apply_filter(
         )
     taps = filters.shape[1]
     g = filters.conj()[:, None, :]
-    out = np.empty(s_hat.data.shape, dtype=np.result_type(g, s_hat.data))
+    dtype = np.result_type(g, s_hat.data)
+    if out is None:
+        out = np.empty(s_hat.data.shape, dtype=dtype)
+    elif out.shape != s_hat.data.shape or out.dtype != dtype:
+        raise ValueError(
+            f"out is {out.dtype} {out.shape}, not {dtype} {s_hat.data.shape}"
+        )
     for f0 in range(0, s_hat.bins, _BIN_BLOCK):
         f = slice(f0, f0 + _BIN_BLOCK)
         out[:, f] = (g[f] @ _tap_stack(s_hat.data[:, f], taps))[:, 0, :].T
@@ -327,27 +363,34 @@ def fcp_loop(
 ) -> None:
     """The one prediction loop over speakers ``0 .. count - 1``.
 
-    Speaker ``c``'s direct estimate ``s_hat_of(c)`` is fitted against
-    ``target``, and the fitted filter applied to it is the image that
-    goes to ``leave(c, image)`` at once.  Without ``essu`` the speakers
+    Speaker ``c``'s direct estimate ``s_hat_of(c)``, a spectrogram the
+    loop is handed and may write, is fitted against ``target``, and the
+    fitted filter applied to it, written over it, is the image that goes
+    to ``leave(c, image)`` at once.  Without ``essu`` the speakers
     are fitted in index order and ``target`` is only read.  With
     ``essu`` they are fitted in :func:`energy_sort` order (the fitting
     order), ``target`` enters as the mixture and each image but the last
     is subtracted from it in place, so each target is the mixture minus
-    the images fitted before it.  One direct estimate and one image are
-    alive at a time; under ESSU each direct estimate is taken twice, for
-    the sort and for its fit.  Each filter is fitted on ``threads``
-    threads.
+    the images fitted before it.  One direct estimate, which becomes its
+    image, is alive at a time; under ESSU each direct estimate is taken
+    twice, for the sort (only read) and for its fit.  Each filter is
+    fitted on ``threads`` threads.
     """
     order = energy_sort(map(s_hat_of, range(count))) if essu else range(count)
     for step, c in enumerate(order):
         s_hat = s_hat_of(c)
-        image = apply_filter(estimate_fcp_filter(target, s_hat, config, threads), s_hat)
+        image = apply_filter(
+            estimate_fcp_filter(target, s_hat, config, threads), s_hat, out=s_hat.data
+        )
         del s_hat  # not alive while the next speaker is fitted
         if essu and step < count - 1:
             target.data -= image.data
         leave(c, image)
         del image
+
+
+def _copy(spec: ComplexSpectrogram) -> ComplexSpectrogram:
+    return ComplexSpectrogram(spec.data.copy(), spec.config)
 
 
 def fcp_separate(
@@ -359,13 +402,15 @@ def fcp_separate(
     applied to that speaker's direct-path estimate; speakers do not
     interact, so the outputs are invariant to their ordering.  Returns
     the predicted images in speaker order.  Runs :func:`fcp_loop`
-    without ``essu``.
+    without ``essu`` on a copy of each estimate, so the arguments are not
+    written.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_separate needs at least one speaker estimate")
     images = [None] * len(s_hats)
     leave = images.__setitem__
-    fcp_loop(mixture_spec, s_hats.__getitem__, len(s_hats), config, leave, essu=False)
+    s_hat_of = lambda c: _copy(s_hats[c])
+    fcp_loop(mixture_spec, s_hat_of, len(s_hats), config, leave, essu=False)
     return images
 
 
@@ -403,15 +448,15 @@ def fcp_essu_separate(
     distinct energies permutes the images bit for bit.  Returns the
     predicted images in speaker order.
 
-    Runs :func:`fcp_loop` with ``essu`` on one copy of the mixture, so
-    the arguments are not written.
+    Runs :func:`fcp_loop` with ``essu`` on a copy of the mixture and of
+    each estimate, so the arguments are not written.
     """
     if len(s_hats) == 0:
         raise ValueError("fcp_essu_separate needs at least one speaker estimate")
     for s_hat in s_hats:
         _check_same_grid(mixture_spec, s_hat, "fcp_essu_separate")
     images = [None] * len(s_hats)
-    residual = ComplexSpectrogram(mixture_spec.data.copy(), mixture_spec.config)
     leave = images.__setitem__
-    fcp_loop(residual, s_hats.__getitem__, len(s_hats), config, leave, essu=True)
+    s_hat_of = lambda c: _copy(s_hats[c])
+    fcp_loop(_copy(mixture_spec), s_hat_of, len(s_hats), config, leave, essu=True)
     return images

@@ -205,10 +205,11 @@ def run_fcp_stage(
     of each image, with fewer prediction-grid spectrograms alive at once.
     The stage runs the one prediction loop, :func:`~cxfilter.fcp.fcp_loop`,
     which converts each direct estimate when it needs it (under ESSU
-    twice: for the fitting order, then for the fit).  The one
-    prediction-grid mixture is its target, under ESSU the residual
-    written in place, and each image is converted back as soon as it is
-    fitted.
+    twice: for the fitting order, then for the fit) and writes its image
+    over it; on one grid it is handed a copy, so the separator's
+    estimates are not written.  The one prediction-grid mixture is its
+    target, under ESSU the residual written in place, and each image is
+    converted back as soon as it is fitted.
     """
     if config.fcp_mode == "off":
         raise ValueError("fcp_mode 'off' has no prediction stage")
@@ -226,7 +227,10 @@ def run_fcp_stage(
         )
 
     def s_hat_of(c):
-        return convert_config(directs[c], grid, n)
+        s_hat = convert_config(directs[c], grid, n)
+        if s_hat is directs[c]:
+            return ComplexSpectrogram(s_hat.data.copy(), grid)
+        return s_hat
 
     images = [None] * len(directs)
 
@@ -440,7 +444,6 @@ def predict(
     current = oracle_separate(scene, config.degradation, config.stft_dnn)
     stack = None
     if config.fcp_mode != "off":
-        mixture_spec = stft(scene.mixture, config.stft_dnn)
         for iteration in range(1, config.iterations + 1):
             if stack is not None:
                 current = _refine(stack, current, config, iteration - 1)
@@ -448,6 +451,8 @@ def predict(
             # that the images are predicted from.
             if stack is None or config.refinement == "external":
                 images = run_fcp_stage(scene.mixture, current, config, threads)
+            if stack is None:  # not alive during the first stage
+                mixture_spec = stft(scene.mixture, config.stft_dnn)
             stack = FeatureStack(
                 mixture=mixture_spec,
                 stage1_direct=list(current.direct_estimates),

@@ -11,6 +11,7 @@ in place of generated ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -329,15 +330,17 @@ def save_scene(scene: Scene, directory) -> Path:
     return write_wav_dir(directory, SCENE_MANIFEST, manifest, wavs, rate)
 
 
-def read_scene_manifest(directory) -> tuple[Path, dict, SceneSpec]:
+def read_scene_manifest(directory, check=None) -> tuple[Path, dict, SceneSpec]:
     """The manifest path, the manifest and the :class:`SceneSpec` of a
     scene directory, read with every check that needs no WAV.
 
     A directory without a manifest raises :class:`NoScenesError`.  An
-    unsupported version, a missing or invalid spec value, a ``files``
-    that is not an object of WAV names, or ``rir_direct_delays_samples``
-    that are not one integer per speaker raise ValueError naming the
-    manifest.
+    unsupported version, a missing or invalid spec value, a ValueError
+    from ``check(spec)`` if ``check`` is given, a ``files`` that is not an
+    object of WAV names, or ``rir_direct_delays_samples`` that are not
+    one integer per speaker raise ValueError naming the manifest.  Then a
+    ``files`` that lists no mixture, noise, or direct-path or image
+    component of a speaker raises FileNotFoundError naming it.
     """
     path = Path(directory) / SCENE_MANIFEST
     if not path.is_file():
@@ -346,6 +349,8 @@ def read_scene_manifest(directory) -> tuple[Path, dict, SceneSpec]:
     manifest = read_manifest(path, SCENE_FORMAT_VERSION, spec_keys)
     try:
         spec = config_from_dict(SceneSpec, manifest)
+        if check is not None:
+            check(spec)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     files = manifest.get("files")
@@ -363,6 +368,12 @@ def read_scene_manifest(directory) -> tuple[Path, dict, SceneSpec]:
         raise ValueError(
             f"{path}: rir_direct_delays_samples must list {count} delays as integers"
         )
+    # Named one at a time: a huge speaker count stops at its first miss.
+    speakers = range(1, count + 1)
+    names = (f"s{c}_{kind}" for kind in ("direct", "image") for c in speakers)
+    for name in itertools.chain(["mixture", "noise"], names):
+        if name not in files:
+            raise FileNotFoundError(f"{path}: lists no '{name}' component")
     return path, manifest, spec
 
 
@@ -379,8 +390,6 @@ def load_scene(directory) -> Scene:
     delays = manifest.get("rir_direct_delays_samples")
 
     def component(name: str, length: int | None = None) -> np.ndarray:
-        if name not in files:
-            raise FileNotFoundError(f"scene manifest lists no '{name}' component")
         return read_listed_wav(path, files[name], spec.sample_rate_hz, length)
 
     mixture = component("mixture")

@@ -89,12 +89,19 @@ SEPARATOR_STFT = StftConfig(256, 64, 256, 8000)
 FILTER_STFT = StftConfig(1024, 64, 1024, 8000)
 
 
-# Frames per tile of :func:`stft` and :func:`istft`.  Each rfft row and
-# each irfft row is computed on its own, and the overlap-add keeps adding
-# frames in increasing order, so tiling keeps the bits of a whole-array
-# transform while its temporaries stay one tile long (4 MiB on the
-# 1024-point grid), whatever the length of the signal.
-_TILE_FRAMES = 512
+# Bytes of one tile's frames in :func:`stft` and :func:`istft`: 512
+# frames on the 256-point grid, 128 on the 1024-point grid
+# (:func:`_tile_frames`).  Each rfft row and each irfft row is computed
+# on its own, and the overlap-add keeps adding frames in increasing
+# order, so tiling keeps the bits of a whole-array transform while its
+# temporaries stay one tile long, whatever the length of the signal.
+_TILE_BYTES = 2**20
+
+
+def _tile_frames(config: StftConfig) -> int:
+    """Frames per tile: as many float64 frames of ``dft_size`` samples as
+    fill :data:`_TILE_BYTES`, and at least one."""
+    return max(1, _TILE_BYTES // (8 * config.dft_size))
 
 
 @functools.lru_cache(maxsize=8)
@@ -182,9 +189,11 @@ def stft(signal, config: StftConfig) -> ComplexSpectrogram:
 
     frames = sliding_window_view(buf, w)[::h]  # (num_frames, w), zero-copy
     spec = np.empty((num_frames, config.bins), dtype=np.complex128)
-    for t0 in range(0, num_frames, _TILE_FRAMES):
-        t = slice(t0, t0 + _TILE_FRAMES)
+    tile = _tile_frames(config)
+    for t0 in range(0, num_frames, tile):
+        t = slice(t0, t0 + tile)
         np.fft.rfft(frames[t] * _sqrt_hann(w), n=config.dft_size, axis=1, out=spec[t])
+    del frames, buf  # not alive while the spectrogram's values are checked
     return ComplexSpectrogram(spec, config)
 
 
@@ -194,7 +203,7 @@ def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndar
     Square-root Hann synthesis windowing followed by division by the
     constant overlap-add gain makes ``istft(stft(x))`` reproduce ``x``
     to numerical precision.  The frames are inverted and overlap-added
-    in tiles of :data:`_TILE_FRAMES`, in hop-sized slices rather than one
+    in tiles of :func:`_tile_frames`, in hop-sized slices rather than one
     frame at a time, with each output sample summed in the same frame
     order, so the result is bit-identical to a per-frame loop's.
 
@@ -223,8 +232,9 @@ def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndar
     # first, gives every sample its frames in increasing frame order, the
     # order of a per-frame overlap-add.
     blocks = np.zeros((spec.frames - 1 + w // h, h))
-    for t0 in range(0, spec.frames, _TILE_FRAMES):
-        tile = spec.data[t0 : t0 + _TILE_FRAMES]
+    step = _tile_frames(cfg)
+    for t0 in range(0, spec.frames, step):
+        tile = spec.data[t0 : t0 + step]
         segments = np.fft.irfft(tile, n=cfg.dft_size, axis=1)[:, :w]
         segments *= _sqrt_hann(w)
         segments = segments.reshape(len(tile), w // h, h)

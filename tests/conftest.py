@@ -106,11 +106,12 @@ def mono_scene():
 def divided_tile_fcp_filter(target, s_hat, config) -> np.ndarray:
     """Reference copy of the tiled FCP fit that divides each tile by the weights.
 
-    Same tiles (8 bins x 512 frames), same BLAS products and the same
-    per-bin solve as the kernel, but ``X_w = X / w`` by complex division,
-    so a kernel that scales the tiles another way can be held to the same
-    bits.  Not an independent oracle: ``naive_fcp_filter`` in
-    ``test_fcp.py`` is.
+    Same tiles (8 bins x 512 frames) and the same per-bin solve as the
+    kernel, but whole-array weights, ``X_w = X / w`` by complex division
+    and one stacked matmul per 8-bin tile, so a kernel that builds its
+    weights, scales the tiles or splits the products another way can be
+    held to the same bits.  Not an independent oracle:
+    ``naive_fcp_filter`` in ``test_fcp.py`` is.
     """
     from numpy.lib.stride_tricks import sliding_window_view
     from scipy.linalg import LinAlgError, cho_factor, cho_solve

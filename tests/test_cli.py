@@ -364,6 +364,24 @@ class TestSeparate:
         assert separated == []
         assert not out.exists()
 
+    def test_a_later_scene_without_a_component_fails_before_the_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The second of three manifests lists no s1_image.
+        assert _simulate(tmp_path / "scenes", count=3, duration=0.5) == 0
+        path = tmp_path / "scenes" / "scene_0002" / "scene.json"
+        manifest = read_json(path)
+        del manifest["files"]["s1_image"]
+        write_json(path, manifest)
+        separated = count_calls(monkeypatch, cxfilter.pipeline, "oracle_separate")
+        out = tmp_path / "out"
+        argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "essu",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{path}: lists no 's1_image' component" in capsys.readouterr().err
+        assert separated == []
+        assert not out.exists()
+
     def test_external_estimates_at_another_rate_are_exit_5(self, tmp_path, capsys):
         # A 1 s, 8 kHz, 2-speaker scene answered by estimates with as many
         # samples, declared and written at 16 kHz.

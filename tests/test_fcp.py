@@ -389,8 +389,12 @@ class TestKernelBits:
                 taps, floor, threads,
                 id=f"{taps}-{floor}" + (f"-{threads}threads" if threads > 1 else ""),
             )
-            for taps, floor in [(1, False), (6, False), (6, True)]
-            for threads in (1, 2, 3, 8)
+            # 40 taps is the default filter length.
+            for taps, floor, counts in [
+                (1, False, (1, 2, 3, 8)), (6, False, (1, 2, 3, 8)),
+                (6, True, (1, 2, 3, 8)), (40, False, (1, 2, 3)),
+            ]
+            for threads in counts
         ],
     )
     def test_fit_equals_divided_tile_reference(
@@ -423,6 +427,26 @@ class TestKernelBits:
         want = np.einsum("fat,fa->tf", stack, g.conj())
         assert np.array_equal(got, want)
         assert _same_bits(got, want)
+
+    def test_apply_over_its_input_keeps_the_bits(self, rng):
+        _, s_hat = _signed_zero_inputs(rng)
+        g = rng.standard_normal((GRID64.bins, 6)) + 1j * rng.standard_normal(
+            (GRID64.bins, 6)
+        )
+        g.real[::4] = -0.0
+        want = apply_filter(g, s_hat).data
+        image = apply_filter(g, s_hat, out=s_hat.data)
+        assert image.data is s_hat.data
+        assert _same_bits(image.data, want)
+
+    @pytest.mark.parametrize(
+        "shape, dtype", [((600, 32), complex), ((33, 600), complex), ((600, 33), float)]
+    )
+    def test_apply_rejects_an_output_off_its_input(self, rng, shape, dtype):
+        _, s_hat = _signed_zero_inputs(rng)
+        g = np.ones((GRID64.bins, 3), dtype=complex)
+        with pytest.raises(ValueError, match="out is"):
+            apply_filter(g, s_hat, out=np.zeros(shape, dtype=dtype))
 
     @pytest.mark.parametrize("failing_block", [0, 8, 32])
     def test_threaded_fit_joins_its_threads(self, rng, monkeypatch, failing_block):
@@ -457,21 +481,28 @@ class TestBoundedMemory:
             config = FcpConfig(per_freq_floor=per_freq_floor)
             tracemalloc.start()
             try:
-                w = fcp_module._weights(data, config)
+                floor = fcp_module._weight_floor(data, config)
+                w = fcp_module._weights(data, floor)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # The result plus a boolean mask; no (frames, bins) float temporary.
+            # The result plus a boolean mask; no (frames, bins) float
+            # temporary, also not for the floor.
             assert peak <= 1.25 * w.nbytes
             power = np.abs(data) ** 2
             floor = config.epsilon * (
                 power.max(axis=0, keepdims=True) if per_freq_floor else power.max()
             )
             want = np.where(floor + power > 0.0, floor + power, 1.0)
-            assert np.array_equal(w, want)
-            assert np.all(w[:, 5] == 1.0) == per_freq_floor
-        silent = fcp_module._weights(np.zeros((3, 4), complex), FcpConfig())
-        assert np.array_equal(silent, np.ones((3, 4)))
+            assert np.array_equal(w, want.T)
+            assert np.all(w[5] == 1.0) == per_freq_floor
+            # A fit block's weights are those columns of the whole.
+            block = fcp_module._weights(
+                data[:, 8:16], fcp_module._weight_floor(data, config)[8:16]
+            )
+            assert np.array_equal(block, want[:, 8:16].T)
+        silent = fcp_module._weights(np.zeros((3, 4), complex), np.zeros(4))
+        assert np.array_equal(silent, np.ones((4, 3)))
 
     def test_sixty_second_fit_stays_under_bound(self):
         # One speaker, 60 s on the filter grid: 7515 frames x 513 bins
@@ -495,16 +526,16 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_ten_second_fit_holds_no_gram_stack(self, threads):
         # 10 s on the filter grid: 1252 frames x 513 bins and 40 taps.
-        # Beyond its (frames, bins) float64 weights, a fit holds two tiles,
-        # one block's input rows and its (8, taps, taps) Gram per fit
-        # thread: under three tiles.  A (bins, taps, taps) Gram stack
-        # alone is 12.5 MiB, five tiles.
+        # Beyond its filters, a fit holds per fit thread one block's
+        # input rows, weights, conjugate target and (8, taps, taps) Gram,
+        # and one bin's weighted tile and its conjugate: under five of one
+        # bin's (taps, 512) tiles, 0.3 MiB each.  A (frames, bins) weight
+        # array alone is 16 of them, and a (bins, taps, taps) Gram stack 40.
         rng = np.random.default_rng(10)
         target = rand_spec(rng, 1252, FILTER_STFT)
         s_hat = rand_spec(rng, 1252, FILTER_STFT)
         config = FcpConfig(taps=40)
-        weights = target.data.real.nbytes
-        tile = fcp_module._BIN_BLOCK * config.taps * fcp_module._FRAME_BLOCK * 16
+        tile = config.taps * fcp_module._FRAME_BLOCK * 16
         tracemalloc.start()
         try:
             g = estimate_fcp_filter(target, s_hat, config, threads)
@@ -512,7 +543,7 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(g))
-        assert peak <= weights + threads * 3 * tile
+        assert peak <= g.nbytes + threads * 5 * tile
 
     def test_apply_holds_one_output(self):
         # The output, the one-byte-per-unit finiteness check of its
@@ -528,6 +559,14 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.data.nbytes
+        # Written over its input, it holds no output of its own.
+        tracemalloc.start()
+        try:
+            apply_filter(g, s_hat, out=s_hat.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * out.data.nbytes
 
 
 class TestOptimalityInvariants:
@@ -646,6 +685,20 @@ class TestFcpSeparate:
         for c in range(2):
             want = apply_filter(estimate_fcp_filter(mix, s_hats[c], config), s_hats[c])
             assert images[c].data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("separate", [fcp_separate, fcp_essu_separate])
+def test_separate_leaves_its_arguments_unwritten(rng, separate):
+    # The loop writes each image over the direct estimate it is handed;
+    # the list drivers hand it copies.
+    mixture = rand_spec(rng, 80, GRID64)
+    s_hats = [rand_spec(rng, 80, GRID64) for _ in range(3)]
+    before = [s.data.tobytes() for s in (mixture, *s_hats)]
+    images = separate(mixture, s_hats, FcpConfig(taps=4, stft=GRID64))
+    assert [s.data.tobytes() for s in (mixture, *s_hats)] == before
+    assert not any(
+        np.shares_memory(i.data, s.data) for i in images for s in (mixture, *s_hats)
+    )
 
 
 class TestEnergySort:

@@ -1,5 +1,6 @@
 """Separator surrogate, prediction stage, feature exchange, full pipeline."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -217,34 +218,55 @@ class TestRunFcpStage:
     @pytest.mark.parametrize("equal_grids", [False, True], ids=["grids", "one_grid"])
     @pytest.mark.parametrize("mode", ["fcp", "essu"])
     def test_ten_second_stage_peak_is_bounded(self, mode, equal_grids):
-        # 10 s scenes: the stage holds the filter-grid mixture (under
-        # ESSU turned into the residual in place), one filter-grid direct
-        # estimate, one weight array or image and tiles at a time, and
-        # converts each image back once it is fitted: under 4 filter-grid
-        # spectrograms, at any count of speakers.  On one grid nothing is
-        # converted, so the images it returns stay alive as they come:
-        # under count + 3 separator-grid spectrograms.  The gains
-        # (1, 3, 2) fit speaker 0 after speakers 1 and 2 under ESSU.
-        # Inputs are allocated before tracing.
+        # 10 s scenes at 1 and 2 fit threads.  The stage holds the
+        # filter-grid mixture (under ESSU the residual, written in place),
+        # one filter-grid direct estimate with its image written over it,
+        # each fit thread's tiles, and the images converted back so far (a
+        # quarter of a filter-grid spectrogram each): under 3 filter-grid
+        # spectrograms with up to 3 speakers.  On one grid nothing is
+        # converted, the images it returns stay alive as they come, and a
+        # fit thread's tiles are half of a spectrogram: under count + 3.
+        # The gains (1, 3, 2) fit speaker 0 after speakers 1 and 2 under
+        # ESSU.  Inputs are allocated before tracing.
         grid = SEPARATOR_STFT if equal_grids else FILTER_STFT
         config = ExperimentConfig(fcp_mode=mode, fcp=FcpConfig(stft=grid))
         n = 10 * config.stft_dnn.sample_rate_hz
         spectrogram = grid.num_frames(n) * grid.bins * 16
         rng = np.random.default_rng(10)
-        for gains in [(1.0, 1.0), (1.0, 3.0, 2.0)]:
+        speakers = [(1.0, 1.0), (1.0, 3.0, 2.0)]
+        for threads, gains in itertools.product((1, 2), speakers):
             signals = [g * rng.standard_normal(n) for g in gains]
             specs = [stft(s, config.stft_dnn) for s in signals]
             sep = SeparatorOutput(direct_estimates=specs, image_estimates=specs)
             mixture = np.sum(signals, axis=0)
             tracemalloc.start()
             try:
-                images = run_fcp_stage(mixture, sep, config)
+                images = run_fcp_stage(mixture, sep, config, threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(images) == len(gains)
-            bound = len(gains) + 3 if equal_grids else 4
-            assert peak <= bound * spectrogram, (gains, peak / spectrogram)
+            bound = len(gains) + 3 if equal_grids else 3
+            assert peak <= bound * spectrogram, (threads, gains, peak / spectrogram)
+
+    @pytest.mark.parametrize("mode", ["fcp", "essu"])
+    def test_one_grid_leaves_the_estimates_unwritten(self, mode):
+        # The loop writes each image over the direct estimate it is
+        # handed; on one grid the stage hands it a copy.
+        config = ExperimentConfig(
+            fcp_mode=mode, fcp=FcpConfig(taps=6, stft=SEPARATOR_STFT)
+        )
+        rng = np.random.default_rng(7)
+        signals = [g * rng.standard_normal(3000) for g in (1.0, 2.0)]
+        directs = [stft(s, SEPARATOR_STFT) for s in signals]
+        images = [stft(2 * s, SEPARATOR_STFT) for s in signals]
+        sep = SeparatorOutput(direct_estimates=directs, image_estimates=images)
+        before = [s.data.tobytes() for s in (*directs, *images)]
+        got = run_fcp_stage(np.sum(signals, axis=0), sep, config)
+        assert [s.data.tobytes() for s in (*directs, *images)] == before
+        assert not any(
+            np.shares_memory(g.data, s.data) for g in got for s in (*directs, *images)
+        )
 
     def test_fcp_grid_comes_from_fcp_config(self, mono_scene):
         n = mono_scene.num_samples

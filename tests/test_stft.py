@@ -15,7 +15,7 @@ from cxfilter import (
     si_sdr,
     stft,
 )
-from cxfilter.stft import _TILE_FRAMES
+from cxfilter.stft import _tile_frames
 from cxfilter.io import config_from_dict, config_to_dict
 from conftest import naive_istft, naive_stft, rand_spec
 
@@ -200,14 +200,22 @@ class TestTiles:
     """The tiled transforms keep the bits of whole-array ones, and their
     temporaries do not grow with the signal."""
 
-    # Around one and three tiles of 512 frames.  A one-sample signal
+    # Around one and three of each grid's tiles: 512 frames on the
+    # 256-point grid, 128 on the 1024-point grid.  A one-sample signal
     # gives the fewest frames a grid makes: 4 and 16, never 1.
-    FRAMES = (1, 511, 512, 513, 1541)
+    @staticmethod
+    def frame_counts(cfg):
+        tile = _tile_frames(cfg)
+        return (1, tile - 1, tile, tile + 1, 3 * tile + 5)
+
+    def test_tiles_hold_one_mib_of_frames(self):
+        assert _tile_frames(SEPARATOR_STFT) == 512
+        assert _tile_frames(FILTER_STFT) == 128
+        assert _tile_frames(StftConfig(2**18, 2**17, 2**18, 8000)) == 1
 
     @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
     def test_stft_equals_whole_array_form(self, rng, cfg):
-        assert _TILE_FRAMES == 512
-        for frames in self.FRAMES:
+        for frames in self.frame_counts(cfg):
             x = rng.standard_normal(max(1, cfg.max_signal_length(frames)))
             got = stft(x, cfg).data
             assert got.shape[0] == max(frames, cfg.num_frames(1))
@@ -215,7 +223,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("cfg", BOTH_CONFIGS)
     def test_istft_equals_whole_array_form(self, rng, cfg):
-        for frames in self.FRAMES:
+        for frames in self.frame_counts(cfg):
             spec = rand_spec(rng, max(frames, cfg.num_frames(1)), cfg)
             limit = cfg.max_signal_length(spec.frames)
             for n in (limit, max(1, limit - 101)):
@@ -223,9 +231,11 @@ class TestTiles:
                 assert got.tobytes() == whole_istft(spec, n).tobytes()
 
     def test_sixty_second_stft_holds_one_tile(self, rng):
-        # 60 s on the filter grid: 7516 frames, 58.8 MiB of output.  One
-        # tile's windowed frames are 4 MiB; a whole-array windowed copy
-        # alone would be another 58.7 MiB.
+        # 60 s on the filter grid: 7516 frames, 58.8 MiB of output.
+        # Beyond it, the padded signal (a little longer than x) and one
+        # tile: its windowed frames are 1 MiB, and with the transform's
+        # own scratch under 2 MiB.  A whole-array windowed copy alone
+        # would be another 58.7 MiB.
         x = rng.standard_normal(60 * FILTER_STFT.sample_rate_hz)
         tracemalloc.start()
         try:
@@ -233,7 +243,7 @@ class TestTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * spec.data.nbytes
+        assert peak <= spec.data.nbytes + x.nbytes + 2 * 2**20
 
 
 class TestConvertConfig:
