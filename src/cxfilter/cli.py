@@ -10,9 +10,11 @@ Negative values parse (``--drr-range -5,0``, ``--values -5,0``).  A
 scene input with no rendering is rejected with exit 5: a ``t60_s`` that
 is not positive and finite, a ``-inf`` or NaN DRR or noise SNR, a NaN
 or ``+inf`` speaker gain, and a range with ``lo < hi`` and an infinite
-end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.  A run
-that fails before writing into ``--out`` removes the directory if it
-made it.
+end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.  ``--out``
+and every directory under it are made by the first file written into
+them, so a run that fails or is interrupted before writing leaves none.
+An ``--out`` whose nearest existing ancestor is not a writable directory
+exits 2 before any work.
 Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
 mismatch, 5 bad arguments.  :func:`main` alone maps exception types to
 them: a :class:`CliError` carries its own code, ``NoScenesError`` gives
@@ -24,7 +26,7 @@ them: a :class:`CliError` carries its own code, ``NoScenesError`` gives
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -174,39 +176,27 @@ def _resolve_config(args) -> ExperimentConfig:
     return config_from_dict(ExperimentConfig, data)
 
 
-def _make_out_dir(args) -> Path:
+def _out_dir(args) -> Path:
+    """``--out``, once its nearest existing ancestor, itself if it
+    exists, is found to be a directory this process may write into.
+    Makes nothing: each directory is made by the first file written into
+    it.  Otherwise raises PermissionError, before any scene runs."""
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.touch()
-        probe.unlink()
-    except OSError as err:
-        raise CliError(EXIT_IO, f"output directory not writable: {out} ({err})")
+    base = out
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise PermissionError(
+            f"output directory not writable: {out} ({base} is not a "
+            "directory that this process may write into)"
+        )
     return out
-
-
-@contextlib.contextmanager
-def _run_into(args):
-    """The ``--out`` directory of a subcommand run.
-
-    A directory made here is removed again if the run fails before
-    writing into it, as a run with a rejected value does.
-    """
-    made = not Path(args.out).exists()
-    out = _make_out_dir(args)
-    try:
-        yield out
-    except Exception:
-        if made and not any(out.iterdir()):
-            out.rmdir()
-        raise
 
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    with _run_into(args) as out:
-        rows = run_simulation(config, out)
+    out = _out_dir(args)
+    rows = run_simulation(config, out)
     header = f"{'scene':<12}{'spk':>4}{'dur_s':>7}{'t60_s':>7}{'drr_db':>8}{'snr_db':>8}  seed"
     print(header)
     for row in rows:
@@ -221,8 +211,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_separate(args) -> int:
     config = _resolve_config(args)
-    with _run_into(args) as out:
-        aggregate = run_separation(config, out, scenes_dir=args.scenes, jobs=args.jobs)
+    out = _out_dir(args)
+    aggregate = run_separation(config, out, scenes_dir=args.scenes, jobs=args.jobs)
     mean = aggregate["mean"]["si_sdr_db"]
     print(
         f"separated {aggregate['num_scenes']} scene(s): "
@@ -233,18 +223,16 @@ def cmd_separate(args) -> int:
 
 def cmd_eval(args) -> int:
     quantiles = check_quantiles(args.quantiles)
-    with _run_into(args) as out:
-        try:
-            scene = load_scene(args.scene)
-            estimates, num_samples = import_estimates(args.estimates)
-        except ValueError as err:
-            raise CliError(EXIT_IO, f"unreadable inputs: {err}")
-        try:
-            payload = evaluate_estimates(
-                scene, estimates, quantiles, out, num_samples
-            )
-        except ValueError as err:
-            raise CliError(EXIT_SHAPE_MISMATCH, str(err))
+    out = _out_dir(args)
+    try:
+        scene = load_scene(args.scene)
+        estimates, num_samples = import_estimates(args.estimates)
+    except ValueError as err:
+        raise CliError(EXIT_IO, f"unreadable inputs: {err}")
+    try:
+        payload = evaluate_estimates(scene, estimates, quantiles, out, num_samples)
+    except ValueError as err:
+        raise CliError(EXIT_SHAPE_MISMATCH, str(err))
     mean = payload["report"]["mean"]["si_sdr_db"]
     print(f"mean SI-SDR {mean:.3f} dB (report: {out / 'report.json'})")
     if "sweep" in payload:
@@ -257,8 +245,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    with _run_into(args) as out:
-        rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
+    out = _out_dir(args)
+    rows = run_sweep(config, args.axis, args.values, out, jobs=args.jobs)
     print(f"{'axis':<16}{'value':>12}{'mean_fcp_si_sdr_db':>20}")
     for row in rows:
         print(

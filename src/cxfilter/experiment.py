@@ -106,17 +106,8 @@ class SceneRanges:
     speaker_gains_db: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "t60_range_s", _range_pair(self.t60_range_s, "t60_range_s")
-        )
-        object.__setattr__(
-            self, "drr_range_db", _range_pair(self.drr_range_db, "drr_range_db")
-        )
-        object.__setattr__(
-            self,
-            "noise_snr_range_db",
-            _range_pair(self.noise_snr_range_db, "noise_snr_range_db"),
-        )
+        for name in ("t60_range_s", "drr_range_db", "noise_snr_range_db"):
+            object.__setattr__(self, name, _range_pair(getattr(self, name), name))
         if self.speaker_gains_db is not None:
             object.__setattr__(
                 self,
@@ -386,7 +377,6 @@ def run_separation(
     """
     scene_jobs = _checked_jobs(config, scenes_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [
         (source, _job_config(config, key), out_dir / key) for key, source in scene_jobs
     ]
@@ -412,7 +402,6 @@ def run_simulation(config: ExperimentConfig, out_dir) -> list:
     """
     scene_jobs = _scene_jobs(config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for key, spec in scene_jobs:
         save_scene(simulate_scene(spec), out_dir / key)
@@ -446,15 +435,24 @@ def evaluate_estimates(
     the unprocessed mixture, averaged over speakers, and both CSV
     exports are written next to the report.  The estimates' SI-SDR-LE
     values in the sweep are the report's; only the mixture is scored
-    again, once per speaker and quantile.
+    again, once per speaker and quantile.  All of it is scored, on one
+    OpenBLAS thread (:func:`_pin_blas_threads`), before the first file
+    is written, so the bytes do not depend on the CPU count.
     """
     rate, n = scene.spec.sample_rate_hz, scene.num_samples
     check_estimates(estimates, num_samples, scene.num_speakers, rate, n)
     quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    images = [istft(s, output_length=n) for s in estimates.image_estimates]
-    report = evaluate_scene(images, scene, quantiles=quantiles)
+    previous = _pin_blas_threads()  # as in _map_jobs, whatever the CPU count
+    try:
+        images = [istft(s, output_length=n) for s in estimates.image_estimates]
+        report = evaluate_scene(images, scene, quantiles=quantiles)
+        unprocessed = [
+            [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
+            for ref in scene.reverberant_image
+        ]
+    finally:
+        _pin_blas_threads(previous)
 
     payload = {
         "version": REPORT_FORMAT_VERSION,
@@ -472,10 +470,7 @@ def evaluate_estimates(
                     [s["si_sdr_le_db"][q] for q in quantiles]
                     for s in report.per_speaker
                 ],
-                "unprocessed": [
-                    [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
-                    for ref in scene.reverberant_image
-                ],
+                "unprocessed": unprocessed,
             },
         )
         combined.write_values_csv(out_dir / "si_sdr_le_values.csv")
@@ -550,7 +545,6 @@ def run_sweep(
         for key, source in _checked_jobs(swept)
     ]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scene_means = iter(_map_jobs(_sweep_worker, payloads, jobs))
     rows = []
     for value, swept in zip(values, sweeps):

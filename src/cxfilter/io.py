@@ -13,7 +13,10 @@ is exact at float32 precision and idempotent afterwards.
 
 Writers are atomic: a file is written whole under a temporary name in
 its directory and then renamed over the target, so an interrupted run
-leaves either the old file or the new one, never a truncated one.
+leaves either the old file or the new one, never a truncated one.  A
+file's directory, and any missing parent, is made by the write of the
+file itself (:func:`_replacing`), so no directory is made before there
+is a file to go into it.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ import numpy as np
 def _replacing(path):
     """Yield a temporary path beside ``path``, renamed over it on success.
 
-    If the body raises, the temporary file is removed and ``path`` keeps
-    its old bytes.
+    ``path``'s directory and its missing parents are made first.  If the
+    body raises, the temporary file is removed and ``path`` keeps its old
+    bytes.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -236,11 +241,11 @@ def config_from_dict(cls, d: dict):
 
 
 def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON; one that does not encode raises ValueError
+    before the file's directory is made."""
+    text = json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n"
     with _replacing(path) as tmp:
-        tmp.write_text(
-            json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        tmp.write_text(text, encoding="utf-8")
 
 
 def write_csv(path, header, rows) -> None:
@@ -265,7 +270,6 @@ def write_wav_dir(directory, name: str, manifest: dict, wavs, rate: int) -> Path
     ``rate``, then the manifest file ``name`` last, so a directory with a
     manifest is complete.  Returns the manifest path."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for file, samples in wavs:
         write_wav(directory / file, samples, rate)
     path = directory / name

@@ -1406,6 +1406,45 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestOutChecks:
+    """``--out`` is made by the first file written into it, and one that
+    cannot be written into is exit 2 before any work."""
+
+    def test_interrupted_run_makes_no_out_directory(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cxfilter.cli, "run_separation", interrupt)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["separate", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "separate", "eval", "sweep"])
+    @pytest.mark.parametrize(
+        "fault", ["file", "under_a_file", "not_writable", "under_not_writable"]
+    )
+    def test_out_not_writable_is_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, recorded, command, fault
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = {
+            "file": blocker,
+            "under_a_file": blocker / "sub",
+            "not_writable": tmp_path,
+            "under_not_writable": tmp_path / "out" / "sub",
+        }[fault]
+        if fault.endswith("not_writable"):  # as a user without write access
+            monkeypatch.setattr(cxfilter.cli.os, "access", lambda path, mode: False)
+        loaded = count_calls(monkeypatch, cxfilter.cli, "load_scene")
+        assert main([command, "--out", str(out), *_REQUIRED_ARGS[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: output directory not writable: {out} ")
+        assert (recorded, loaded) == ([], [])
+        assert tree_bytes(tmp_path) == {blocker.relative_to(tmp_path): b"x"}
+
+
 class TestSurface:
     """What each flag sets, and what each subcommand takes."""
 

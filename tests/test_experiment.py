@@ -1,6 +1,7 @@
 """Batch experiment layer: configs, hashing, batch runs, sweeps."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from cxfilter import DegradationSpec, FcpConfig, SceneSpec, simulate_scene
 from cxfilter import experiment, metrics, pipeline
 from cxfilter import fcp as fcp_module
 from cxfilter.experiment import (
+    FCP_MODES,
     ExperimentConfig,
     SceneRanges,
     _map_jobs,
@@ -33,7 +35,7 @@ from cxfilter.pipeline import (
 )
 from cxfilter.stft import istft
 from cxfilter.scenes import save_scene
-from conftest import count_calls
+from conftest import count_calls, tree_bytes
 
 
 def _square(x, threads):
@@ -193,6 +195,29 @@ class TestRunScene:
         assert features is not None
         assert len(features.fcp_images) == separator.num_speakers == 1
 
+    def test_scenes_on_two_threads_give_the_serial_bytes(self, openblas):
+        # Each call takes its own fit-thread count, so two scenes that run
+        # side by side in one process change nothing of each other.
+        scenes = [
+            simulate_scene(SceneSpec(num_speakers=c, duration_s=1.0, seed=c))
+            for c in (2, 3)
+        ]
+        jobs = [
+            (scene, _tiny_config(fcp_mode=mode, quantiles=(0.3, 0.7)))
+            for mode in FCP_MODES
+            for scene in scenes
+        ]
+
+        def run(job):
+            separator, report = run_scene(*job)
+            images = [s.data.tobytes() for s in separator.image_estimates]
+            return json.dumps(report.to_dict(), sort_keys=True), images
+
+        experiment._pin_blas_threads()  # the openblas fixture restores it
+        serial = [run(job) for job in jobs]
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(run, jobs, timeout=300)) == serial
+
 
 class TestSingleScoringPath:
     """``run_scene`` equals an explicit composition of the pipeline stages."""
@@ -298,6 +323,18 @@ class TestBatchRuns:
         assert (tmp_path / "seq" / "report.json").read_bytes() == (
             tmp_path / "par" / "report.json"
         ).read_bytes()
+
+    def test_unreadable_scene_makes_no_out_directory(self, tmp_path):
+        # The scene fails before its first write, and a directory is made
+        # only with a file in it.
+        config = _tiny_config(num_scenes=1)
+        run_simulation(config, tmp_path / "scenes")
+        wav = tmp_path / "scenes" / "scene_0001" / "s1_image.wav"
+        wav.write_bytes(wav.read_bytes()[:100])
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="s1_image.wav"):
+            run_separation(config, out, scenes_dir=tmp_path / "scenes")
+        assert not out.exists()
 
     def test_missing_scenes_dir_is_an_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -519,6 +556,35 @@ class TestEvaluateEstimates:
         with pytest.raises(ValueError, match="samples"):
             evaluate_estimates(scene, estimates, (), tmp_path / "out", 123)
         assert not (tmp_path / "out").exists()
+
+    def test_silent_speaker_makes_no_out_directory(self, tmp_path):
+        spec = SceneSpec(
+            num_speakers=2, duration_s=0.5, seed=9, speaker_gains_db=(0.0, -np.inf)
+        )
+        scene = simulate_scene(spec)
+        estimates = oracle_separate(scene, DegradationSpec())
+        with pytest.raises(ValueError, match="identically zero"):
+            evaluate_estimates(
+                scene, estimates, (), tmp_path / "out", scene.num_samples
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, openblas):
+        # OpenBLAS splits a dot product over its threads above about 10^4
+        # samples, so a 3 s scene is scored on one thread, as a batch is.
+        if openblas is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=3.0, seed=9))
+        estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
+        quantiles = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        trees = []
+        for count in (2, 1):
+            openblas.scipy_openblas_set_num_threads64_(count)
+            out = tmp_path / f"threads_{count}"
+            evaluate_estimates(scene, estimates, quantiles, out, scene.num_samples)
+            assert openblas.scipy_openblas_get_num_threads64_() == count
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
 
     def test_each_pair_is_scored_once_per_quantile(self, tmp_path, monkeypatch):
         # The sweep takes the estimates' SI-SDR-LE from the report and

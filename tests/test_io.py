@@ -223,6 +223,23 @@ class TestAtomicWrites:
         assert path.read_bytes() == old
         assert sorted(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("kind", ["wav", "json", "csv"])
+    def test_write_makes_the_missing_directories(self, tmp_path, kind):
+        path = tmp_path / "a" / "b" / f"out.{kind}"
+        {
+            "wav": lambda: write_wav(path, np.ones(100), 8000),
+            "json": lambda: write_json(path, {"a": 1}),
+            "csv": lambda: write_csv(path, ("a",), [[1.5]]),
+        }[kind]()
+        assert [p.relative_to(tmp_path) for p in sorted(tmp_path.rglob("*"))] == [
+            Path("a"), Path("a/b"), Path("a/b") / path.name
+        ]
+
+    def test_json_that_does_not_encode_makes_no_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="NaN"):
+            write_json(tmp_path / "a" / "m.json", {"x": np.nan})
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_replaces_the_old_file(self, tmp_path):
         path = tmp_path / "m.json"
         write_json(path, {"a": 1})

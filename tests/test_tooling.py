@@ -1,19 +1,21 @@
-"""The test configuration itself: a failing property test is reported
-as a failure, and the tests after it still run.  And eight source rules:
+"""The test configuration itself: a failing property test is reported as
+a failure, and the tests after it still run.  And nine source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
-WAVs are read and written only inside :mod:`cxfilter.io`, whose WAV
-directory codec every other module goes through, the speaker cap
-``MAX_SPEAKERS`` is read only in :mod:`cxfilter.losses`, whose
-permutation search it bounds, the fitting order is decided only in
-:mod:`cxfilter.fcp`, the one module that names ``energy_sort``, no
-module has a ``global`` statement or sets an attribute of a module it
-imports, scipy is imported only by the solve where numpy bundles no
-OpenBLAS, importing :mod:`cxfilter.cli` loads no scipy module, nor does
-a ``simulate``, a generated ``separate`` or a ``sweep`` run, and a
-``separate`` batch after the import loads no further module, and a
-``CliError`` is built only where an exit code differs from what
-``cli.main`` maps an exception type to.  A smoke run of
-``tools/peak_rss.py`` checks that it prints a finite slope."""
+directories are made only by :mod:`cxfilter.io`, with the file that
+goes into them, WAVs are read and written only inside
+:mod:`cxfilter.io`, whose WAV directory codec every other module goes
+through, the speaker cap ``MAX_SPEAKERS`` is read only in
+:mod:`cxfilter.losses`, whose permutation search it bounds, the
+fitting order is decided only in :mod:`cxfilter.fcp`, the one module
+that names ``energy_sort``, no module has a ``global`` statement or
+sets an attribute of a module it imports, scipy is imported only by
+the solve where numpy bundles no OpenBLAS, importing
+:mod:`cxfilter.cli` loads no scipy module, nor does a ``simulate``, a
+generated ``separate`` or a ``sweep`` run, and a ``separate`` batch
+after the import loads no further module, and a ``CliError`` is built
+only where an exit code differs from what ``cli.main`` maps an
+exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
+prints a finite slope."""
 
 import ast
 import importlib.util
@@ -68,9 +70,8 @@ def test_failing_property_test_is_reported_not_internal_error(tmp_path):
 
 # Path methods that write a file in place.
 PATH_WRITERS = ("write_text", "write_bytes", "touch")
-# (module, enclosing function, call) writing outside io.py by design:
-# the output-directory probe, an empty file removed again at once.
-ALLOWED_WRITES = {("cli.py", "_make_out_dir", "touch")}
+# (module, enclosing function, call) writing outside io.py by design.
+ALLOWED_WRITES = set()
 
 
 def _write_call(call: ast.Call):
@@ -112,6 +113,25 @@ def test_files_are_written_only_through_io():
         for function, call in _writes(ast.parse(path.read_text()))
     }
     assert found == ALLOWED_WRITES
+
+
+# Calls that make a directory.
+DIRECTORY_MAKERS = ("mkdir", "makedirs")
+
+
+def test_directories_are_made_only_in_io():
+    # io._replacing makes a file's directory when it writes the file, so
+    # no run leaves a directory without a file in it.
+    found = sorted(
+        (path.name, call.lineno)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "io.py"
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None))
+        in DIRECTORY_MAKERS
+    )
+    assert found == []
 
 
 WAV_CALLS = ("read_wav", "write_wav")
@@ -235,7 +255,6 @@ def test_module_mutation_rule_finds_its_cases(source, found):
 ALLOWED_CLI_ERRORS = {
     ("_Parser.error", "EXIT_BAD_ARGS"),
     ("_resolve_config", "EXIT_IO"),
-    ("_make_out_dir", "EXIT_IO"),
     ("cmd_eval", "EXIT_IO"),
     ("cmd_eval", "EXIT_SHAPE_MISMATCH"),
 }
