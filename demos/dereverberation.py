@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from cxfilter import DegradationSpec, FcpConfig, istft, si_sdr, simulate_scene
+from cxfilter import DegradationSpec, FcpConfig, si_sdr, simulate_scene
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
@@ -39,7 +39,7 @@ def main():
         images = run_fcp_stage(scene.mixture, sep, config)
         truth = scene.reverberant_image[0]
         before = si_sdr(scene.direct_path[0], truth)
-        after = si_sdr(istft(images[0], output_length=scene.num_samples), truth)
+        after = si_sdr(images[0], truth)
         gains.append(after - before)
         print(
             f"{i:>6}{spec.t60_s:>8.3f}{before:>11.2f}{after:>9.2f}"

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from cxfilter import DegradationSpec, FcpConfig, istft, si_sdr, simulate_scene
+from cxfilter import DegradationSpec, FcpConfig, si_sdr, simulate_scene
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
@@ -42,8 +42,7 @@ def main():
                 sep,
                 ExperimentConfig(fcp_mode=variant, fcp=fcp_config),
             )
-            weak = istft(images[1], output_length=scene.num_samples)
-            bucket.append(si_sdr(weak, scene.reverberant_image[1]))
+            bucket.append(si_sdr(images[1], scene.reverberant_image[1]))
 
     fcp = np.array(scores["fcp"])
     essu = np.array(scores["essu"])

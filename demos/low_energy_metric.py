@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from cxfilter import DegradationSpec, istft, quantile_sweep, simulate_scene
+from cxfilter import DegradationSpec, quantile_sweep, simulate_scene
 from cxfilter.experiment import ExperimentConfig, SceneRanges
 from cxfilter.pipeline import oracle_separate, run_fcp_stage
 
@@ -25,12 +25,11 @@ def main():
     scene = simulate_scene(ranges.draw_scene_spec(args.seed, 0))
     degradation = DegradationSpec(snr_db=args.degradation_snr, seed=args.seed)
     sep = oracle_separate(scene, degradation)
-    n = scene.num_samples
     images = run_fcp_stage(scene.mixture, sep, ExperimentConfig())
 
     systems = {
-        "fcp_image": istft(images[0], output_length=n),
-        "direct_path": istft(sep.direct_estimates[0], output_length=n),
+        "fcp_image": images[0],
+        "direct_path": sep.direct_estimates[0],
     }
     quantiles = tuple(round(0.1 * k, 1) for k in range(1, 10))
     sweep = quantile_sweep(systems, scene.reverberant_image[0], quantiles)

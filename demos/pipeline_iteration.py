@@ -57,11 +57,7 @@ def main():
             print(f"external phase 1: {err}")
         # Stand in for the external model: echo the oracle estimates.
         refined = oracle_separate(scene, DegradationSpec())
-        export_estimates(
-            refined,
-            Path(tmp) / "iteration_1" / "estimates",
-            scene.num_samples,
-        )
+        export_estimates(refined, Path(tmp) / "iteration_1" / "estimates")
         _, report = run_pipeline(scene, config)
         print(
             f"external phase 2: mean image SI-SDR "

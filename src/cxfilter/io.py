@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -249,11 +250,14 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV file: the header row, then each row."""
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a CSV file: the header row, then each row.  Rows that raise
+    do so before the file's directory is made."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    with _replacing(path) as tmp:
+        tmp.write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
 def read_json(path):

@@ -32,14 +32,7 @@ from cxfilter.io import (
 from cxfilter.losses import check_speaker_cap
 from cxfilter.metrics import evaluate_scene
 from cxfilter.scenes import Scene, SceneSpec
-from cxfilter.stft import (
-    SEPARATOR_STFT,
-    ComplexSpectrogram,
-    StftConfig,
-    convert_config,
-    istft,
-    stft,
-)
+from cxfilter.stft import SEPARATOR_STFT, StftConfig, istft, stft
 
 if TYPE_CHECKING:
     from cxfilter.experiment import ExperimentConfig
@@ -58,9 +51,21 @@ DEGRADATION_MODES = ("additive_noise", "cross_talk", "combined")
 REFINEMENTS = ("passthrough", "fcp_substitute", "external")
 
 
+def _check_signals(signals: list, what: str) -> None:
+    """Raise ValueError unless ``signals`` are 1-D float64 arrays of one
+    length; ``what`` names their container."""
+    for s in signals:
+        if not (isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 1):
+            raise ValueError(f"{what} holds 1-D float64 arrays, not {s!r:.60}")
+    lengths = sorted({s.shape[0] for s in signals})
+    if len(lengths) > 1:
+        raise ValueError(f"{what} signals must share one length, got {lengths}")
+
+
 @dataclass(eq=False)
 class SeparatorOutput:
-    """Per-speaker direct-path and reverberant-image spectrograms."""
+    """Per-speaker direct-path and reverberant-image signals, 1-D float64
+    arrays of one length."""
 
     direct_estimates: list
     image_estimates: list
@@ -70,15 +75,16 @@ class SeparatorOutput:
             raise ValueError("direct/image estimate counts differ")
         if len(self.direct_estimates) == 0:
             raise ValueError("SeparatorOutput needs at least one speaker")
-        first = self.direct_estimates[0]
-        if not all(
-            first.same_grid(s) for s in (*self.direct_estimates, *self.image_estimates)
-        ):
-            raise ValueError("SeparatorOutput spectrograms must share the grid")
+        signals = [*self.direct_estimates, *self.image_estimates]
+        _check_signals(signals, "SeparatorOutput")
 
     @property
     def num_speakers(self) -> int:
         return len(self.direct_estimates)
+
+    @property
+    def num_samples(self) -> int:
+        return self.direct_estimates[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,19 +116,16 @@ class DegradationSpec:
 
 @dataclass(eq=False)
 class FeatureStack:
-    """Inputs for a refinement model, all on one STFT grid.
+    """Inputs for a refinement model: 1-D float64 signals of one length.
 
     Ordering is fixed: the mixture, then per speaker the first-stage
     direct estimate, first-stage image estimate, and predicted image.
-    ``num_samples`` records the time-domain length the spectrograms
-    were computed from, so exports can invert them losslessly.
     """
 
-    mixture: ComplexSpectrogram
+    mixture: np.ndarray
     stage1_direct: list
     stage1_image: list
     fcp_images: list
-    num_samples: int
 
     def __post_init__(self):
         count = len(self.stage1_direct)
@@ -130,15 +133,18 @@ class FeatureStack:
             raise ValueError("FeatureStack speaker lists must share length")
         if count == 0:
             raise ValueError("FeatureStack needs at least one speaker")
-        if not all(self.mixture.same_grid(s) for s in self.spectrograms()):
-            raise ValueError("FeatureStack spectrograms must share the grid")
+        _check_signals(self.signals(), "FeatureStack")
 
     @property
     def num_speakers(self) -> int:
         return len(self.stage1_direct)
 
-    def spectrograms(self) -> list:
-        """All spectrograms in the documented deterministic order."""
+    @property
+    def num_samples(self) -> int:
+        return self.mixture.shape[0]
+
+    def signals(self) -> list:
+        """All signals in the documented deterministic order."""
         out = [self.mixture]
         for c in range(self.num_speakers):
             out += [self.stage1_direct[c], self.stage1_image[c], self.fcp_images[c]]
@@ -166,80 +172,60 @@ def _degrade(signals: list, degradation: DegradationSpec, rng) -> list:
     return out
 
 
-def oracle_separate(
-    scene: Scene,
-    degradation: DegradationSpec,
-    stft_config: StftConfig | None = None,
-) -> SeparatorOutput:
+def oracle_separate(scene: Scene, degradation: DegradationSpec) -> SeparatorOutput:
     """Ground-truth separator with controlled estimation error.
 
     Degrades the scene's true direct paths and reverberant images in
     the time domain per ``degradation`` (direct list first, then image
     list, in speaker order, so a fixed seed is bit-reproducible) and
-    returns their spectrograms on the separator grid.
+    returns the degraded signals.
     """
-    config = SEPARATOR_STFT if stft_config is None else stft_config
     rng = np.random.default_rng(degradation.seed)
-    directs = _degrade(scene.direct_path, degradation, rng)
-    images = _degrade(scene.reverberant_image, degradation, rng)
     return SeparatorOutput(
-        direct_estimates=[stft(s, config) for s in directs],
-        image_estimates=[stft(s, config) for s in images],
+        direct_estimates=_degrade(scene.direct_path, degradation, rng),
+        image_estimates=_degrade(scene.reverberant_image, degradation, rng),
     )
 
 
 def run_fcp_stage(
     mixture, separator_output: SeparatorOutput, config: ExperimentConfig, threads=1
 ) -> list:
-    """Predict per-speaker reverberant images from direct estimates.
+    """Predict per-speaker reverberant image signals from direct estimates.
 
-    The time-domain mixture and the separator's direct estimates are
-    moved onto the prediction grid ``config.fcp.stft``, the variant
+    The time-domain mixture and each of the separator's direct estimates
+    are analysed on the prediction grid ``config.fcp.stft``, the variant
     named by ``config.fcp_mode`` (``fcp`` or ``essu``) is run, each
-    filter fitted on ``threads`` threads, and the images are returned on
-    the separator grid ``config.stft_dnn``.  A mixture whose frame count
-    on the estimates' grid is not theirs raises ValueError.
+    filter fitted on ``threads`` threads, and each image is synthesised
+    back to a signal of the mixture's length.  A mixture whose length is
+    not the estimates' raises ValueError.
 
-    The bytes are those of ``convert_config`` of each direct estimate,
-    then ``fcp_separate`` or ``fcp_essu_separate``, then ``convert_config``
-    of each image, with fewer prediction-grid spectrograms alive at once.
-    The stage runs the one prediction loop, :func:`~cxfilter.fcp.fcp_loop`,
-    which converts each direct estimate when it needs it (under ESSU
-    twice: for the fitting order, then for the fit) and writes its image
-    over it; on one grid it is handed a copy, so the separator's
-    estimates are not written.  The one prediction-grid mixture is its
-    target, under ESSU the residual written in place, and each image is
-    converted back as soon as it is fitted.
+    The images are those of ``fcp_separate`` or ``fcp_essu_separate`` of
+    the analysed signals, with fewer prediction-grid spectrograms alive
+    at once.  The stage runs the one prediction loop,
+    :func:`~cxfilter.fcp.fcp_loop`, which analyses each direct estimate
+    when it needs it (under ESSU twice: for the fitting order, then for
+    the fit) and writes its image over it.  The one prediction-grid
+    mixture is its target, under ESSU the residual written in place, and
+    each image is synthesised as soon as it is fitted.
     """
     if config.fcp_mode == "off":
         raise ValueError("fcp_mode 'off' has no prediction stage")
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ValueError("run_fcp_stage expects a 1-D time-domain mixture")
-    n = mixture.shape[0]
+    n, length = mixture.shape[0], separator_output.num_samples
+    if n != length:
+        raise ValueError(f"a mixture of {n} samples, but estimates of {length}")
     grid = config.fcp.stft
     directs = separator_output.direct_estimates
-    frames = directs[0].config.num_frames(n)
-    if frames != directs[0].frames:
-        raise ValueError(
-            f"a mixture of {n} samples has {frames} frames on the estimates' "
-            f"grid, but the estimates have {directs[0].frames}"
-        )
-
-    def s_hat_of(c):
-        s_hat = convert_config(directs[c], grid, n)
-        if s_hat is directs[c]:
-            return ComplexSpectrogram(s_hat.data.copy(), grid)
-        return s_hat
-
     images = [None] * len(directs)
 
     def leave(c, image):
-        images[c] = convert_config(image, config.stft_dnn, n)
+        images[c] = istft(image, n)
 
     fcp_loop(
-        stft(mixture, grid), s_hat_of, len(directs), config.fcp, leave,
-        essu=config.fcp_mode == "essu", threads=threads,
+        stft(mixture, grid), lambda c: stft(directs[c], grid), len(directs),
+        config.fcp, leave, essu=config.fcp_mode == "essu", threads=threads,
     )
     return images
 
@@ -254,17 +240,15 @@ def _exchange_files(kinds: tuple, speakers):
 
 
 def _write_exchange(
-    directory, name: str, kinds: tuple, manifest: dict, specs: list, num_samples: int
+    directory, name: str, kinds: tuple, manifest: dict, signals: list, config
 ) -> Path:
-    """Invert each spectrogram at ``num_samples`` into its WAV, in
-    :func:`_exchange_files` order, then write the manifest ``name`` with
-    ``version``, ``num_samples``, ``stft`` and ``files`` added.  Returns
-    its path."""
-    config = specs[0].config
+    """Write each signal as its WAV, in :func:`_exchange_files` order, at
+    ``config``'s rate, then the manifest ``name`` with ``version``,
+    ``num_samples``, ``stft`` (``config``, the grid the exchange is
+    declared on) and ``files`` added.  Returns its path."""
     files = list(_exchange_files(kinds, range(1, manifest["num_speakers"] + 1)))
     manifest = {**manifest, "version": EXCHANGE_FORMAT_VERSION, "files": files}
-    manifest.update(num_samples=num_samples, stft=config_to_dict(config))
-    signals = (istft(spec, output_length=num_samples) for spec in specs)
+    manifest.update(num_samples=signals[0].shape[0], stft=config_to_dict(config))
     wavs = zip(files, signals, strict=True)
     return write_wav_dir(directory, name, manifest, wavs, config.sample_rate_hz)
 
@@ -273,8 +257,8 @@ def _read_exchange(directory, name: str, kinds: tuple) -> tuple:
     """Read an exchange directory written by :func:`_write_exchange`.
 
     Checks the manifest's version and required keys, then each WAV's
-    rate and length.  Returns the sample count and the spectrograms in
-    file order.
+    rate and length.  Returns the grid the manifest declares and the
+    signals in file order.
     """
     path = Path(directory) / name
     if not path.is_file():
@@ -286,95 +270,97 @@ def _read_exchange(directory, name: str, kinds: tuple) -> tuple:
     config = config_from_dict(StftConfig, manifest["stft"])
     length = decode_value(int, manifest["num_samples"], f"{path}: num_samples")
     count = decode_value(int, manifest["num_speakers"], f"{path}: num_speakers")
-    specs = [
-        stft(read_listed_wav(path, file, config.sample_rate_hz, length), config)
+    signals = [
+        read_listed_wav(path, file, config.sample_rate_hz, length)
         for file in _exchange_files(kinds, range(1, count + 1))
     ]
-    return length, specs
+    return config, signals
 
 
-def export_features(stack: FeatureStack, directory) -> Path:
+def export_features(
+    stack: FeatureStack, directory, config: StftConfig = SEPARATOR_STFT
+) -> Path:
     """Write a feature directory: ``features.json`` plus one WAV each.
 
-    Signals are inverted to the time domain and stored as 32-bit float
-    WAV; reimporting reproduces the stack exactly when the underlying
-    signals are float32-representable, and to 32-bit precision
-    otherwise.  Returns the manifest path.
+    Signals are stored as 32-bit float WAV, so reimporting reproduces
+    the stack exactly when the signals are float32-representable, and to
+    32-bit precision otherwise.  The manifest records ``config``, the
+    grid a refinement model reads the features on, with its frame and
+    bin counts.  Returns the manifest path.
     """
     manifest = {
         "format": "feature-stack",
         "num_speakers": stack.num_speakers,
-        "frames": stack.mixture.frames,
-        "bins": stack.mixture.bins,
+        "frames": config.num_frames(stack.num_samples),
+        "bins": config.bins,
     }
     return _write_exchange(
-        directory,
-        FEATURES_MANIFEST,
-        FEATURE_KINDS,
-        manifest,
-        stack.spectrograms(),
-        stack.num_samples,
+        directory, FEATURES_MANIFEST, FEATURE_KINDS, manifest, stack.signals(), config
     )
 
 
 def import_features(directory) -> FeatureStack:
     """Read a feature directory written by :func:`export_features`."""
-    num_samples, specs = _read_exchange(directory, FEATURES_MANIFEST, FEATURE_KINDS)
+    _, signals = _read_exchange(directory, FEATURES_MANIFEST, FEATURE_KINDS)
     return FeatureStack(
-        mixture=specs[0],
-        stage1_direct=specs[1::3],
-        stage1_image=specs[2::3],
-        fcp_images=specs[3::3],
-        num_samples=num_samples,
+        mixture=signals[0],
+        stage1_direct=signals[1::3],
+        stage1_image=signals[2::3],
+        fcp_images=signals[3::3],
     )
 
 
-def export_estimates(output: SeparatorOutput, directory, num_samples: int) -> Path:
-    """Write refined estimates in the layout :func:`import_estimates` reads."""
+def export_estimates(
+    output: SeparatorOutput, directory, config: StftConfig = SEPARATOR_STFT
+) -> Path:
+    """Write estimates in the layout :func:`import_estimates` reads,
+    declared on the grid ``config``."""
     manifest = {
         "format": "speaker-estimates",
         "num_speakers": output.num_speakers,
     }
-    specs = [
-        spec
+    signals = [
+        signal
         for pair in zip(output.direct_estimates, output.image_estimates)
-        for spec in pair
+        for signal in pair
     ]
     return _write_exchange(
-        directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS, manifest, specs, num_samples
+        directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS, manifest, signals, config
     )
 
 
-def import_estimates(directory) -> tuple[SeparatorOutput, int]:
-    """Read refined per-speaker estimates from an exchange directory.
+def import_estimates(directory) -> tuple[SeparatorOutput, StftConfig]:
+    """Read per-speaker estimates from an exchange directory.
 
-    Returns the estimates and the sample count their manifest records.
+    Returns the estimates and the STFT grid their manifest declares.
     """
-    num_samples, specs = _read_exchange(directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS)
-    output = SeparatorOutput(direct_estimates=specs[0::2], image_estimates=specs[1::2])
-    return output, num_samples
+    config, signals = _read_exchange(directory, ESTIMATES_MANIFEST, ESTIMATE_KINDS)
+    output = SeparatorOutput(
+        direct_estimates=signals[0::2], image_estimates=signals[1::2]
+    )
+    return output, config
 
 
 def check_estimates(
-    estimates: SeparatorOutput, num_samples: int, speakers: int, rate: int, length: int
+    estimates: SeparatorOutput, grid: StftConfig, speakers: int, rate: int, length: int
 ) -> None:
     """Raise ValueError if imported estimates do not fit their scene: a
-    speaker count, sample rate or recorded sample count ``num_samples``
+    speaker count, sample rate (that of their ``grid``) or sample count
     other than the scene's ``speakers``, ``rate`` and ``length``."""
     if estimates.num_speakers != speakers:
         raise ValueError(
             f"estimate speaker count {estimates.num_speakers} does not match "
             f"scene speaker count {speakers}"
         )
-    estimates_rate = estimates.image_estimates[0].config.sample_rate_hz
-    if estimates_rate != rate:
+    if grid.sample_rate_hz != rate:
         raise ValueError(
-            f"estimates are sampled at {estimates_rate} Hz but the scene "
+            f"estimates are sampled at {grid.sample_rate_hz} Hz but the scene "
             f"at {rate} Hz"
         )
-    if num_samples != length:
+    if estimates.num_samples != length:
         raise ValueError(
-            f"estimates carry {num_samples} samples but the scene has {length}"
+            f"estimates carry {estimates.num_samples} samples but the scene "
+            f"has {length}"
         )
 
 
@@ -392,15 +378,14 @@ def _refine(
             image_estimates=list(stack.fcp_images),
         )
     base = Path(config.external_dir) / f"iteration_{iteration}"
-    export_features(stack, base / "features")
-    refined, num_samples = import_estimates(base / "estimates")
-    speakers, rate = separator.num_speakers, stack.mixture.config.sample_rate_hz
-    check_estimates(refined, num_samples, speakers, rate, stack.num_samples)
-    grid = refined.image_estimates[0].config
-    if grid != stack.mixture.config:
+    export_features(stack, base / "features", config.stft_dnn)
+    refined, grid = import_estimates(base / "estimates")
+    speakers, rate = separator.num_speakers, config.stft_dnn.sample_rate_hz
+    check_estimates(refined, grid, speakers, rate, stack.num_samples)
+    if grid != config.stft_dnn:
         raise ValueError(
             f"{base / 'estimates'}: estimates on the STFT grid {grid}, "
-            f"but the features on {stack.mixture.config}"
+            f"but the features on {config.stft_dnn}"
         )
     return refined
 
@@ -441,7 +426,7 @@ def predict(
     (:func:`run_fcp_stage`).
     """
     check_scene_spec(scene.spec, config)
-    current = oracle_separate(scene, config.degradation, config.stft_dnn)
+    current = oracle_separate(scene, config.degradation)
     stack = None
     if config.fcp_mode != "off":
         for iteration in range(1, config.iterations + 1):
@@ -451,28 +436,22 @@ def predict(
             # that the images are predicted from.
             if stack is None or config.refinement == "external":
                 images = run_fcp_stage(scene.mixture, current, config, threads)
-            if stack is None:  # not alive during the first stage
-                mixture_spec = stft(scene.mixture, config.stft_dnn)
             stack = FeatureStack(
-                mixture=mixture_spec,
+                mixture=scene.mixture,
                 stage1_direct=list(current.direct_estimates),
                 stage1_image=list(current.image_estimates),
                 fcp_images=list(images),
-                num_samples=scene.num_samples,
             )
     return current, stack
 
 
 def run_pipeline(scene: Scene, config: ExperimentConfig, threads=1) -> tuple:
     """Run :func:`predict` and the last refinement, then score the final
-    image signals, ``istft(s, output_length=scene.num_samples)`` of each
-    ``s`` in ``separator.image_estimates``, once against the scene's true
-    reverberant images at ``config.quantiles``; returns ``(separator, report)``.
-    Filters are fitted on ``threads`` threads."""
+    image signals, ``separator.image_estimates``, once against the
+    scene's true reverberant images at ``config.quantiles``; returns
+    ``(separator, report)``.  Filters are fitted on ``threads`` threads."""
     separator, features = predict(scene, config, threads)
     if features is not None:
         separator = _refine(features, separator, config, config.iterations)
-    image_estimates = [
-        istft(s, output_length=scene.num_samples) for s in separator.image_estimates
-    ]
-    return separator, evaluate_scene(image_estimates, scene, quantiles=config.quantiles)
+    images = separator.image_estimates
+    return separator, evaluate_scene(images, scene, quantiles=config.quantiles)

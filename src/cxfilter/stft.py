@@ -245,18 +245,3 @@ def istft(spec: ComplexSpectrogram, output_length: int | None = None) -> np.ndar
     start = cfg.head_padding
     return buf[start : start + output_length]
 
-
-def convert_config(
-    spec: ComplexSpectrogram, to_config: StftConfig, length: int
-) -> ComplexSpectrogram:
-    """Re-analyze a spectrogram from its own grid under ``to_config``.
-
-    Defined as ``stft(istft(spec, length), to_config)``; exactness is
-    inherited from the round-trip guarantees.  ``length`` is the
-    time-domain sample count carried through the conversion.  When
-    ``to_config`` is ``spec.config`` the result is ``spec`` itself, not
-    a copy, and ``length`` is not used.
-    """
-    if to_config == spec.config:
-        return spec
-    return stft(istft(spec, length), to_config)

@@ -389,11 +389,9 @@ class TestSeparate:
         scene = load_scene(tmp_path / "scenes" / "scene_0001")
         ext = tmp_path / "ext"
         export_estimates(
-            oracle_separate(
-                scene, DegradationSpec(), replace(SEPARATOR_STFT, sample_rate_hz=16000)
-            ),
+            oracle_separate(scene, DegradationSpec()),
             ext / "scene_0001" / "iteration_1" / "estimates",
-            scene.num_samples,
+            replace(SEPARATOR_STFT, sample_rate_hz=16000),
         )
         out = tmp_path / "out"
         argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "fcp",
@@ -413,11 +411,7 @@ class TestSeparate:
         scene = load_scene(tmp_path / "scenes" / "scene_0001")
         estimates = tmp_path / "ext" / "scene_0001" / "iteration_1" / "estimates"
         grid = StftConfig(512, 128, 512, 8000)
-        export_estimates(
-            oracle_separate(scene, DegradationSpec(), grid),
-            estimates,
-            scene.num_samples,
-        )
+        export_estimates(oracle_separate(scene, DegradationSpec()), estimates, grid)
         out = tmp_path / "out"
         argv = ["separate", "--scenes", str(tmp_path / "scenes"), "--fcp", "fcp",
                 "--refinement", "external", "--external-dir", str(tmp_path / "ext"),
@@ -600,7 +594,7 @@ class TestEval:
         )
         save_scene(scene, tmp_path / "scene")
         sep = oracle_separate(scene, DegradationSpec())
-        export_estimates(sep, tmp_path / "est", scene.num_samples)
+        export_estimates(sep, tmp_path / "est")
         return scene
 
     def test_ground_truth_hits_cap(self, tmp_path, capsys):
@@ -691,10 +685,7 @@ class TestEval:
         spec = SceneSpec(num_speakers=1, duration_s=scene_s, seed=6)
         save_scene(simulate_scene(spec), tmp_path / "scene")
         other = simulate_scene(replace(spec, duration_s=estimates_s))
-        export_estimates(
-            oracle_separate(other, DegradationSpec()), tmp_path / "est",
-            other.num_samples,
-        )
+        export_estimates(oracle_separate(other, DegradationSpec()), tmp_path / "est")
         code = main(
             [
                 "eval",
@@ -715,10 +706,7 @@ class TestEval:
         spec = SceneSpec(num_speakers=1, duration_s=0.5, sample_rate_hz=16000, seed=6)
         save_scene(simulate_scene(spec), tmp_path / "scene")
         other = simulate_scene(replace(spec, duration_s=1.0, sample_rate_hz=8000))
-        export_estimates(
-            oracle_separate(other, DegradationSpec()), tmp_path / "est",
-            other.num_samples,
-        )
+        export_estimates(oracle_separate(other, DegradationSpec()), tmp_path / "est")
         assert _eval(tmp_path) == 4
         assert (
             "estimates are sampled at 8000 Hz but the scene at 16000 Hz"
@@ -786,7 +774,7 @@ def _eval_inputs(tmp_path, speakers=1):
     scene = simulate_scene(SceneSpec(num_speakers=speakers, duration_s=0.8, seed=6))
     save_scene(scene, tmp_path / "scene")
     separated = oracle_separate(scene, DegradationSpec())
-    export_estimates(separated, tmp_path / "est", scene.num_samples)
+    export_estimates(separated, tmp_path / "est")
 
 
 def _eval(tmp_path):

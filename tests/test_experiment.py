@@ -27,13 +27,14 @@ from cxfilter.cli import main
 from cxfilter.io import config_from_dict, config_to_dict, read_json, write_json
 from cxfilter.metrics import evaluate_scene
 from cxfilter.pipeline import (
+    SeparatorOutput,
     export_estimates,
     import_estimates,
     oracle_separate,
     predict,
     run_fcp_stage,
 )
-from cxfilter.stft import istft
+from cxfilter.stft import SEPARATOR_STFT
 from cxfilter.scenes import save_scene
 from conftest import count_calls, tree_bytes
 
@@ -210,7 +211,7 @@ class TestRunScene:
 
         def run(job):
             separator, report = run_scene(*job)
-            images = [s.data.tobytes() for s in separator.image_estimates]
+            images = [s.tobytes() for s in separator.image_estimates]
             return json.dumps(report.to_dict(), sort_keys=True), images
 
         experiment._pin_blas_threads()  # the openblas fixture restores it
@@ -224,13 +225,11 @@ class TestSingleScoringPath:
 
     def _assert_same(self, result, scene, images, quantiles):
         separator, report = result
-        n = scene.num_samples
-        want_images = [istft(s, output_length=n) for s in images]
-        want = evaluate_scene(want_images, scene, quantiles=quantiles)
+        want = evaluate_scene(images, scene, quantiles=quantiles)
         assert report.to_dict() == want.to_dict()
         assert len(separator.image_estimates) == len(images)
-        for got, spec in zip(separator.image_estimates, images):
-            assert np.array_equal(got.data, spec.data)
+        for got, image in zip(separator.image_estimates, images):
+            assert np.array_equal(got, image)
 
     def test_off_mode_scores_degraded_separator_output(self):
         scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=5))
@@ -241,7 +240,7 @@ class TestSingleScoringPath:
             quantiles=(0.25, 0.5, 0.75),
         )
         result = run_scene(scene, config)
-        sep = oracle_separate(scene, config.degradation, config.stft_dnn)
+        sep = oracle_separate(scene, config.degradation)
         self._assert_same(result, scene, sep.image_estimates, config.quantiles)
 
     def test_essu_substitute_scores_predicted_images(self):
@@ -253,7 +252,7 @@ class TestSingleScoringPath:
             quantiles=(0.5,),
         )
         result = run_scene(scene, config)
-        sep = oracle_separate(scene, config.degradation, config.stft_dnn)
+        sep = oracle_separate(scene, config.degradation)
         images = run_fcp_stage(scene.mixture, sep, config)
         self._assert_same(result, scene, images, config.quantiles)
 
@@ -297,8 +296,9 @@ class TestBatchRuns:
         assert on_disk == json.loads(json.dumps(report))
         per_scene = tmp_path / "out" / "scene_0001"
         assert (per_scene / "report.json").is_file()
-        _, length = import_estimates(per_scene / "estimates")  # round-trippable
-        assert length == round(config.scene.duration_s * config.scene.sample_rate_hz)
+        estimates, _ = import_estimates(per_scene / "estimates")  # round-trippable
+        length = round(config.scene.duration_s * config.scene.sample_rate_hz)
+        assert estimates.num_samples == length
 
     def test_separation_over_scene_directory(self, tmp_path):
         config = _tiny_config()
@@ -367,7 +367,6 @@ class TestBatchRuns:
             export_estimates(
                 oracle_separate(scene, DegradationSpec()),
                 ext.joinpath(*parts, key, "iteration_1", "estimates"),
-                scene.num_samples,
             )
 
     def test_external_refinement_exchanges_per_scene(self, tmp_path):
@@ -526,15 +525,15 @@ class TestEvaluateEstimates:
 
         scene = simulate_scene(SceneSpec(num_speakers=1, duration_s=1.0, seed=9))
         sep = oracle_separate(scene, DegradationSpec())
-        export_estimates(sep, tmp_path / "est", scene.num_samples)
-        estimates, length = import_estimates(tmp_path / "est")
-        assert length == scene.num_samples
+        export_estimates(sep, tmp_path / "est")
+        estimates, grid = import_estimates(tmp_path / "est")
+        assert (estimates.num_samples, grid) == (scene.num_samples, SEPARATOR_STFT)
         return scene, estimates
 
     def test_ground_truth_scores_at_cap(self, tmp_path):
         scene, estimates = self._scene_and_truth(tmp_path)
         payload = evaluate_estimates(
-            scene, estimates, (0.25, 0.5), tmp_path / "out", scene.num_samples
+            scene, estimates, (0.25, 0.5), tmp_path / "out", SEPARATOR_STFT
         )
         assert payload["report"]["mean"]["si_sdr_db"] >= 60.0
         assert (tmp_path / "out" / "report.json").is_file()
@@ -546,15 +545,17 @@ class TestEvaluateEstimates:
         _, estimates = self._scene_and_truth(tmp_path)
         other = simulate_scene(SceneSpec(num_speakers=2, duration_s=1.0, seed=9))
         with pytest.raises(ValueError, match="speaker count"):
-            evaluate_estimates(
-                other, estimates, (), tmp_path / "out", other.num_samples
-            )
+            evaluate_estimates(other, estimates, (), tmp_path / "out", SEPARATOR_STFT)
         assert not (tmp_path / "out").exists()
 
     def test_length_mismatch(self, tmp_path):
         scene, estimates = self._scene_and_truth(tmp_path)
+        short = SeparatorOutput(
+            [s[:123] for s in estimates.direct_estimates],
+            [s[:123] for s in estimates.image_estimates],
+        )
         with pytest.raises(ValueError, match="samples"):
-            evaluate_estimates(scene, estimates, (), tmp_path / "out", 123)
+            evaluate_estimates(scene, short, (), tmp_path / "out", SEPARATOR_STFT)
         assert not (tmp_path / "out").exists()
 
     def test_silent_speaker_makes_no_out_directory(self, tmp_path):
@@ -564,9 +565,7 @@ class TestEvaluateEstimates:
         scene = simulate_scene(spec)
         estimates = oracle_separate(scene, DegradationSpec())
         with pytest.raises(ValueError, match="identically zero"):
-            evaluate_estimates(
-                scene, estimates, (), tmp_path / "out", scene.num_samples
-            )
+            evaluate_estimates(scene, estimates, (), tmp_path / "out", SEPARATOR_STFT)
         assert not (tmp_path / "out").exists()
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, openblas):
@@ -581,7 +580,7 @@ class TestEvaluateEstimates:
         for count in (2, 1):
             openblas.scipy_openblas_set_num_threads64_(count)
             out = tmp_path / f"threads_{count}"
-            evaluate_estimates(scene, estimates, quantiles, out, scene.num_samples)
+            evaluate_estimates(scene, estimates, quantiles, out, SEPARATOR_STFT)
             assert openblas.scipy_openblas_get_num_threads64_() == count
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
@@ -595,7 +594,7 @@ class TestEvaluateEstimates:
         in_metrics = count_calls(monkeypatch, metrics, "si_sdr_le")
         in_experiment = count_calls(monkeypatch, experiment, "si_sdr_le")
         evaluate_estimates(
-            scene, estimates, quantiles, tmp_path / "out", scene.num_samples
+            scene, estimates, quantiles, tmp_path / "out", SEPARATOR_STFT
         )
         assert len(in_metrics) + len(in_experiment) == 2 * 3 * len(quantiles)
 

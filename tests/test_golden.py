@@ -210,7 +210,7 @@ def _eval_outputs(tmp_path) -> dict:
     )
     save_scene(scene, tmp_path / "scene")
     separator = oracle_separate(scene, DegradationSpec(snr_db=10.0, seed=3))
-    export_estimates(separator, tmp_path / "est", scene.num_samples)
+    export_estimates(separator, tmp_path / "est")
     code = main(
         [
             "eval",
@@ -228,12 +228,12 @@ def _eval_outputs(tmp_path) -> dict:
 
 
 EVAL_SHA256 = {
-    "report.json": "e7113d1f8891969ddbd2abcd83260e4431fb471eb79b7665c70b855dc63c059e",
+    "report.json": "4fba3b21ae34624cbb0126a5234aa15ce88bc72a03470cbbf139eb304e8b617c",
     "si_sdr_le_values.csv": (
-        "c47eab98f68564c0f510928f148c09feca1e944dfb38c4b0f8f183d064527eed"
+        "08455829339d486ec3fcb20beb32f5ab78886ead05e6d566189f9f4d2fa31670"
     ),
     "si_sdr_le_improvements.csv": (
-        "9abee2fd7c9136e2fd5c7bc08397a29e86a074c5ea526217a6eb37c0b9019b00"
+        "e681d303279470669139a94ab948fd5fddd90c5b3d9ab3218dc062864767aff9"
     ),
 }
 
@@ -285,7 +285,7 @@ def _sweep_outputs(tmp_path) -> dict:
 
 
 SWEEP_SHA256 = {
-    "sweep.csv": "ec9cfeda032daf48c38e750ddde7a89c6a21da15c6fbd0c7d3ceae833fc804c3",
+    "sweep.csv": "1bfc6ed9f71b765e843db47b66def71342704d9259e2ccad318ade2df3995d2c",
 }
 
 
@@ -326,7 +326,7 @@ def _separate_outputs(tmp_path) -> dict:
 
 SEPARATE_SHA256 = {
     "report.json": (
-        "cec5c97b0e3de208aeada06f0ac3ec6ab66e909e2b1b135e18462986a52d6e73"
+        "450b12291551e33b9354216c941630d2b62c5ea7817912a3e0043c72bd0f5fe9"
     ),
     "scene_0001/estimates/estimates.json": (
         "a5f5097176a91ba933e124127c1848d9202a3992c080b14bbdd8f699000289e1"
@@ -344,7 +344,7 @@ SEPARATE_SHA256 = {
         "73728453e52cf3d305810b3760968432038eb5a1a0c23621d7fd25604bfa6f11"
     ),
     "scene_0001/report.json": (
-        "64e7bd7ab449de65458eb61185d81811ef33f5d14604b76509e7957f5fa079e7"
+        "758e0bf69a7dc28f05e23a464c9db9777bae5d6a32a7ee64d3403d383225ece8"
     ),
     "scene_0002/estimates/estimates.json": (
         "a5f5097176a91ba933e124127c1848d9202a3992c080b14bbdd8f699000289e1"
@@ -362,7 +362,7 @@ SEPARATE_SHA256 = {
         "18d470d6bb17237061d30804f548c117fc1afe0117eecd8b3cb43f97b7f75cfa"
     ),
     "scene_0002/report.json": (
-        "ca86bae2a7a1db27a1749d723c13641bbe435118637bd24b48479bf6714e521f"
+        "17b04c002a1a8345e4e1457db448a68e2fc1d50a81c3a8ff3986c73c8a9f0ec4"
     ),
 }
 

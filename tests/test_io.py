@@ -240,6 +240,15 @@ class TestAtomicWrites:
             write_json(tmp_path / "a" / "m.json", {"x": np.nan})
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_rows_that_raise_make_no_directory(self, tmp_path):
+        def rows():
+            yield [1.5]
+            raise OSError("unreadable row")
+
+        with pytest.raises(OSError, match="unreadable row"):
+            write_csv(tmp_path / "a" / "m.csv", ("a",), rows())
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_replaces_the_old_file(self, tmp_path):
         path = tmp_path / "m.json"
         write_json(path, {"a": 1})

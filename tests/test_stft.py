@@ -1,4 +1,4 @@
-"""STFT engine: framing, reconstruction, conversion, invariants."""
+"""STFT engine: framing, reconstruction, invariants."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ from cxfilter import (
     SEPARATOR_STFT,
     ComplexSpectrogram,
     StftConfig,
-    convert_config,
     istft,
     si_sdr,
     stft,
@@ -244,30 +243,6 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak <= spec.data.nbytes + x.nbytes + 2 * 2**20
-
-
-class TestConvertConfig:
-    def test_identity_conversion(self, rng):
-        x = rng.standard_normal(8000)
-        spec = stft(x, SEPARATOR_STFT)
-        out = convert_config(spec, SEPARATOR_STFT, x.size)
-        err = np.linalg.norm(out.data - spec.data) / np.linalg.norm(spec.data)
-        assert err <= 1e-6
-        assert out is spec
-
-    def test_round_trip_through_other_config(self, rng):
-        x = rng.standard_normal(8000)
-        spec = stft(x, SEPARATOR_STFT)
-        there = convert_config(spec, FILTER_STFT, x.size)
-        back = convert_config(there, SEPARATOR_STFT, x.size)
-        assert si_sdr(istft(back, output_length=x.size), x) >= 60.0
-
-    def test_zero_input(self):
-        spec = ComplexSpectrogram(
-            np.zeros((40, SEPARATOR_STFT.bins), dtype=complex), SEPARATOR_STFT
-        )
-        out = convert_config(spec, FILTER_STFT, 1000)
-        assert np.all(out.data == 0)
 
 
 class TestComplexSpectrogram:

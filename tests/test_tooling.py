@@ -1,5 +1,5 @@
 """The test configuration itself: a failing property test is reported as
-a failure, and the tests after it still run.  And nine source rules:
+a failure, and the tests after it still run.  And these source rules:
 files are written only through :mod:`cxfilter.io`'s atomic writers,
 directories are made only by :mod:`cxfilter.io`, with the file that
 goes into them, WAVs are read and written only inside
@@ -14,7 +14,9 @@ the solve where numpy bundles no OpenBLAS, importing
 generated ``separate`` or a ``sweep`` run, and a ``separate`` batch
 after the import loads no further module, and a ``CliError`` is built
 only where an exit code differs from what ``cli.main`` maps an
-exception type to.  A smoke run of ``tools/peak_rss.py`` checks that it
+exception type to, and only the prediction stage and the SI-SDR-LE
+analysis call ``stft`` or ``istft``, so stages hand each other
+signals.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
 
 import ast
@@ -299,6 +301,29 @@ def test_scipy_is_imported_only_by_the_solve_fallback():
         if "scipy" in _imported_roots(node)
     )
     assert found == [("fcp.py", "cho_factor"), ("fcp.py", "cho_solve")]
+
+
+# (call, module, top-level function) of every STFT analysis and synthesis:
+# stages hand each other signals, so only the prediction stage and the
+# SI-SDR-LE analysis move between a signal and a spectrogram.
+TRANSFORM_CALLS = {
+    ("stft", "pipeline.py", "run_fcp_stage"),
+    ("stft", "metrics.py", "_analyse"),
+    ("istft", "pipeline.py", "run_fcp_stage"),
+    ("istft", "metrics.py", "si_sdr_le"),
+}
+
+
+def test_no_spectrogram_crosses_a_stage_boundary():
+    found = {
+        (name, path.name, str(scope).split(".")[0])
+        for path in PACKAGE.glob("*.py")
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in ("stft", "istft")
+    }
+    assert found == TRANSFORM_CALLS
 
 
 def _fresh_python(code: str, cwd=None) -> str:
