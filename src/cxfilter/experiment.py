@@ -29,7 +29,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: here, not in a batch's first scene
 
 from cxfilter import fcp as fcp_module
-from cxfilter.fcp import FcpConfig
+from cxfilter.fcp import FcpConfig, run_on_threads
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
@@ -201,7 +201,8 @@ class ExperimentConfig:
 
 
 def run_scene(scene: Scene, config: ExperimentConfig, threads=1) -> tuple:
-    """Run the configured system over one scene; see :func:`run_pipeline`."""
+    """Run the configured system over one scene, fitting filters and
+    scoring speakers on ``threads`` threads; see :func:`run_pipeline`."""
     return run_pipeline(scene, config, threads)
 
 
@@ -301,8 +302,9 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
     At most ``jobs`` worker processes run, and never more than there
     are CPUs or payloads.  Every worker runs OpenBLAS on one thread
     (:func:`_pin_blas_threads`) and is called as ``func(payload,
-    threads=share)``, to fit FCP filters on its share of the CPUs: all of
-    them in this process, ``CPUs // workers`` in a pool.
+    threads=share)``, to fit FCP filters and score speakers on its share
+    of the CPUs: all of them in this process, ``CPUs // workers`` in a
+    pool.
     Where a bundled OpenBLAS is not found, one warning line goes to
     stderr, its threads are left as they are, and the fits run on one
     thread, since Python threads over a multi-threaded BLAS would
@@ -437,21 +439,26 @@ def evaluate_estimates(
     the unprocessed mixture, averaged over speakers, and both CSV
     exports are written next to the report.  The estimates' SI-SDR-LE
     values in the sweep are the report's; only the mixture is scored
-    again, once per speaker and quantile.  All of it is scored, on one
-    OpenBLAS thread (:func:`_pin_blas_threads`), before the first file
-    is written, so the bytes do not depend on the CPU count.
+    again, once per speaker and quantile.  All of it is scored before the
+    first file is written, with each speaker's sweep one task on every
+    CPU and OpenBLAS on one thread, as in :func:`_map_jobs`, so the bytes
+    do not depend on the CPU count.
     """
     rate, n = scene.spec.sample_rate_hz, scene.num_samples
     check_estimates(estimates, grid, scene.num_speakers, rate, n)
     quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
-    previous = _pin_blas_threads()  # as in _map_jobs, whatever the CPU count
+    previous = _pin_blas_threads()
+    threads = 1 if previous is None else _cpu_count()
+    refs = scene.reverberant_image
+    unprocessed = [None] * len(refs)
+
+    def sweep(c):
+        unprocessed[c] = [si_sdr_le(scene.mixture, refs[c], q) for q in quantiles]
+
     try:
-        report = evaluate_scene(estimates.image_estimates, scene, quantiles=quantiles)
-        unprocessed = [
-            [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
-            for ref in scene.reverberant_image
-        ]
+        report = evaluate_scene(estimates.image_estimates, scene, quantiles, threads)
+        run_on_threads(sweep, list(range(len(refs))), threads)
     finally:
         _pin_blas_threads(previous)
 

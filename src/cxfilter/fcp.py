@@ -215,26 +215,34 @@ def cho_solve(factor, b):
     return x
 
 
-def _run_blocks(block, starts: list, threads: int) -> None:
-    """Call ``block(f0)`` for every start, on up to ``threads`` threads.
+def check_threads(threads) -> None:
+    """Raise ValueError unless ``threads`` is an int >= 1 (not a bool)."""
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
 
-    The calling thread runs one share of the starts itself (each extra
-    thread costs peak memory of its own); helper threads, one per
-    further share, are joined before this returns, also when a block
-    raises, and a block's error reaches the caller.
+
+def run_on_threads(task, items: list, threads: int) -> None:
+    """Call ``task(item)`` for every item, on up to ``threads`` threads:
+    the one place the package starts threads.
+
+    Items are dealt round-robin into one share per thread, each run in
+    item order.  The calling thread runs the first share itself (each
+    extra thread costs peak memory of its own); helper threads, one per
+    further share, are joined before this returns, also when a task
+    raises, and a task's error reaches the caller.
     """
-    threads = min(threads, len(starts))
+    threads = min(threads, len(items))
 
     def run(share):
-        for f0 in share:
-            block(f0)
+        for item in share:
+            task(item)
 
     if threads <= 1:
-        run(starts)
+        run(items)
         return
     with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(run, starts[i::threads]) for i in range(1, threads)]
-        run(starts[::threads])
+        helpers = [pool.submit(run, items[i::threads]) for i in range(1, threads)]
+        run(items[::threads])
         for helper in helpers:
             helper.result()
 
@@ -277,8 +285,7 @@ def estimate_fcp_filter(
     numpy.ndarray
         Complex filter array of shape ``(bins, taps)``.
     """
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    check_threads(threads)
     _check_same_grid(target, s_hat, "estimate_fcp_filter")
     taps = config.taps
     z = target.data
@@ -319,7 +326,7 @@ def estimate_fcp_filter(
             except np.linalg.LinAlgError:
                 filters[f0 + b] = np.linalg.lstsq(system, cross[b], rcond=None)[0]
 
-    _run_blocks(fit_block, list(range(0, bins, _BIN_BLOCK)), threads)
+    run_on_threads(fit_block, list(range(0, bins, _BIN_BLOCK)), threads)
     return filters
 
 

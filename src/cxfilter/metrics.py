@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from cxfilter.fcp import check_threads, run_on_threads
 from cxfilter.io import config_to_dict, write_csv
 from cxfilter.losses import best_permutation, pairwise_table
 from cxfilter.scenes import Scene
@@ -55,28 +57,37 @@ def si_sdr(est, ref) -> float:
     return float(min(SI_SDR_CAP_DB, max(SI_SDR_FLOOR_DB, value)))
 
 
-# The last two SI-SDR-LE analyses as (copy of the signal, spectrogram),
-# most recently used first.  A quantile sweep scores one (estimate,
-# reference) pair at every quantile, so two entries let every quantile
-# after the first reuse both spectrograms.
-_ANALYSES: list = []
+class _Analyses(threading.local):
+    """Each thread's last two SI-SDR-LE analyses as ``entries``, a list of
+    (copy of the signal, spectrogram), most recently used first.  A
+    quantile sweep scores one (estimate, reference) pair at every
+    quantile, so two entries let every quantile after the first reuse
+    both spectrograms, and sweeps on other threads evict none of them.
+    """
+
+    def __init__(self):
+        self.entries = []
+
+
+_ANALYSES = _Analyses()
 
 
 def _analyse(signal: np.ndarray) -> ComplexSpectrogram:
     """``stft(signal, SEPARATOR_STFT)``, reused while the signal's values
-    are unchanged.
+    are unchanged and the calling thread asks again.
 
     An entry matches only on an element-wise equal copy of the signal,
     so changing an array in place between calls never returns a stale
     spectrogram.
     """
-    for i, (cached_signal, spec) in enumerate(_ANALYSES):
+    entries = _ANALYSES.entries
+    for i, (cached_signal, spec) in enumerate(entries):
         if np.array_equal(cached_signal, signal):
-            _ANALYSES.insert(0, _ANALYSES.pop(i))
+            entries.insert(0, entries.pop(i))
             return spec
     spec = stft(signal, SEPARATOR_STFT)
-    _ANALYSES.insert(0, (signal.copy(), spec))
-    del _ANALYSES[2:]
+    entries.insert(0, (signal.copy(), spec))
+    del entries[2:]
     return spec
 
 
@@ -253,14 +264,24 @@ class MetricsReport:
         }
 
 
-def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport:
+def evaluate_scene(
+    estimates: list, scene: Scene, quantiles=(), threads=1
+) -> MetricsReport:
     """Score per-speaker estimates against a scene's true images.
 
     The speaker assignment is resolved by maximizing the mean SI-SDR
     over all permutations (ties to the lexicographically smallest), and
     the report carries per-speaker SI-SDR plus SI-SDR-LE at each
     requested quantile against the true reverberant images.
+
+    The SI-SDR table and the search run on the calling thread.  Each
+    speaker's SI-SDR-LE sweep, one :func:`si_sdr_le` call per quantile
+    in grid order, is then one task, and the tasks run on ``threads``
+    threads (:func:`~cxfilter.fcp.run_on_threads`) with the same bits at
+    any count.  A ``threads`` that is not an int >= 1 raises ValueError
+    before any scoring.
     """
+    check_threads(threads)
     refs = scene.reverberant_image
     count = len(refs)
     if len(estimates) != count:
@@ -276,14 +297,14 @@ def evaluate_scene(estimates: list, scene: Scene, quantiles=()) -> MetricsReport
     table = pairwise_table(si_sdr, estimates, refs)
     best_perm = best_permutation(-table)
 
-    per_speaker = []
-    for c in range(count):
-        entry = {"si_sdr_db": float(table[c, best_perm[c]])}
-        if quantiles:
-            entry["si_sdr_le_db"] = {
-                q: si_sdr_le(estimates[best_perm[c]], refs[c], q) for q in quantiles
-            }
-        per_speaker.append(entry)
+    per_speaker = [{"si_sdr_db": float(table[c, best_perm[c]])} for c in range(count)]
+
+    def sweep(c):
+        est, ref = estimates[best_perm[c]], refs[c]
+        per_speaker[c]["si_sdr_le_db"] = {q: si_sdr_le(est, ref, q) for q in quantiles}
+
+    if quantiles:
+        run_on_threads(sweep, list(range(count)), threads)
 
     config = {
         "si_sdr_cap_db": SI_SDR_CAP_DB,

@@ -449,9 +449,11 @@ def run_pipeline(scene: Scene, config: ExperimentConfig, threads=1) -> tuple:
     """Run :func:`predict` and the last refinement, then score the final
     image signals, ``separator.image_estimates``, once against the
     scene's true reverberant images at ``config.quantiles``; returns
-    ``(separator, report)``.  Filters are fitted on ``threads`` threads."""
+    ``(separator, report)``.  Filters are fitted, and the speakers' SI-SDR-LE
+    sweeps scored (:func:`~cxfilter.metrics.evaluate_scene`), on
+    ``threads`` threads."""
     separator, features = predict(scene, config, threads)
     if features is not None:
         separator = _refine(features, separator, config, config.iterations)
     images = separator.image_estimates
-    return separator, evaluate_scene(images, scene, quantiles=config.quantiles)
+    return separator, evaluate_scene(images, scene, config.quantiles, threads)

@@ -153,6 +153,20 @@ class TestSeparate:
         assert report["config"]["fcp_mode"] == "off"
         assert "mean SI-SDR" in capsys.readouterr().out
 
+    def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # At --jobs 1 a scene's speakers are scored on every CPU.
+        assert _simulate(tmp_path / "scenes", count=2, speakers=3) == 0
+        trees = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cxfilter.experiment, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus_{cpus}"
+            argv = ["separate", "--scenes", str(tmp_path / "scenes"),
+                    "--out", str(out), "--fcp", "off", "--degradation-snr", "10",
+                    "--quantiles", "0.1,0.5,0.9", "--jobs", "1"]
+            assert main(argv) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+
     def test_generates_scenes_when_none_given(self, tmp_path):
         path = tmp_path / "config.json"
         write_json(
@@ -612,6 +626,22 @@ class TestEval:
         assert "mean SI-SDR 100.000 dB" in out
         values = (tmp_path / "out" / "si_sdr_le_values.csv").read_text()
         assert len(values.strip().splitlines()) == 1 + 2 * 9  # default grid
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # The estimates' and the mixture's sweeps are scored on every CPU.
+        scene = simulate_scene(SceneSpec(num_speakers=4, duration_s=0.8, seed=6))
+        save_scene(scene, tmp_path / "scene")
+        separated = oracle_separate(scene, DegradationSpec(snr_db=10.0))
+        export_estimates(separated, tmp_path / "est")
+        trees = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cxfilter.experiment, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus_{cpus}"
+            argv = ["eval", "--scene", str(tmp_path / "scene"),
+                    "--estimates", str(tmp_path / "est"), "--out", str(out)]
+            assert main(argv) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize(
         "flag",

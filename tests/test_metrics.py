@@ -2,6 +2,8 @@
 
 import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -146,12 +148,12 @@ class TestAnalysisMemo:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        metrics._ANALYSES.clear()
+        metrics._ANALYSES.entries.clear()
         yield
-        metrics._ANALYSES.clear()
+        metrics._ANALYSES.entries.clear()
 
     def _cold(self, est, ref, q):
-        metrics._ANALYSES.clear()
+        metrics._ANALYSES.entries.clear()
         return si_sdr_le(est, ref, q)
 
     def _signals(self, rng, n=3000):
@@ -181,9 +183,42 @@ class TestAnalysisMemo:
         estimates = [img + 0.1 * noise for img in scene.reverberant_image]
         stft_calls = count_calls(monkeypatch, metrics, "stft")
         le_calls = count_calls(monkeypatch, metrics, "si_sdr_le")
-        evaluate_scene(estimates, scene, quantiles=self.QUANTILES)
-        assert len(stft_calls) == 2 * speakers
-        assert len(le_calls) == speakers * len(self.QUANTILES)
+        for threads in (1, 3):  # each thread analyses its own pairs once
+            metrics._ANALYSES.entries.clear()
+            evaluate_scene(estimates, scene, self.QUANTILES, threads)
+            assert len(stft_calls) == 2 * speakers
+            assert len(le_calls) == speakers * len(self.QUANTILES)
+            stft_calls.clear()
+            le_calls.clear()
+
+    def test_threads_keep_their_own_analyses(self, rng, monkeypatch):
+        # Two threads score different pairs in lockstep; each reuses its
+        # own two analyses, so no score moves and no pair is re-analysed.
+        pairs = [self._signals(rng) for _ in range(2)]
+        serial = [[si_sdr_le(e, r, q) for q in self.QUANTILES] for e, r in pairs]
+        stft_calls = count_calls(monkeypatch, metrics, "stft")
+        barrier = threading.Barrier(2, timeout=60)
+        scores = ([], [])
+
+        def score(k):
+            est, ref = pairs[k]
+            for _ in range(20):
+                barrier.wait()
+                scores[k].append([si_sdr_le(est, ref, q) for q in self.QUANTILES])
+
+        workers = [threading.Thread(target=score, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert scores == ([serial[0]] * 20, [serial[1]] * 20)
+        assert len(stft_calls) == 2 * 2
 
     def test_sweep_keeps_the_reference_across_systems(self, rng, monkeypatch):
         ref = rng.standard_normal(3000)
@@ -314,6 +349,34 @@ class TestEvaluateScene:
         ]
         with pytest.raises(ValueError, match="strictly ascending"):
             evaluate_scene(list(small_scene.reverberant_image), small_scene, quantiles)
+        assert calls == [[], []]
+
+    @pytest.mark.parametrize("speakers", (1, 2, 4))
+    @pytest.mark.parametrize("quantiles", ((), (0.1, 0.5, 0.9)), ids=("", "sweep"))
+    def test_bits_do_not_depend_on_the_thread_count(self, speakers, quantiles):
+        # One second is 8000 samples, below the 10^4 at which OpenBLAS
+        # splits a dot product over its own threads.
+        scene = simulate_scene(
+            SceneSpec(num_speakers=speakers, duration_s=1.0, t60_s=0.3, seed=21)
+        )
+        noise = np.random.default_rng(3).standard_normal(scene.mixture.shape)
+        estimates = [img + 0.3 * noise for img in scene.reverberant_image[::-1]]
+        reports = {
+            threads: repr(evaluate_scene(estimates, scene, quantiles, threads).to_dict())
+            for threads in (1, 2, 3, 5)
+        }
+        assert set(reports.values()) == {reports[1]}
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.0, "2", True, None])
+    def test_rejects_a_thread_count_before_scoring(
+        self, monkeypatch, small_scene, threads
+    ):
+        calls = [
+            count_calls(monkeypatch, metrics, name) for name in ("si_sdr", "si_sdr_le")
+        ]
+        estimates = list(small_scene.reverberant_image)
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            evaluate_scene(estimates, small_scene, (0.5,), threads)
         assert calls == [[], []]
 
     def test_count_and_length_mismatches(self, small_scene):

@@ -16,7 +16,8 @@ after the import loads no further module, and a ``CliError`` is built
 only where an exit code differs from what ``cli.main`` maps an
 exception type to, and only the prediction stage and the SI-SDR-LE
 analysis call ``stft`` or ``istft``, so stages hand each other
-signals.  A smoke run of ``tools/peak_rss.py`` checks that it
+signals, and threads are started only by the one hand-out helper and
+processes only by the batch runner's pool.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
 
 import ast
@@ -250,6 +251,59 @@ def test_no_module_holds_state_that_another_sets():
 )
 def test_module_mutation_rule_finds_its_cases(source, found):
     assert list(_module_mutations(ast.parse(source))) == found
+
+
+# Classes whose construction starts a thread or a process.
+WORKER_CLASSES = ("Thread", "ThreadPoolExecutor", "ProcessPoolExecutor")
+# (class, module, enclosing function) of every such construction: threads
+# start only in the one hand-out helper, processes only in the batch
+# runner's pool.
+WORKER_CONSTRUCTIONS = {
+    ("ThreadPoolExecutor", "fcp.py", "run_on_threads"),
+    ("ProcessPoolExecutor", "experiment.py", "_map_jobs"),
+}
+
+
+def _worker_constructions(tree):
+    """(enclosing function, class) of every call that constructs one of
+    :data:`WORKER_CLASSES`, by the name it is called through:
+    ``Thread(...)``, ``threading.Thread(...)`` and so on."""
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in WORKER_CLASSES:
+                yield scope, name
+
+
+def test_threads_and_processes_start_in_one_place_each():
+    found = {
+        (kind, path.name, scope)
+        for path in PACKAGE.glob("*.py")
+        for scope, kind in _worker_constructions(ast.parse(path.read_text()))
+    }
+    assert found == WORKER_CONSTRUCTIONS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import threading\nthreading.Thread(target=f)", [(None, "Thread")]),
+        ("from threading import Thread\ndef f():\n    Thread()", [("f", "Thread")]),
+        (
+            "import concurrent.futures as cf\nclass A:\n    def f(self):\n"
+            "        cf.ThreadPoolExecutor(2)",
+            [("A.f", "ThreadPoolExecutor")],
+        ),
+        (
+            "def f():\n    def g():\n        ProcessPoolExecutor(max_workers=2)",
+            [("f.g", "ProcessPoolExecutor")],
+        ),
+        ("import threading\nthreading.local()", []),
+        ("from threading import Thread\nclass T(Thread):\n    pass", []),
+    ],
+)
+def test_worker_rule_finds_its_cases(source, found):
+    assert list(_worker_constructions(ast.parse(source))) == found
 
 
 # (function, exit code) of each CliError that cli.py builds: the codes
