@@ -14,7 +14,8 @@ end.  ``+inf`` DRR and noise SNR and ``-inf`` gains stay valid.  ``--out``
 and every directory under it are made by the first file written into
 them, so a run that fails or is interrupted before writing leaves none.
 An ``--out`` whose nearest existing ancestor is not a writable directory
-exits 2 before any work.
+exits 2 before any work.  The CLI owns its process, so :func:`main`
+sets :func:`~cxfilter.experiment.set_heap_policy` before a subcommand.
 Exit codes: 0 success, 2 I/O failure, 3 missing scene, 4 shape
 mismatch, 5 bad arguments.  :func:`main` alone maps exception types to
 them: a :class:`CliError` carries its own code, ``NoScenesError`` gives
@@ -40,6 +41,7 @@ from cxfilter.experiment import (
     run_separation,
     run_simulation,
     run_sweep,
+    set_heap_policy,
 )
 from cxfilter.io import config_from_dict, read_json
 from cxfilter.metrics import check_quantiles
@@ -261,6 +263,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        set_heap_policy()  # the CLI owns its process
         return args.func(args)
     except CliError as err:
         print(str(err), file=sys.stderr)

@@ -15,6 +15,7 @@ merge in deterministic scene order.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -43,7 +44,7 @@ from cxfilter.metrics import (
     check_quantiles,
     evaluate_scene,
     mean_scores,
-    si_sdr_le,
+    si_sdr_le_sweep,
 )
 from cxfilter.pipeline import (
     REFINEMENTS,
@@ -82,6 +83,15 @@ SWEEP_AXES = {
 SWEEP_COLUMNS = (
     "axis", "value", "num_scenes", "mean_fcp_image_si_sdr_db", "config_sha256"
 )
+# glibc mallopt parameters (malloc.h) and the values set_heap_policy
+# gives them.  Every scoring temporary (0.8 MB at 3 s, 2.6 MB for a
+# 256-grid spectrogram at 10 s) is below the mmap threshold, so it is
+# reused from the heap, whose free top is kept up to the trim threshold;
+# a filter-grid spectrogram (10.4 MB at 10 s) stays mapped, returned as
+# soon as it is freed.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_MMAP_THRESHOLD = 4 << 20
+HEAP_TRIM_THRESHOLD = 8 << 20
 
 
 def _range_pair(value, name: str) -> tuple:
@@ -289,6 +299,31 @@ def _pin_blas_threads(count: int = 1) -> int | None:
     return previous
 
 
+def set_heap_policy() -> None:
+    """Set glibc's mmap and trim thresholds (``mallopt``) to
+    :data:`HEAP_MMAP_THRESHOLD` and :data:`HEAP_TRIM_THRESHOLD`, so freed
+    scoring temporaries stay in the heap; without ``mallopt``, do nothing.
+
+    glibc's own thresholds follow the largest block freed, so each
+    SI-SDR-LE call gave the heap's top back to the kernel and the next
+    one faulted it in again.  Fixed thresholds hold for the rest of the
+    process, so only the processes the package owns set them: the CLI
+    (:func:`cxfilter.cli.main`) and :func:`_map_jobs`'s pool workers.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library
+        return
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
+def _start_worker() -> None:
+    """A pool worker's set-up: the heap policy, and OpenBLAS on one thread."""
+    set_heap_policy()
+    _pin_blas_threads()
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on (its affinity set)."""
     if hasattr(os, "sched_getaffinity"):
@@ -301,7 +336,8 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
 
     At most ``jobs`` worker processes run, and never more than there
     are CPUs or payloads.  Every worker runs OpenBLAS on one thread
-    (:func:`_pin_blas_threads`) and is called as ``func(payload,
+    (:func:`_pin_blas_threads`), a pool worker with the heap policy
+    (:func:`set_heap_policy`) too, and is called as ``func(payload,
     threads=share)``, to fit FCP filters and score speakers on its share
     of the CPUs: all of them in this process, ``CPUs // workers`` in a
     pool.
@@ -328,7 +364,7 @@ def _map_jobs(func, payloads: list, jobs: int) -> list:
         pool = None
         try:
             pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_pin_blas_threads
+                max_workers=workers, initializer=_start_worker
             )
             work = functools.partial(func, threads=max(1, share // workers))
             results = pool.map(work, payloads)  # submits every payload now
@@ -454,7 +490,7 @@ def evaluate_estimates(
     unprocessed = [None] * len(refs)
 
     def sweep(c):
-        unprocessed[c] = [si_sdr_le(scene.mixture, refs[c], q) for q in quantiles]
+        unprocessed[c] = si_sdr_le_sweep(scene.mixture, refs[c], quantiles)
 
     try:
         report = evaluate_scene(estimates.image_estimates, scene, quantiles, threads)

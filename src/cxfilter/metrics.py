@@ -63,6 +63,7 @@ class _Analyses(threading.local):
     quantile sweep scores one (estimate, reference) pair at every
     quantile, so two entries let every quantile after the first reuse
     both spectrograms, and sweeps on other threads evict none of them.
+    :func:`si_sdr_le_sweep` empties the list as it ends.
     """
 
     def __init__(self):
@@ -146,6 +147,18 @@ def si_sdr_le(est, ref, quantile: float) -> float:
         for s in (ref_spec, est_spec)
     )
     return si_sdr(est_time, ref_time)
+
+
+def si_sdr_le_sweep(est, ref, quantiles) -> list:
+    """``si_sdr_le(est, ref, q)`` at each quantile, in grid order.
+
+    The calling thread's analyses are forgotten when the sweep ends, so
+    a scored pair leaves no spectrogram alive through later work.
+    """
+    try:
+        return [si_sdr_le(est, ref, q) for q in quantiles]
+    finally:
+        _ANALYSES.entries.clear()
 
 
 def _column_means(table) -> tuple:
@@ -275,11 +288,10 @@ def evaluate_scene(
     requested quantile against the true reverberant images.
 
     The SI-SDR table and the search run on the calling thread.  Each
-    speaker's SI-SDR-LE sweep, one :func:`si_sdr_le` call per quantile
-    in grid order, is then one task, and the tasks run on ``threads``
-    threads (:func:`~cxfilter.fcp.run_on_threads`) with the same bits at
-    any count.  A ``threads`` that is not an int >= 1 raises ValueError
-    before any scoring.
+    speaker's :func:`si_sdr_le_sweep` is then one task, and the tasks
+    run on ``threads`` threads (:func:`~cxfilter.fcp.run_on_threads`)
+    with the same bits at any count.  A ``threads`` that is not an int
+    >= 1 raises ValueError before any scoring.
     """
     check_threads(threads)
     refs = scene.reverberant_image
@@ -301,7 +313,8 @@ def evaluate_scene(
 
     def sweep(c):
         est, ref = estimates[best_perm[c]], refs[c]
-        per_speaker[c]["si_sdr_le_db"] = {q: si_sdr_le(est, ref, q) for q in quantiles}
+        scores = si_sdr_le_sweep(est, ref, quantiles)
+        per_speaker[c]["si_sdr_le_db"] = dict(zip(quantiles, scores))
 
     if quantiles:
         run_on_threads(sweep, list(range(count)), threads)

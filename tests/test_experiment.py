@@ -1,14 +1,19 @@
 """Batch experiment layer: configs, hashing, batch runs, sweeps."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cxfilter import DegradationSpec, FcpConfig, SceneSpec, simulate_scene
-from cxfilter import experiment, metrics, pipeline
+from cxfilter import cli, experiment, metrics, pipeline
 from cxfilter import fcp as fcp_module
 from cxfilter.experiment import (
     FCP_MODES,
@@ -55,6 +60,9 @@ def openblas():
     yield lib
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _tiny_ranges(**kw):
@@ -477,7 +485,7 @@ class TestBatchRuns:
             ]
             assert started == [workers]
             share = fit_threads if blas_found else 1
-            assert initializers == [experiment._pin_blas_threads]
+            assert initializers == [experiment._start_worker]
             assert shares == [share]
             initializers.clear()
             shares.clear()
@@ -587,16 +595,41 @@ class TestEvaluateEstimates:
 
     def test_each_pair_is_scored_once_per_quantile(self, tmp_path, monkeypatch):
         # The sweep takes the estimates' SI-SDR-LE from the report and
-        # scores only the mixture again: 2 x speakers x quantiles calls.
+        # scores only the mixture again: 2 x speakers x quantiles calls,
+        # all through metrics.si_sdr_le_sweep.
         scene = simulate_scene(SceneSpec(num_speakers=3, duration_s=0.5, seed=9))
         estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
         quantiles = (0.1, 0.3, 0.5, 0.7, 0.9)
-        in_metrics = count_calls(monkeypatch, metrics, "si_sdr_le")
-        in_experiment = count_calls(monkeypatch, experiment, "si_sdr_le")
+        le_calls = count_calls(monkeypatch, metrics, "si_sdr_le")
         evaluate_estimates(
             scene, estimates, quantiles, tmp_path / "out", SEPARATOR_STFT
         )
-        assert len(in_metrics) + len(in_experiment) == 2 * 3 * len(quantiles)
+        assert len(le_calls) == 2 * 3 * len(quantiles)
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_scoring_leaves_no_analyses_behind(self, tmp_path, monkeypatch, cpus):
+        # The estimates' and the mixture's sweeps each forget their
+        # thread's analyses as they end.
+        scene = simulate_scene(SceneSpec(num_speakers=3, duration_s=0.5, seed=9))
+        estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
+        left = []
+        run_on_threads = metrics.run_on_threads
+
+        def checked(task, items, count):
+            def sweep(item):
+                task(item)
+                left.append(len(metrics._ANALYSES.entries))
+
+            run_on_threads(sweep, items, count)
+
+        for module in (metrics, experiment):
+            monkeypatch.setattr(module, "run_on_threads", checked)
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
+        evaluate_estimates(
+            scene, estimates, (0.25, 0.75), tmp_path / "out", SEPARATOR_STFT
+        )
+        assert left == [0] * 6
+        assert metrics._ANALYSES.entries == []
 
 
 class TestSweep:
@@ -718,3 +751,118 @@ class TestSweep:
             run_sweep(_tiny_config(fcp_mode="off"), "taps", [2], tmp_path)
         with pytest.raises(ValueError, match="axis"):
             run_sweep(_tiny_config(fcp_mode="fcp"), "gain", [2], tmp_path)
+
+
+# Prints the minor page faults of the batch call, as the benchmark
+# times it: around run_separation, in a fresh process.
+COUNTED_BATCH = """
+import resource
+import cxfilter.cli as cli
+from cxfilter.experiment import ExperimentConfig, run_separation
+from cxfilter.io import config_from_dict, read_json
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        return run_separation(*args, **kwargs)
+    finally:
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+"""
+
+
+class TestHeapPolicy:
+    class _Libc:
+        def __init__(self):
+            self.calls = []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_sets_the_two_thresholds(self, monkeypatch):
+        libc, opened = self._Libc(), []
+        monkeypatch.setattr(
+            experiment.ctypes, "CDLL", lambda name: opened.append(name) or libc
+        )
+        experiment.set_heap_policy()
+        assert opened == [None]  # the process's own C library
+        assert libc.calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+    @pytest.mark.parametrize("missing", ["mallopt", "library"])
+    def test_does_nothing_without_mallopt(self, monkeypatch, missing):
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(experiment.ctypes, "CDLL", cdll)
+        assert experiment.set_heap_policy() is None
+
+    @pytest.mark.parametrize("command", ["simulate", "separate", "eval", "sweep"])
+    def test_cli_sets_it_before_every_subcommand(self, monkeypatch, command):
+        events = []
+        monkeypatch.setattr(cli, "set_heap_policy", lambda: events.append("policy"))
+        monkeypatch.setattr(
+            cli, f"cmd_{command}", lambda args: events.append(args.command) or 0
+        )
+        argv = {
+            "simulate": ["simulate"],
+            "separate": ["separate"],
+            "eval": ["eval", "--scene", "s", "--estimates", "e"],
+            "sweep": ["sweep", "--axis", "taps", "--values", "2"],
+        }[command]
+        assert cli.main([*argv, "--out", "out"]) == 0
+        assert events == ["policy", command]
+
+    def test_a_library_batch_leaves_it_unset(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "set_heap_policy", lambda: calls.append(1))
+        run_separation(_tiny_config(num_scenes=1), tmp_path / "out", jobs=1)
+        assert calls == []
+
+    def test_pool_workers_set_it(self, monkeypatch):
+        # _map_jobs starts every pool worker with _start_worker.
+        events = []
+        monkeypatch.setattr(
+            experiment, "set_heap_policy", lambda: events.append("heap")
+        )
+        monkeypatch.setattr(
+            experiment, "_pin_blas_threads", lambda count=1: events.append(count)
+        )
+        experiment._start_worker()
+        assert events == ["heap", 1]
+
+    def test_cli_batch_keeps_its_temporaries(self, tmp_path):
+        # Without the policy glibc gives the scoring temporaries back to
+        # the kernel and faults them in again, call after call.
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the policy is set through glibc's mallopt")
+        config = _tiny_config(
+            num_scenes=2,
+            scene=_tiny_ranges(num_speakers=4, duration_s=3.0),
+            degradation=DegradationSpec(
+                mode="combined", snr_db=10.0, cross_talk_fraction=0.2
+            ),
+            quantiles=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+        )
+        write_json(tmp_path / "batch.json", config_to_dict(config))
+        runs = {
+            "cli": "cli.run_separation = counted; cli.main(['separate', "
+            "'--config', 'batch.json', '--out', 'cli', '--jobs', '1'])",
+            "library": "counted(config_from_dict(ExperimentConfig, "
+            "read_json('batch.json')), 'library', jobs=1)",
+        }
+        faults = {}
+        for name, run in runs.items():
+            done = subprocess.run(
+                [sys.executable, "-c", COUNTED_BATCH + run],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            faults[name] = int(done.stdout.splitlines()[0])
+        assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "library")
+        # Measured on 2-vCPU x86-64 Linux: about 3.0k faults against 38k
+        # (0.078 of them); the bound leaves a margin of 3.2x.
+        assert faults["cli"] < faults["library"] / 4

@@ -191,6 +191,30 @@ class TestAnalysisMemo:
             stft_calls.clear()
             le_calls.clear()
 
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_a_scored_scene_leaves_no_analyses_behind(self, monkeypatch, threads):
+        # Each thread forgets its analyses as each speaker's sweep ends, so
+        # none stays alive through the next scene's work.
+        scene = simulate_scene(
+            SceneSpec(num_speakers=3, duration_s=0.5, t60_s=0.2, seed=17)
+        )
+        noise = np.random.default_rng(5).standard_normal(scene.mixture.shape)
+        estimates = [img + 0.1 * noise for img in scene.reverberant_image]
+        left = []
+        run_on_threads = metrics.run_on_threads
+
+        def checked(task, items, count):
+            def sweep(item):
+                task(item)
+                left.append(len(metrics._ANALYSES.entries))
+
+            run_on_threads(sweep, items, count)
+
+        monkeypatch.setattr(metrics, "run_on_threads", checked)
+        evaluate_scene(estimates, scene, self.QUANTILES, threads)
+        assert left == [0, 0, 0]
+        assert metrics._ANALYSES.entries == []
+
     def test_threads_keep_their_own_analyses(self, rng, monkeypatch):
         # Two threads score different pairs in lockstep; each reuses its
         # own two analyses, so no score moves and no pair is re-analysed.

@@ -16,8 +16,10 @@ after the import loads no further module, and a ``CliError`` is built
 only where an exit code differs from what ``cli.main`` maps an
 exception type to, and only the prediction stage and the SI-SDR-LE
 analysis call ``stft`` or ``istft``, so stages hand each other
-signals, and threads are started only by the one hand-out helper and
-processes only by the batch runner's pool.  A smoke run of ``tools/peak_rss.py`` checks that it
+signals, threads are started only by the one hand-out helper and
+processes only by the batch runner's pool, and a C library is opened
+through ctypes only by numpy's OpenBLAS loader and the heap policy,
+which alone calls ``mallopt``.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
 
 import ast
@@ -264,15 +266,21 @@ WORKER_CONSTRUCTIONS = {
 }
 
 
-def _worker_constructions(tree):
-    """(enclosing function, class) of every call that constructs one of
-    :data:`WORKER_CLASSES`, by the name it is called through:
-    ``Thread(...)``, ``threading.Thread(...)`` and so on."""
+def _named_calls(tree, names):
+    """(enclosing function, name) of every call of one of ``names``, by
+    the name it is called through: ``Thread(...)``,
+    ``threading.Thread(...)`` and so on."""
     for scope, node in _scoped_nodes(tree):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in WORKER_CLASSES:
+            if name in names:
                 yield scope, name
+
+
+def _worker_constructions(tree):
+    """(enclosing function, class) of every construction of one of
+    :data:`WORKER_CLASSES`."""
+    return _named_calls(tree, WORKER_CLASSES)
 
 
 def test_threads_and_processes_start_in_one_place_each():
@@ -304,6 +312,51 @@ def test_threads_and_processes_start_in_one_place_each():
 )
 def test_worker_rule_finds_its_cases(source, found):
     assert list(_worker_constructions(ast.parse(source))) == found
+
+
+# Calls that open a shared library through ctypes, and glibc's mallopt.
+NATIVE_CALLS = ("CDLL", "LoadLibrary", "mallopt")
+# (call, module, enclosing function) of each: numpy's OpenBLAS is opened
+# in one place, and only the heap policy opens the C library and sets
+# its allocator, since no call can restore that.
+NATIVE_CALL_SITES = {
+    ("CDLL", "fcp.py", "openblas"),
+    ("CDLL", "experiment.py", "set_heap_policy"),
+    ("mallopt", "experiment.py", "set_heap_policy"),
+}
+
+
+def test_c_libraries_are_opened_and_the_heap_set_in_one_place_each():
+    found = {
+        (name, path.name, scope)
+        for path in PACKAGE.glob("*.py")
+        for scope, name in _named_calls(ast.parse(path.read_text()), NATIVE_CALLS)
+    }
+    assert found == NATIVE_CALL_SITES
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import ctypes\nctypes.CDLL(None)", [(None, "CDLL")]),
+        (
+            "from ctypes import CDLL\ndef f():\n    CDLL(None).mallopt(-1, 0)",
+            [("f", "mallopt"), ("f", "CDLL")],
+        ),
+        (
+            "import ctypes\nclass A:\n    def f(self):\n"
+            "        ctypes.cdll.LoadLibrary('libc.so.6')",
+            [("A.f", "LoadLibrary")],
+        ),
+        (
+            "def f(libc):\n    mallopt = libc.mallopt\n    mallopt(-3, 1)",
+            [("f", "mallopt")],
+        ),
+        ("import ctypes\nctypes.c_int(1)\nopen_ = ctypes.CDLL", []),
+    ],
+)
+def test_native_call_rule_finds_its_cases(source, found):
+    assert list(_named_calls(ast.parse(source), NATIVE_CALLS)) == found
 
 
 # (function, exit code) of each CliError that cli.py builds: the codes

@@ -8,10 +8,11 @@ For each duration, ``cxfilter simulate`` writes one 2-speaker scene,
 then one fresh ``cxfilter separate`` process runs it with the options
 of the ``essu-long`` benchmark workload (``--fcp essu --refinement
 fcp_substitute --degradation-snr 10 --quantiles 0.25,0.5,0.75 --jobs
-1``).  Both import ``cxfilter`` from this checkout's ``src``.  The peak
-RSS of each ``separate`` process (its own ``ru_maxrss``, read with
-``os.wait4``) is printed, then the least-squares slope of peak RSS over
-duration in MiB per second of audio.  Exits 1 if a run fails.
+1``).  Both import ``cxfilter`` from this checkout's ``src``.  The minor
+page faults and the peak RSS of each ``separate`` process (its own
+``ru_minflt`` and ``ru_maxrss``, read with ``os.wait4``) are printed,
+then the least-squares slope of peak RSS over duration in MiB per second
+of audio.  Exits 1 if a run fails.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def _env() -> dict:
     return {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
 
 
-def peak_rss_mib(duration_s: float, seed: int, work: Path) -> float:
-    """Peak RSS in MiB of one ``separate`` over one simulated scene."""
+def separate_usage(duration_s: float, seed: int, work: Path) -> tuple:
+    """(peak RSS in MiB, minor page faults) of one ``separate`` over one
+    simulated scene."""
     scenes, out = work / f"scenes_{duration_s:g}", work / f"out_{duration_s:g}"
     subprocess.run(
         _cxfilter("simulate", "--out", str(scenes), "--count", "1", "--speakers",
@@ -59,7 +61,7 @@ def peak_rss_mib(duration_s: float, seed: int, work: Path) -> float:
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode != 0:
         raise RuntimeError(f"separate at {duration_s:g} s exited {child.returncode}")
-    return usage.ru_maxrss / 1024  # KiB on Linux
+    return usage.ru_maxrss / 1024, usage.ru_minflt  # ru_maxrss: KiB on Linux
 
 
 def slope(durations: list, peaks: list) -> float:
@@ -83,11 +85,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="peak_rss_") as work:
         for duration in durations:
             try:
-                peaks.append(peak_rss_mib(duration, args.seed, Path(work)))
+                peak, faults = separate_usage(duration, args.seed, Path(work))
             except (RuntimeError, subprocess.CalledProcessError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            print(f"{duration:g} s: peak RSS {peaks[-1]:.1f} MiB", flush=True)
+            peaks.append(peak)
+            print(f"{duration:g} s: {faults} minor faults, peak RSS {peak:.1f} MiB",
+                  flush=True)
     print(f"slope: {slope(durations, peaks):.2f} MiB/s")
     return 0
 
