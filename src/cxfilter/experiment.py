@@ -30,7 +30,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily: here, not in a batch's first scene
 
 from cxfilter import fcp as fcp_module
-from cxfilter.fcp import FcpConfig, run_on_threads
+from cxfilter.fcp import FcpConfig
 from cxfilter.io import (
     config_from_dict,
     config_to_dict,
@@ -44,7 +44,6 @@ from cxfilter.metrics import (
     check_quantiles,
     evaluate_scene,
     mean_scores,
-    si_sdr_le_sweep,
 )
 from cxfilter.pipeline import (
     REFINEMENTS,
@@ -473,30 +472,23 @@ def evaluate_estimates(
     quantiles are not strictly ascending within (0, 1].  When quantiles
     are given, a combined low-energy sweep compares the estimates with
     the unprocessed mixture, averaged over speakers, and both CSV
-    exports are written next to the report.  The estimates' SI-SDR-LE
-    values in the sweep are the report's; only the mixture is scored
-    again, once per speaker and quantile.  All of it is scored before the
-    first file is written, with each speaker's sweep one task on every
-    CPU and OpenBLAS on one thread, as in :func:`_map_jobs`, so the bytes
-    do not depend on the CPU count.
+    exports are written next to the report.  The unprocessed system is
+    the mixture offered as every speaker's estimate, and both systems
+    are scored by :func:`evaluate_scene`, before the first file is
+    written, as the two payloads of a one-job batch
+    (:func:`_map_jobs`): on every CPU, with OpenBLAS on one thread, so
+    the bytes do not depend on the CPU count.
     """
     rate, n = scene.spec.sample_rate_hz, scene.num_samples
     check_estimates(estimates, grid, scene.num_speakers, rate, n)
     quantiles = check_quantiles(quantiles)
     out_dir = Path(out_dir)
-    previous = _pin_blas_threads()
-    threads = 1 if previous is None else _cpu_count()
-    refs = scene.reverberant_image
-    unprocessed = [None] * len(refs)
 
-    def sweep(c):
-        unprocessed[c] = si_sdr_le_sweep(scene.mixture, refs[c], quantiles)
+    def score(images, threads):
+        return evaluate_scene(images, scene, quantiles, threads)
 
-    try:
-        report = evaluate_scene(estimates.image_estimates, scene, quantiles, threads)
-        run_on_threads(sweep, list(range(len(refs))), threads)
-    finally:
-        _pin_blas_threads(previous)
+    systems = [estimates.image_estimates, [scene.mixture] * scene.num_speakers]
+    report, unprocessed = _map_jobs(score, systems, 1)
 
     payload = {
         "version": REPORT_FORMAT_VERSION,
@@ -505,18 +497,12 @@ def evaluate_estimates(
     write_json(out_dir / "report.json", payload)
 
     if quantiles:
-        # (speakers, quantiles) SI-SDR-LE tables: the estimates' from the
-        # report, the unprocessed mixture's against the same references.
-        combined = QuantileSweep(
-            quantiles=quantiles,
-            tables={
-                "estimate": [
-                    [s["si_sdr_le_db"][q] for q in quantiles]
-                    for s in report.per_speaker
-                ],
-                "unprocessed": unprocessed,
-            },
-        )
+        # (speakers, quantiles) SI-SDR-LE tables from each system's report.
+        tables = {
+            name: [[s["si_sdr_le_db"][q] for q in quantiles] for s in r.per_speaker]
+            for name, r in (("estimate", report), ("unprocessed", unprocessed))
+        }
+        combined = QuantileSweep(quantiles=quantiles, tables=tables)
         combined.write_values_csv(out_dir / "si_sdr_le_values.csv")
         combined.write_improvements_csv(out_dir / "si_sdr_le_improvements.csv")
         payload["sweep"] = combined.to_dict()

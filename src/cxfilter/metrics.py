@@ -63,7 +63,8 @@ class _Analyses(threading.local):
     quantile sweep scores one (estimate, reference) pair at every
     quantile, so two entries let every quantile after the first reuse
     both spectrograms, and sweeps on other threads evict none of them.
-    :func:`si_sdr_le_sweep` empties the list as it ends.
+    :func:`evaluate_scene`'s per-speaker sweep and :func:`quantile_sweep`
+    empty the list as they end.
     """
 
     def __init__(self):
@@ -149,18 +150,6 @@ def si_sdr_le(est, ref, quantile: float) -> float:
     return si_sdr(est_time, ref_time)
 
 
-def si_sdr_le_sweep(est, ref, quantiles) -> list:
-    """``si_sdr_le(est, ref, q)`` at each quantile, in grid order.
-
-    The calling thread's analyses are forgotten when the sweep ends, so
-    a scored pair leaves no spectrogram alive through later work.
-    """
-    try:
-        return [si_sdr_le(est, ref, q) for q in quantiles]
-    finally:
-        _ANALYSES.entries.clear()
-
-
 def _column_means(table) -> tuple:
     return tuple(float(np.mean(col)) for col in np.asarray(table).T)
 
@@ -225,15 +214,19 @@ def quantile_sweep(est_systems: dict, ref, quantiles) -> QuantileSweep:
 
     ``est_systems`` maps system name to a time-domain estimate of the
     same reference, scored as a one-row table.  Improvement curves cover
-    every ordered pair of distinct systems.
+    every ordered pair of distinct systems.  The calling thread's
+    analyses are forgotten when the sweep ends.
     """
     if len(est_systems) == 0:
         raise ValueError("quantile_sweep needs at least one system")
     quantiles = check_quantiles(quantiles)
-    tables = {
-        name: [[si_sdr_le(est, ref, q) for q in quantiles]]
-        for name, est in est_systems.items()
-    }
+    try:
+        tables = {
+            name: [[si_sdr_le(est, ref, q) for q in quantiles]]
+            for name, est in est_systems.items()
+        }
+    finally:
+        _ANALYSES.entries.clear()
     return QuantileSweep(quantiles=quantiles, tables=tables)
 
 
@@ -288,10 +281,15 @@ def evaluate_scene(
     requested quantile against the true reverberant images.
 
     The SI-SDR table and the search run on the calling thread.  Each
-    speaker's :func:`si_sdr_le_sweep` is then one task, and the tasks
-    run on ``threads`` threads (:func:`~cxfilter.fcp.run_on_threads`)
-    with the same bits at any count.  A ``threads`` that is not an int
-    >= 1 raises ValueError before any scoring.
+    speaker's SI-SDR-LE sweep is then one task, and the tasks run on
+    ``threads`` threads (:func:`~cxfilter.fcp.run_on_threads`) with the
+    same bits at any count; a task forgets its thread's analyses as it
+    ends, so a scored pair leaves no spectrogram alive.  A ``threads``
+    that is not an int >= 1 raises ValueError before any scoring.
+
+    This is the one grid scorer: ``eval`` scores the unprocessed mixture
+    with it too, as every speaker's estimate.  Identical estimates give
+    every permutation the same total, so the search keeps the identity.
     """
     check_threads(threads)
     refs = scene.reverberant_image
@@ -313,7 +311,10 @@ def evaluate_scene(
 
     def sweep(c):
         est, ref = estimates[best_perm[c]], refs[c]
-        scores = si_sdr_le_sweep(est, ref, quantiles)
+        try:
+            scores = [si_sdr_le(est, ref, q) for q in quantiles]
+        finally:
+            _ANALYSES.entries.clear()
         per_speaker[c]["si_sdr_le_db"] = dict(zip(quantiles, scores))
 
     if quantiles:

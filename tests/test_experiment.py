@@ -521,6 +521,27 @@ class TestBatchRuns:
         assert err.count("\n") == 1
         assert "no OpenBLAS thread control found for numpy;" in err
 
+    def test_missing_openblas_eval_warns_once_on_one_thread(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(fcp_module, "openblas", lambda: None)
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 4)
+        counts = []
+        run_on_threads = metrics.run_on_threads
+
+        def recorded(task, items, threads):
+            counts.append(threads)
+            run_on_threads(task, items, threads)
+
+        monkeypatch.setattr(metrics, "run_on_threads", recorded)
+        scene = simulate_scene(SceneSpec(num_speakers=2, duration_s=0.5, seed=9))
+        estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
+        evaluate_estimates(scene, estimates, (0.5,), tmp_path / "out", SEPARATOR_STFT)
+        assert counts == [1, 1]  # the estimates, then the unprocessed mixture
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no OpenBLAS thread control found for numpy;" in err
+
     @pytest.mark.parametrize("jobs", [0, -7])
     def test_map_jobs_rejects_fewer_than_one(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
@@ -594,9 +615,8 @@ class TestEvaluateEstimates:
         assert trees[0] == trees[1]
 
     def test_each_pair_is_scored_once_per_quantile(self, tmp_path, monkeypatch):
-        # The sweep takes the estimates' SI-SDR-LE from the report and
-        # scores only the mixture again: 2 x speakers x quantiles calls,
-        # all through metrics.si_sdr_le_sweep.
+        # The estimates and the unprocessed mixture are each scored once
+        # by evaluate_scene: 2 x speakers x quantiles calls.
         scene = simulate_scene(SceneSpec(num_speakers=3, duration_s=0.5, seed=9))
         estimates = oracle_separate(scene, DegradationSpec(snr_db=10.0))
         quantiles = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -622,8 +642,7 @@ class TestEvaluateEstimates:
 
             run_on_threads(sweep, items, count)
 
-        for module in (metrics, experiment):
-            monkeypatch.setattr(module, "run_on_threads", checked)
+        monkeypatch.setattr(metrics, "run_on_threads", checked)
         monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
         evaluate_estimates(
             scene, estimates, (0.25, 0.75), tmp_path / "out", SEPARATOR_STFT

@@ -251,6 +251,12 @@ class TestAnalysisMemo:
         quantile_sweep(systems, ref, self.QUANTILES)
         assert len(stft_calls) == 1 + len(systems)
 
+    def test_sweep_leaves_no_analyses_behind(self, rng):
+        ref = rng.standard_normal(3000)
+        systems = {name: ref + rng.standard_normal(3000) for name in "ab"}
+        quantile_sweep(systems, ref, self.QUANTILES)
+        assert metrics._ANALYSES.entries == []
+
 
 class TestQuantileSweep:
     QUANTILES = (0.25, 0.5, 0.75)
@@ -363,6 +369,22 @@ class TestEvaluateScene:
         assert report.permutation == (0, 1)  # lexicographic tie-break
         for entry in report.per_speaker:
             assert entry["si_sdr_db"] < SI_SDR_CAP_DB
+
+    @pytest.mark.parametrize("speakers", (1, 2, 3, 4))
+    def test_mixture_as_every_estimate_scores_each_reference_in_order(
+        self, speakers
+    ):
+        # eval's unprocessed system: identical columns give every
+        # permutation one total, so the search keeps the first, the identity.
+        scene = simulate_scene(
+            SceneSpec(num_speakers=speakers, duration_s=0.5, t60_s=0.2, seed=13)
+        )
+        quantiles = (0.1, 0.5, 1.0)
+        report = evaluate_scene([scene.mixture] * speakers, scene, quantiles)
+        assert report.permutation == tuple(range(speakers))
+        for entry, ref in zip(report.per_speaker, scene.reverberant_image):
+            want = [si_sdr_le(scene.mixture, ref, q) for q in quantiles]
+            assert list(entry["si_sdr_le_db"].values()) == want
 
     @pytest.mark.parametrize("quantiles", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_bad_grid_is_rejected_before_scoring(

@@ -17,7 +17,9 @@ only where an exit code differs from what ``cli.main`` maps an
 exception type to, and only the prediction stage and the SI-SDR-LE
 analysis call ``stft`` or ``istft``, so stages hand each other
 signals, threads are started only by the one hand-out helper and
-processes only by the batch runner's pool, and a C library is opened
+processes only by the batch runner's pool, OpenBLAS is pinned only by
+the batch runner and its pool workers, threads are handed out only by
+the FCP fit and the scene scorer, and a C library is opened
 through ctypes only by numpy's OpenBLAS loader and the heap policy,
 which alone calls ``mallopt``.  A smoke run of ``tools/peak_rss.py`` checks that it
 prints a finite slope."""
@@ -312,6 +314,53 @@ def test_threads_and_processes_start_in_one_place_each():
 )
 def test_worker_rule_finds_its_cases(source, found):
     assert list(_worker_constructions(ast.parse(source))) == found
+
+
+# Calls that pin numpy's OpenBLAS threads or hand out Python threads.
+THREAD_CALLS = ("_pin_blas_threads", "run_on_threads")
+# (call, module, enclosing function) of each: one batch runner pins and
+# restores OpenBLAS, for its own process and its pool workers, and only
+# the FCP fit and the scene scorer split their work over threads.
+THREAD_CALL_SITES = {
+    ("_pin_blas_threads", "experiment.py", "_map_jobs"),
+    ("_pin_blas_threads", "experiment.py", "_start_worker"),
+    ("run_on_threads", "fcp.py", "estimate_fcp_filter"),
+    ("run_on_threads", "metrics.py", "evaluate_scene"),
+}
+
+
+def test_blas_pins_and_thread_hand_outs_happen_in_one_place_each():
+    found = {
+        (name, path.name, scope)
+        for path in PACKAGE.glob("*.py")
+        for scope, name in _named_calls(ast.parse(path.read_text()), THREAD_CALLS)
+    }
+    assert found == THREAD_CALL_SITES
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        (
+            "from cxfilter.experiment import _pin_blas_threads\ndef f():\n"
+            "    previous = _pin_blas_threads()\n    _pin_blas_threads(previous)",
+            [("f", "_pin_blas_threads")] * 2,
+        ),
+        (
+            "from cxfilter import fcp\nclass A:\n    def f(self, g):\n"
+            "        fcp.run_on_threads(g, [0, 1], 2)",
+            [("A.f", "run_on_threads")],
+        ),
+        (
+            "def f(items):\n    def g(c):\n        pass\n"
+            "    run_on_threads(g, items, 1)",
+            [("f", "run_on_threads")],
+        ),
+        ("from cxfilter.fcp import run_on_threads\nhand_out = run_on_threads", []),
+    ],
+)
+def test_thread_call_rule_finds_its_cases(source, found):
+    assert list(_named_calls(ast.parse(source), THREAD_CALLS)) == found
 
 
 # Calls that open a shared library through ctypes, and glibc's mallopt.
